@@ -30,7 +30,6 @@ from .evaluate import (
 )
 from .maintainability import (
     MaintainabilityParams,
-    MeanTimes,
     availability_from_times,
     mean_down_time,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "Leaf",
     "MINUTES_PER_YEAR",
     "MaintainabilityParams",
-    "MeanTimes",
     "Model",
     "MtbfMaintainability",
     "MtbfMdt",

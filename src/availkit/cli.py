@@ -33,8 +33,13 @@ from .components import (
 from .evaluate import EvaluationError, eval_block
 from .model import Diagnostic, Model, validate
 from .modelfile import ParseDiagnostic, parse_model
-from .network import Network, PivotDepthError, eval_network
-from .oracle import EnumerationCapError, enumerate_availability, monte_carlo_availability
+from .network import DEFAULT_PIVOT_DEPTH, Network, PivotDepthError, eval_network
+from .oracle import (
+    DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
+    enumerate_availability,
+    monte_carlo_availability,
+)
 from .probability import Probability
 from .report import MINUTES_PER_YEAR, _json_num, _nines_json, build_report, render_json, render_text
 
@@ -64,6 +69,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer >= ``low``; a smaller value is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("model", help="path to a model file")
     parser.add_argument(
@@ -71,20 +89,20 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--minutes-per-year",
-        type=int,
+        type=_int_at_least(1),
         default=int(MINUTES_PER_YEAR),
         help="calendar used for downtime minutes (default 525600)",
     )
     parser.add_argument(
         "--enum-cap",
-        type=int,
-        default=20,
+        type=_int_at_least(0),
+        default=DEFAULT_ENUMERATION_CAP,
         help="largest instance count the enumeration oracle will accept",
     )
     parser.add_argument(
         "--pivot-depth",
-        type=int,
-        default=30,
+        type=_int_at_least(0),
+        default=DEFAULT_PIVOT_DEPTH,
         help="pivot recursion budget for network factoring",
     )
 
@@ -99,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="cross-check the evaluation")
     _add_common(oracle)
     oracle.add_argument("--mode", choices=("enumerate", "mc"), default="enumerate")
-    oracle.add_argument("--samples", type=int, default=1_000_000)
+    oracle.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
     oracle.add_argument("--seed", type=int, default=1)
 
     whatif = sub.add_parser("whatif", help="compare against overridden parameters")

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .probability import Probability, unavailability
 
 __all__ = [
-    "MeanTimes",
     "MaintainabilityParams",
     "mean_down_time",
     "availability_from_times",
@@ -25,30 +24,6 @@ __all__ = [
 def _require_nonnegative(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be a finite value >= 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class MeanTimes:
-    """Bundle of the classic mean-time figures for one unit, in hours.
-
-    All fields are optional; populate whichever the data source provides.
-    MTBF = MUT + MDT for repairable units, so either the up-time or the
-    between-failures form can be recorded. MTTR, where known, is kept for
-    reference — the availability quotient uses MDT, which includes every
-    delay, not just hands-on repair.
-    """
-
-    mttf_h: float | None = None
-    mtbf_h: float | None = None
-    mut_h: float | None = None
-    mdt_h: float | None = None
-    mttr_h: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("mttf_h", "mtbf_h", "mut_h", "mdt_h", "mttr_h"):
-            value = getattr(self, name)
-            if value is not None:
-                _require_nonnegative(name, value)
 
 
 @dataclass(frozen=True)
@@ -86,8 +61,15 @@ def mean_down_time(params: MaintainabilityParams) -> float:
 
 
 def availability_from_times(mtbf_h: float, mdt_h: float) -> Probability:
-    """Steady-state availability MTBF / (MTBF + MDT)."""
+    """Steady-state availability MTBF / (MTBF + MDT).
+
+    When the sum overflows to inf, the equal quotient 1 / (1 + MDT/MTBF)
+    is used instead of the 0.0 the plain form would give.
+    """
     if not (math.isfinite(mtbf_h) and mtbf_h > 0.0):
         raise ValueError(f"mtbf_h must be a finite value > 0, got {mtbf_h!r}")
     _require_nonnegative("mdt_h", mdt_h)
-    return Probability(mtbf_h / (mtbf_h + mdt_h))
+    total = mtbf_h + mdt_h
+    if not math.isfinite(total):
+        return Probability(1.0 / (1.0 + mdt_h / mtbf_h))
+    return Probability(mtbf_h / total)

@@ -14,7 +14,7 @@ from typing import Literal, Union
 
 from .blocks import Block, Bridge, KofN, Leaf, Parallel, Series
 from .components import Component
-from .network import Network
+from .network import Network, _connected
 
 __all__ = ["Diagnostic", "Model", "validate"]
 
@@ -96,26 +96,14 @@ def _validate_network(
             out.append(
                 Diagnostic("error", epath, f"unknown component {edge.component_id!r}")
             )
-    if net.edges and net.source != net.terminal:
-        adj: dict[str, list[str]] = {}
-        for edge in net.edges:
-            adj.setdefault(edge.a, []).append(edge.b)
-            adj.setdefault(edge.b, []).append(edge.a)
-        seen = {net.source}
-        stack = [net.source]
-        while stack:
-            for nxt in adj.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if net.terminal not in seen:
-            out.append(
-                Diagnostic(
-                    "warning",
-                    path,
-                    "terminal is unreachable from source even with all edges up",
-                )
+    if net.edges and not _connected(((e.a, e.b) for e in net.edges), net.source, net.terminal):
+        out.append(
+            Diagnostic(
+                "warning",
+                path,
+                "terminal is unreachable from source even with all edges up",
             )
+        )
 
 
 def validate(model: Model) -> list[Diagnostic]:

@@ -21,7 +21,7 @@ id), but any choice yields the same availability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .evaluate import EvaluationError
 from .probability import Probability
@@ -81,11 +81,12 @@ def _degrees(edges: _EdgeTable) -> dict[str, int]:
     return deg
 
 
-def _connected(edges: _EdgeTable, source: str, terminal: str) -> bool:
+def _connected(pairs: Iterable[tuple[str, str]], source: str, terminal: str) -> bool:
+    """True when the edges, given as (a, b) endpoint pairs, join source to terminal."""
     if source == terminal:
         return True
     adj: dict[str, list[str]] = {}
-    for u, v, _ in edges.values():
+    for u, v in pairs:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     seen = {source}
@@ -217,7 +218,7 @@ def _eval(
     if source == terminal:
         return 1.0
     edges = _reduce(edges, source, terminal)
-    if not _connected(edges, source, terminal):
+    if not _connected(((u, v) for u, v, _ in edges.values()), source, terminal):
         return 0.0
     if len(edges) == 1:
         (u, v, a) = next(iter(edges.values()))

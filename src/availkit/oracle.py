@@ -5,6 +5,14 @@ component states — no probability algebra is shared with
 ``availkit.evaluate`` or ``availkit.network``, so agreement between the
 two routes is meaningful evidence.
 
+One structure evaluator serves both oracles: it takes a boolean matrix
+of joint states, one row per state and one column per instance, and
+marks the rows in which the system is up. Enumeration feeds it the 2**n
+states in chunks of at most 2**16 rows and sums the up-rows'
+probabilities with ``math.fsum``, so the result is correctly rounded and
+independent of summation order. Monte Carlo feeds it sampled states in
+chunks of the same size.
+
 Monte Carlo reproducibility
 ---------------------------
 Sampling uses the splitmix64 generator, defined by its published
@@ -27,7 +35,7 @@ The whole budget runs on one stream — there is no worker splitting.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +65,9 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _MASK64 = (1 << 64) - 1
 
+# Rows of joint states evaluated at once, by enumeration and Monte Carlo.
+_CHUNK_ROWS = 1 << 16
+
 
 class EnumerationCapError(RuntimeError):
     """The joint state space is too large to enumerate under the cap."""
@@ -74,59 +85,6 @@ def instances(structure: Structure) -> tuple[str, ...]:
     return tuple(leaves(structure))
 
 
-def _block_state(block: Block, state: Sequence[bool], cursor: list[int]) -> bool:
-    if isinstance(block, Leaf):
-        value = bool(state[cursor[0]])
-        cursor[0] += 1
-        return value
-    if isinstance(block, Series):
-        results = [_block_state(c, state, cursor) for c in block.children]
-        return all(results)
-    if isinstance(block, Parallel):
-        results = [_block_state(c, state, cursor) for c in block.children]
-        return any(results)
-    if isinstance(block, KofN):
-        results = [_block_state(c, state, cursor) for c in block.children]
-        return sum(results) >= block.k
-    if isinstance(block, Bridge):
-        b1, b2, b3, b4, b5 = (_block_state(c, state, cursor) for c in block.children)
-        return (b1 and b4) or (b2 and b5) or (b3 and ((b1 and b5) or (b2 and b4)))
-    raise TypeError(f"not a block: {block!r}")
-
-
-def _network_state(net: Network, state: Sequence[bool]) -> bool:
-    if net.source == net.terminal:
-        return True
-    adj: dict[str, list[str]] = {}
-    for up, edge in zip(state, net.edges):
-        if up:
-            adj.setdefault(edge.a, []).append(edge.b)
-            adj.setdefault(edge.b, []).append(edge.a)
-    seen = {net.source}
-    stack = [net.source]
-    while stack:
-        for nxt in adj.get(stack.pop(), ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return net.terminal in seen
-
-
-def structure_function(structure: Structure, state: StateVector) -> bool:
-    """True when the system is up given each instance's boolean state.
-
-    Monotone by construction: repairing an instance never takes the
-    system down.
-    """
-    state = list(state)
-    expected = len(instances(structure))
-    if len(state) != expected:
-        raise ValueError(f"state has {len(state)} entries, structure has {expected}")
-    if isinstance(structure, Network):
-        return _network_state(structure, state)
-    return _block_state(structure, state, [0])
-
-
 def _instance_availabilities(
     structure: Structure, env: Mapping[str, float]
 ) -> list[float]:
@@ -137,41 +95,6 @@ def _instance_availabilities(
         except KeyError:
             raise KeyError(f"no availability for component {cid!r}") from None
     return out
-
-
-def enumerate_availability(
-    structure: Structure,
-    env: Mapping[str, float],
-    *,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Probability:
-    """Exact availability by summing the probability of every up-state.
-
-    Walks all 2**n joint states, so n is limited by ``cap``. State order
-    is fixed (instance 0 is the lowest bit), making the floating-point
-    sum reproducible.
-    """
-    avails = _instance_availabilities(structure, env)
-    n = len(avails)
-    if n > cap:
-        raise EnumerationCapError(
-            f"{n} instances would need 2**{n} states, over the cap of {cap}; "
-            "use the Monte Carlo estimate instead"
-        )
-    is_network = isinstance(structure, Network)
-    total = 0.0
-    for code in range(1 << n):
-        state = [(code >> i) & 1 == 1 for i in range(n)]
-        p = 1.0
-        for up, a in zip(state, avails):
-            p *= a if up else 1.0 - a
-        if is_network:
-            works = _network_state(structure, state)
-        else:
-            works = _block_state(structure, state, [0])
-        if works:
-            total += p
-    return Probability(total)
 
 
 def _splitmix64(seed: int, index: int) -> int:
@@ -203,14 +126,18 @@ def _batch_block(block: Block, working: np.ndarray, cursor: list[int]) -> np.nda
         cursor[0] += 1
         return column
     if isinstance(block, (Series, Parallel)):
-        results = [_batch_block(c, working, cursor) for c in block.children]
-        op = np.logical_and if isinstance(block, Series) else np.logical_or
-        return op.reduce(results, axis=0)
+        # Start from the identity so that a childless block is all-up
+        # (series) or all-down (parallel), as all() and any() would be.
+        is_series = isinstance(block, Series)
+        op = np.logical_and if is_series else np.logical_or
+        up = np.full(working.shape[0], is_series)
+        for c in block.children:
+            op(up, _batch_block(c, working, cursor), out=up)
+        return up
     if isinstance(block, KofN):
-        results = [_batch_block(c, working, cursor) for c in block.children]
-        counts = np.zeros(working.shape[0], dtype=np.int16)
-        for r in results:
-            counts += r
+        counts = np.zeros(working.shape[0], dtype=np.int32)
+        for c in block.children:
+            counts += _batch_block(c, working, cursor)
         return counts >= block.k
     if isinstance(block, Bridge):
         b1, b2, b3, b4, b5 = [_batch_block(c, working, cursor) for c in block.children]
@@ -247,6 +174,63 @@ def _batch_states(structure: Structure, working: np.ndarray) -> np.ndarray:
     return _batch_block(structure, working, [0])
 
 
+def structure_function(structure: Structure, state: StateVector) -> bool:
+    """True when the system is up given each instance's boolean state.
+
+    Monotone by construction: repairing an instance never takes the
+    system down.
+    """
+    state = list(state)
+    expected = len(instances(structure))
+    if len(state) != expected:
+        raise ValueError(f"state has {len(state)} entries, structure has {expected}")
+    working = np.array(state, dtype=bool).reshape(1, expected)
+    return bool(_batch_states(structure, working)[0])
+
+
+def _up_state_probabilities(structure: Structure, avails: list[float]) -> Iterator[float]:
+    """Probability of every up-state, in code order, one chunk at a time.
+
+    Row ``code`` sets instance i up when bit i of ``code`` is set. Each
+    row's probability is a product taken in instance order.
+    """
+    n = len(avails)
+    for start in range(0, 1 << n, _CHUNK_ROWS):
+        codes = np.arange(start, min(start + _CHUNK_ROWS, 1 << n), dtype=np.int64)
+        working = np.empty((len(codes), n), dtype=bool, order="F")
+        p = np.ones(len(codes))
+        for i, a in enumerate(avails):
+            working[:, i] = (codes >> i) & 1
+            p *= np.where(working[:, i], a, 1.0 - a)
+        # A memoryview hands out Python floats one at a time, where
+        # tolist() would build a list of the whole chunk first.
+        yield from memoryview(p[_batch_states(structure, working)])
+
+
+def enumerate_availability(
+    structure: Structure,
+    env: Mapping[str, float],
+    *,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> Probability:
+    """Exact availability by summing the probability of every up-state.
+
+    Walks all 2**n joint states, so n is limited by ``cap``. States are
+    evaluated in chunks of at most 2**16 rows by the same structure
+    evaluator as Monte Carlo, so memory stays bounded whatever the cap.
+    The up-state probabilities are summed with ``math.fsum``, which is
+    correctly rounded: the result does not depend on summation order.
+    """
+    avails = _instance_availabilities(structure, env)
+    n = len(avails)
+    if n > cap:
+        raise EnumerationCapError(
+            f"{n} instances would need 2**{n} states, over the cap of {cap}; "
+            "use the Monte Carlo estimate instead"
+        )
+    return Probability(math.fsum(_up_state_probabilities(structure, avails)))
+
+
 def monte_carlo_availability(
     structure: Structure,
     env: Mapping[str, float],
@@ -265,9 +249,8 @@ def monte_carlo_availability(
     avails = np.array(_instance_availabilities(structure, env))
     m = len(avails)
     hits = 0
-    chunk = 1 << 16
-    for start in range(0, samples, chunk):
-        count = min(chunk, samples - start)
+    for start in range(0, samples, _CHUNK_ROWS):
+        count = min(_CHUNK_ROWS, samples - start)
         draws = _uniform_block(seed, start * m, count * m)
         working = draws.reshape(count, m) < avails[None, :]
         hits += int(np.count_nonzero(_batch_states(structure, working)))

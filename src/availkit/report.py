@@ -116,23 +116,20 @@ def render_json(report: AvailabilityReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-_text_num = _json_num
-
-
 def render_text(report: AvailabilityReport) -> str:
     nines_text = "inf" if math.isinf(report.nines) else str(int(report.nines))
     lines = [
-        f"availability             {_text_num(report.availability)}",
-        f"unavailability           {_text_num(report.unavailability)}",
+        f"availability             {_json_num(report.availability)}",
+        f"unavailability           {_json_num(report.unavailability)}",
         f"nines                    {nines_text}",
-        f"downtime (minutes/year)  {_text_num(report.downtime_minutes_per_year)}",
+        f"downtime (minutes/year)  {_json_num(report.downtime_minutes_per_year)}",
     ]
     if report.per_component:
         lines.append("components:")
         width = max(len(line.id) for line in report.per_component)
         for line in report.per_component:
-            row = f"  {line.id.ljust(width)}  availability {_text_num(line.availability)}"
+            row = f"  {line.id.ljust(width)}  availability {_json_num(line.availability)}"
             if line.mdt_h is not None:
-                row += f"  mdt {_text_num(line.mdt_h)} h"
+                row += f"  mdt {_json_num(line.mdt_h)} h"
             lines.append(row)
     return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ from availkit.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parent.parent / "demos"
+SRC = Path(__file__).parent.parent / "src"
 BRIDGE = str(DATA / "bridge.avail")
 
 
@@ -114,6 +117,22 @@ class TestExitCodes:
         assert code == 1
         assert "pivot depth" in err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--minutes-per-year", "0"),
+            ("--minutes-per-year", "-5"),
+            ("--enum-cap", "-3"),
+            ("--pivot-depth", "-1"),
+            ("--samples", "0"),
+        ],
+    )
+    def test_numeric_flag_below_its_floor_is_validation(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", BRIDGE, flag, value])
+        assert exc.value.code == 1
+        assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
     def test_check_invalid_model_reports_and_fails(self, capsys, tmp_path):
         bad = tmp_path / "bad.avail"
         bad.write_text("component c1 { availability = 1.5 }\nsystem = c1\n")
@@ -155,6 +174,13 @@ class TestEval:
         )
         assert code == 0
         assert '"downtime_minutes_per_year": 21520.0' in out
+
+    def test_huge_mtbf_does_not_overflow_to_zero(self, capsys, tmp_path):
+        f = tmp_path / "huge.avail"
+        f.write_text("component x { mtbf_h = 1e308, mdt_h = 1e308 }\nsystem = x\n")
+        code, out, _ = run(capsys, "eval", str(f), "--format", "json")
+        assert code == 0
+        assert '"availability": 0.5,' in out
 
     def test_network_model(self, capsys, tmp_path):
         f = tmp_path / "net.avail"
@@ -232,6 +258,17 @@ class TestWhatif:
 
 
 class TestSubprocess:
+    @pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+    def test_demo_runs(self, demo):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, str(DEMOS / demo)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "availkit", "eval", BRIDGE, "--format", "json"],

@@ -2,7 +2,6 @@ import pytest
 
 from availkit import (
     MaintainabilityParams,
-    MeanTimes,
     availability_from_times,
     mean_down_time,
 )
@@ -53,6 +52,11 @@ class TestAvailabilityFromTimes:
     def test_equal_up_and_down_is_half(self):
         assert float(availability_from_times(5.0, 5.0)) == 0.5
 
+    def test_sum_overflow_still_gives_the_quotient(self):
+        # 1e308 + 1e308 overflows to inf; the plain quotient would be 0.0.
+        assert float(availability_from_times(1e308, 1e308)) == 0.5
+        assert float(availability_from_times(1.5e308, 0.5e308)) == 0.75
+
     def test_rejects_nonpositive_mtbf(self):
         with pytest.raises(ValueError):
             availability_from_times(0.0, 1.0)
@@ -63,14 +67,3 @@ class TestAvailabilityFromTimes:
         with pytest.raises(ValueError):
             availability_from_times(10.0, -1.0)
 
-
-class TestMeanTimes:
-    def test_stores_what_is_given(self):
-        t = MeanTimes(mtbf_h=100.0, mdt_h=2.0)
-        assert t.mtbf_h == 100.0
-        assert t.mdt_h == 2.0
-        assert t.mttf_h is None
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            MeanTimes(mut_h=-1.0)

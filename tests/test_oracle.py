@@ -14,10 +14,13 @@ from availkit import (
     Series,
     enumerate_availability,
     eval_block,
+    eval_kofn,
+    eval_network,
     instances,
     monte_carlo_availability,
     structure_function,
 )
+from availkit import oracle
 from availkit.oracle import _splitmix64, _uniform_block
 
 BRIDGE = Bridge(Leaf("c1"), Leaf("c2"), Leaf("c3"), Leaf("c4"), Leaf("c5"))
@@ -75,6 +78,13 @@ class TestStructureFunction:
         assert structure_function(tree, [True, True, False])
         assert not structure_function(tree, [True, False, False])
 
+    def test_kofn_counts_past_int16(self):
+        # 2**15 + 1 children: a 16-bit up-count would wrap negative
+        n = (1 << 15) + 1
+        tree = KofN(n, tuple(Leaf("a") for _ in range(n)))
+        assert structure_function(tree, [True] * n)
+        assert float(monte_carlo_availability(tree, {"a": 1.0}, 1, 0)[0]) == 1.0
+
     def test_network_connectivity(self):
         net = bridge_network()
         assert structure_function(net, [True, False, False, True, False])
@@ -127,6 +137,53 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapError, match="Monte Carlo"):
             enumerate_availability(wide, env, cap=5)
         assert float(enumerate_availability(wide, env, cap=6)) > 0.98
+
+    def test_kofn_across_chunk_boundary(self):
+        # 18 instances: 2**18 states, four chunks of 2**16 rows
+        avails = [0.5 + 0.025 * i for i in range(18)]
+        tree = KofN(9, tuple(Leaf(f"c{i}") for i in range(18)))
+        env = {f"c{i}": a for i, a in enumerate(avails)}
+        brute = float(enumerate_availability(tree, env))
+        assert abs(brute - float(eval_kofn(9, avails))) < 1e-12
+
+    def test_grid_network_across_chunk_boundary(self):
+        # 3 x 4 grid: 9 horizontal + 8 vertical = 17 edges, two chunks
+        edges = []
+        for r in range(3):
+            for c in range(4):
+                if c < 3:
+                    edges.append(((r, c), (r, c + 1)))
+                if r < 2:
+                    edges.append(((r, c), (r + 1, c)))
+        net = Network(
+            edges=tuple(
+                Edge(f"e{i}", f"n{a[0]}{a[1]}", f"n{b[0]}{b[1]}", f"c{i}")
+                for i, (a, b) in enumerate(edges)
+            ),
+            source="n00",
+            terminal="n23",
+        )
+        env = {f"c{i}": 0.6 + 0.02 * i for i in range(len(edges))}
+        assert len(edges) == 17
+        brute = float(enumerate_availability(net, env))
+        assert abs(brute - float(eval_network(net, env))) < 1e-12
+
+    def test_states_are_evaluated_in_bounded_chunks(self, monkeypatch):
+        rows = []
+        batch_states = oracle._batch_states
+
+        def recording(structure, working):
+            rows.append(working.shape[0])
+            return batch_states(structure, working)
+
+        monkeypatch.setattr(oracle, "_batch_states", recording)
+        wide = Parallel(tuple(Leaf(f"c{i}") for i in range(18)))
+        enumerate_availability(wide, {f"c{i}": 0.5 for i in range(18)})
+        assert rows == [1 << 16] * 4
+
+    def test_childless_series_is_up_and_parallel_down(self):
+        assert float(enumerate_availability(Series(()), {})) == 1.0
+        assert float(enumerate_availability(Parallel(()), {})) == 0.0
 
     def test_default_cap_is_twenty(self):
         wide = Parallel(tuple(Leaf(f"c{i}") for i in range(21)))
