@@ -7,8 +7,8 @@ the tie splits it into two pure series/parallel worlds:
     tie down -> two independent two-component paths in parallel
 
 The same structure expressed as a five-edge network exercises the
-reduction + pivoting evaluator, which rediscovers that decomposition on
-its own.
+network engine: reduction cannot shrink it, so a frontier sweep over its
+edges computes the same figure without conditioning on any edge.
 """
 
 from availkit import Edge, Network, eval_bridge, eval_network, reduce_network
@@ -36,14 +36,14 @@ net = Network(
     terminal="n4",
 )
 env = {f"c{i}": a for i in range(1, 6)}
-print(f"\n  network factoring  {float(eval_network(net, env))}")
+print(f"\n  network sweep      {float(eval_network(net, env))}")
 
 # The reducer alone cannot shrink a bridge — it is the irreducible core
-# that forces a pivot.
+# that the sweep evaluates.
 red = reduce_network(net, env)
 print(f"  reducer leaves {len(red.network.edges)} edges (irreducible core)")
 
-# Series/parallel graphs collapse completely without pivoting: a
+# Series/parallel graphs collapse completely under reduction alone: a
 # diamond of two 2-hop paths reduces to a single synthetic edge.
 diamond = Network(
     edges=(

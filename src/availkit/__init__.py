@@ -3,7 +3,7 @@
 Components carry either a direct availability, an MTBF/MDT pair, or the
 full maintainability pipeline (MTTRes, MLDT, MADT, PNRS, TAT). Systems
 are reliability block diagram trees (series, parallel, k-of-n, bridge)
-or two-terminal networks evaluated by reduction and pivotal factoring.
+or two-terminal networks evaluated by reduction and a frontier sweep.
 Brute-force oracles (exhaustive enumeration and a reproducible Monte
 Carlo sampler) cross-check every evaluator, and a small model-file
 format plus CLI wrap the lot.
@@ -36,11 +36,11 @@ from .maintainability import (
 from .model import Diagnostic, Model, validate
 from .modelfile import ParseDiagnostic, SourceSpan, format_model, parse_model
 from .network import (
-    DEFAULT_PIVOT_DEPTH,
+    DEFAULT_MAX_STATES,
     Edge,
     Network,
-    PivotDepthError,
     ReducedNetwork,
+    StateBudgetError,
     eval_network,
     reduce_network,
 )
@@ -73,7 +73,7 @@ __all__ = [
     "ComponentLine",
     "ComponentSpec",
     "DEFAULT_ENUMERATION_CAP",
-    "DEFAULT_PIVOT_DEPTH",
+    "DEFAULT_MAX_STATES",
     "Diagnostic",
     "DirectAvailability",
     "Edge",
@@ -90,11 +90,11 @@ __all__ = [
     "PROBABILITY_TOLERANCE",
     "Parallel",
     "ParseDiagnostic",
-    "PivotDepthError",
     "Probability",
     "ReducedNetwork",
     "Series",
     "SourceSpan",
+    "StateBudgetError",
     "availability_from_times",
     "build_report",
     "component_availability",

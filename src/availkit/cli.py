@@ -33,7 +33,7 @@ from .components import (
 from .evaluate import EvaluationError, eval_block
 from .model import Diagnostic, Model, validate
 from .modelfile import ParseDiagnostic, parse_model
-from .network import DEFAULT_PIVOT_DEPTH, Network, PivotDepthError, eval_network
+from .network import DEFAULT_MAX_STATES, Network, eval_network
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -100,10 +100,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="largest instance count the enumeration oracle will accept",
     )
     parser.add_argument(
-        "--pivot-depth",
-        type=_int_at_least(0),
-        default=DEFAULT_PIVOT_DEPTH,
-        help="pivot recursion budget for network factoring",
+        "--max-states",
+        type=_int_at_least(1),
+        default=DEFAULT_MAX_STATES,
+        help="live-state budget of the network sweep",
     )
 
 
@@ -156,9 +156,9 @@ def _diag_rows(
     return rows
 
 
-def _evaluate(model: Model, env, pivot_depth: int) -> Probability:
+def _evaluate(model: Model, env, max_states: int) -> Probability:
     if isinstance(model.system, Network):
-        return eval_network(model.system, env, max_pivots=pivot_depth)
+        return eval_network(model.system, env, max_states=max_states)
     return eval_block(model.system, env)
 
 
@@ -199,7 +199,7 @@ def _cmd_check(args, parse_diags, model_diags) -> int:
 
 
 def _cmd_eval(args, model: Model, env) -> int:
-    availability = _evaluate(model, env, args.pivot_depth)
+    availability = _evaluate(model, env, args.max_states)
     report = build_report(model, env, availability, float(args.minutes_per_year))
     text = render_json(report) if args.format == "json" else render_text(report)
     sys.stdout.write(text)
@@ -207,7 +207,7 @@ def _cmd_eval(args, model: Model, env) -> int:
 
 
 def _cmd_oracle(args, model: Model, env) -> int:
-    exact = _evaluate(model, env, args.pivot_depth)
+    exact = _evaluate(model, env, args.max_states)
     if args.mode == "enumerate":
         estimate = enumerate_availability(model.system, env, cap=args.enum_cap)
         tolerance = ENUMERATION_TOLERANCE
@@ -317,9 +317,9 @@ def _cmd_whatif(args, model: Model, env) -> int:
     modified = Model(components=components, system=model.system)
     modified_env = derive_environment(components)
     minutes = float(args.minutes_per_year)
-    base = build_report(model, env, _evaluate(model, env, args.pivot_depth), minutes)
+    base = build_report(model, env, _evaluate(model, env, args.max_states), minutes)
     after = build_report(
-        modified, modified_env, _evaluate(modified, modified_env, args.pivot_depth), minutes
+        modified, modified_env, _evaluate(modified, modified_env, args.max_states), minutes
     )
     delta = after.downtime_minutes_per_year - base.downtime_minutes_per_year
     if args.format == "json":
@@ -372,9 +372,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except PivotDepthError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (EvaluationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .blocks import Block, Bridge, KofN, Leaf, Parallel, Series
 from .probability import Probability
 
@@ -60,6 +58,8 @@ def eval_kofn(k: int, avails: Sequence[float]) -> Probability:
         raise EvaluationError("kofn requires at least one availability")
     if not 1 <= k <= n:
         raise EvaluationError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    import numpy as np  # here, so that importing availkit does not load numpy
+
     dist = np.zeros(n + 1)
     dist[0] = 1.0
     for p in avails:

@@ -14,7 +14,7 @@ from typing import Literal, Union
 
 from .blocks import Block, Bridge, KofN, Leaf, Parallel, Series
 from .components import Component
-from .network import Network, _connected
+from .network import Network, _bfs_order
 
 __all__ = ["Diagnostic", "Model", "validate"]
 
@@ -96,7 +96,7 @@ def _validate_network(
             out.append(
                 Diagnostic("error", epath, f"unknown component {edge.component_id!r}")
             )
-    if net.edges and not _connected(((e.a, e.b) for e in net.edges), net.source, net.terminal):
+    if net.edges and net.terminal not in _bfs_order(((e.a, e.b) for e in net.edges), net.source):
         out.append(
             Diagnostic(
                 "warning",

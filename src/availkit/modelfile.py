@@ -21,9 +21,10 @@ Component fields come in exactly three shapes: ``availability`` alone,
 ``mtbf_h`` with ``mdt_h``, or ``mtbf_h`` with the maintainability set
 ``mttres_h, mldt_h, madt_h, pnrs, tat_h``. Blocks are ``ID``,
 ``series(b, b, ...)``, ``parallel(b, b, ...)``, ``kofn(k; b, b, ...)``
-and ``bridge(b1, b2, b3, b4, b5)``; structural words are reserved and
-cannot name components or nodes. ``#`` starts a line comment. A file
-declares either ``system = ...`` or one ``network { ... }``, not both.
+and ``bridge(b1, b2, b3, b4, b5)``, nested at most ``MAX_NESTING``
+levels deep; structural words are reserved and cannot name components
+or nodes. ``#`` starts a line comment. A file declares either
+``system = ...`` or one ``network { ... }``, not both.
 
 Parsing is total: it returns a model (or None) plus positioned
 diagnostics, and never raises on malformed input. Spans count bytes of
@@ -101,6 +102,11 @@ _COMBINATION_HINT = (
     "component fields must be: availability alone; mtbf_h with mdt_h; "
     "or mtbf_h with mttres_h, mldt_h, madt_h, pnrs, tat_h"
 )
+
+# Deepest nesting of series/parallel/kofn/bridge blocks a file may use.
+# The parser and every walker of a block tree recurse once per level, so
+# a cap well inside the interpreter's recursion limit keeps them total.
+MAX_NESTING = 200
 
 _NUM_RE = re.compile(r"-?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?")
 _INT_RE = re.compile(r"-?\d+$")
@@ -207,6 +213,7 @@ class _Parser:
         # to parse — a broken system line is not a missing one
         self.system_span: SourceSpan | None = None
         self.network_span: SourceSpan | None = None
+        self.depth = 0  # enclosing composite blocks of the block being parsed
 
     # -- token plumbing ------------------------------------------------
 
@@ -410,6 +417,9 @@ class _Parser:
             self._sync_nested()
             return None
         self._next()
+        if tok.text in ("series", "parallel", "kofn", "bridge") and self.depth == MAX_NESTING:
+            self._error(f"blocks nest more than {MAX_NESTING} levels deep", tok.span)
+            return None
         if tok.text in ("series", "parallel"):
             children = self._block_list(tok)
             if children is None:
@@ -468,7 +478,9 @@ class _Parser:
     def _block_items(self, head: _Token):
         children = []
         while True:
+            self.depth += 1
             child = self._block()
+            self.depth -= 1
             if child is None:
                 self._sync_nested()
                 if self._peek().kind == "punct" and self._peek().text == ")":

@@ -4,38 +4,38 @@ A network is an undirected multigraph whose edges carry components; the
 system is up whenever at least one path of working edges joins the source
 to the terminal. Nodes are perfect junctions — only edges fail.
 
-Evaluation reduces the graph to a fixpoint (merging parallel edges,
-fusing chains through internal degree-2 nodes, pruning dangling edges
-and self-loops) and, when an irreducible core remains, factors on a
-pivot edge:
-
-    A = A_pivot * A(core with pivot contracted)
-      + (1 - A_pivot) * A(core with pivot deleted)
-
-Both branches are reduced again, so the recursion stays shallow for
-practical meshes. The default pivot is the edge with the highest sum of
-endpoint degrees (ties broken by the lexicographically smallest edge
-id), but any choice yields the same availability.
+Evaluation runs in two stages. A worklist reduction first applies the
+series/parallel rules to a fixpoint: it drops self-loops and dangling
+edges, merges parallel edges and fuses chains through internal degree-2
+nodes. An edge-ordered frontier sweep (Hardy, Lucet & Limnios, IEEE
+Trans. Reliability 56(3), 2007) then evaluates the irreducible core that
+remains. It takes the core's edges in breadth-first order from the
+source and carries, for each partition of the frontier vertices into
+connected blocks, the probability mass of reaching it. Mass is banked
+when a working edge joins the source's block to the terminal's, and a
+state is dropped once it can no longer connect them. The sweep's cost
+grows with the number of live states, which ``max_states`` bounds.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .evaluate import EvaluationError
 from .probability import Probability
 
-__all__ = ["Edge", "Network", "ReducedNetwork", "PivotDepthError", "reduce_network", "eval_network"]
+__all__ = ["Edge", "Network", "ReducedNetwork", "StateBudgetError", "reduce_network", "eval_network"]
 
 # (node a, node b, availability) per edge id — the working representation.
 _EdgeTable = dict[str, tuple[str, str, float]]
 
-DEFAULT_PIVOT_DEPTH = 30
+DEFAULT_MAX_STATES = 1 << 17
 
 
-class PivotDepthError(RuntimeError):
-    """Raised when factoring recurses past the configured pivot budget."""
+class StateBudgetError(EvaluationError):
+    """Raised when the frontier sweep holds more live states than its budget."""
 
 
 @dataclass(frozen=True)
@@ -73,169 +73,166 @@ class ReducedNetwork:
     synthetic: dict[str, float]
 
 
-def _degrees(edges: _EdgeTable) -> dict[str, int]:
-    deg: dict[str, int] = {}
-    for u, v, _ in edges.values():
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    return deg
-
-
-def _connected(pairs: Iterable[tuple[str, str]], source: str, terminal: str) -> bool:
-    """True when the edges, given as (a, b) endpoint pairs, join source to terminal."""
-    if source == terminal:
-        return True
+def _bfs_order(pairs: Iterable[tuple[str, str]], source: str) -> dict[str, int]:
+    """Breadth-first rank of each node reachable from source over the
+    edges, given as (a, b) endpoint pairs; the source ranks 0."""
     adj: dict[str, list[str]] = {}
     for u, v in pairs:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    seen = {source}
-    stack = [source]
-    while stack:
-        node = stack.pop()
+    order = {source: 0}
+    queue = [source]
+    for node in queue:
         for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                if nxt == terminal:
-                    return True
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
+            if nxt not in order:
+                order[nxt] = len(order)
+                queue.append(nxt)
+    return order
 
 
 def _reduce(edges: _EdgeTable, source: str, terminal: str, trace: dict[str, float] | None = None) -> _EdgeTable:
     """Apply the reduction rules to a fixpoint.
 
-    Scan order is fixed — self-loops, dangling edges, then the first
-    parallel pair by edge id, then the first internal degree-2 node by
-    node id — so the result and any synthetic edge names are
-    deterministic.
+    Self-loops go first. A worklist then holds the nodes whose incident
+    edges changed, seeded in sorted node order. Visiting a node merges
+    its parallel edges in edge id order; then, unless the node is the
+    source or the terminal, it prunes the node's edge if the node dangles
+    or fuses its two edges if it has degree 2. Every node at the far end
+    of a change is queued again. The visiting order is fixed, so the
+    result and any synthetic edge names are deterministic.
     """
-    edges = dict(edges)
-    changed = True
-    while changed:
-        changed = False
+    edges = {eid: e for eid, e in edges.items() if e[0] != e[1]}
+    incident: dict[str, set[str]] = {}
+    for eid, (u, v, _) in edges.items():
+        incident.setdefault(u, set()).add(eid)
+        incident.setdefault(v, set()).add(eid)
+    queue = deque(sorted(incident))
+    queued = set(queue)
 
-        for eid in sorted(edges):
-            u, v, _ = edges[eid]
-            if u == v:
-                del edges[eid]
-                changed = True
+    def unlink(eid: str) -> tuple[str, str, float]:
+        u, v, a = edges.pop(eid)
+        incident[u].discard(eid)
+        incident[v].discard(eid)
+        return u, v, a
 
-        while True:
-            deg = _degrees(edges)
-            dangling = [
-                eid
-                for eid, (u, v, _) in sorted(edges.items())
-                if (deg[u] == 1 and u not in (source, terminal))
-                or (deg[v] == 1 and v not in (source, terminal))
-            ]
-            if not dangling:
-                break
-            for eid in dangling:
-                del edges[eid]
-            changed = True
+    def link(eid: str, u: str, v: str, a: float) -> None:
+        edges[eid] = (u, v, a)
+        incident[u].add(eid)
+        incident[v].add(eid)
+        if trace is not None:
+            trace[eid] = a
 
-        by_pair: dict[frozenset[str], str] = {}
-        merged = False
-        for eid in sorted(edges):
+    def touch(node: str) -> None:
+        if node not in queued:
+            queued.add(node)
+            queue.append(node)
+
+    while queue:
+        node = queue.popleft()
+        queued.discard(node)
+        by_far: dict[str, str] = {}
+        for eid in sorted(incident[node]):
             u, v, a = edges[eid]
-            pair = frozenset((u, v))
-            first = by_pair.get(pair)
+            far = v if u == node else u
+            first = by_far.get(far)
             if first is None:
-                by_pair[pair] = eid
+                by_far[far] = eid
                 continue
-            fu, fv, fa = edges[first]
+            fu, fv, fa = unlink(first)
+            unlink(eid)
             new_id = f"par({first},{eid})"
-            value = 1.0 - (1.0 - fa) * (1.0 - a)
-            del edges[first]
-            del edges[eid]
-            edges[new_id] = (fu, fv, value)
-            if trace is not None:
-                trace[new_id] = value
-            merged = True
-            changed = True
-            break
-        if merged:
+            link(new_id, fu, fv, 1.0 - (1.0 - fa) * (1.0 - a))
+            by_far[far] = new_id
+            touch(far)
+        if node in (source, terminal):
             continue
-
-        deg = _degrees(edges)
-        for node in sorted(deg):
-            if node in (source, terminal) or deg[node] != 2:
-                continue
-            first, second = sorted(
-                eid for eid, (u, v, _) in edges.items() if node in (u, v)
-            )
-            u1, v1, a1 = edges[first]
-            u2, v2, a2 = edges[second]
+        ids = sorted(incident[node])
+        if len(ids) == 1:
+            u, v, _ = unlink(ids[0])
+            touch(v if u == node else u)
+        elif len(ids) == 2:
+            first, second = ids
+            u1, v1, a1 = unlink(first)
+            u2, v2, a2 = unlink(second)
             far1 = u1 if v1 == node else v1
             far2 = u2 if v2 == node else v2
-            new_id = f"ser({first},{second})"
-            value = a1 * a2
-            del edges[first]
-            del edges[second]
-            edges[new_id] = (far1, far2, value)
-            if trace is not None:
-                trace[new_id] = value
-            changed = True
-            break
-
+            link(f"ser({first},{second})", far1, far2, a1 * a2)
+            touch(far1)
+            touch(far2)
     return edges
 
 
-def _default_pivot(edges: _EdgeTable) -> str:
-    deg = _degrees(edges)
-    return min(edges, key=lambda eid: (-(deg[edges[eid][0]] + deg[edges[eid][1]]), eid))
+def _canonical(state: tuple[int, ...]) -> tuple[int, ...]:
+    """Renumber the block labels other than 0 and 1 in order of appearance."""
+    names = {0: 0, 1: 1}
+    return tuple([names.setdefault(x, len(names)) for x in state])
 
 
-def _contract(edges: _EdgeTable, pivot: str, source: str, terminal: str) -> tuple[_EdgeTable, str, str]:
-    """Merge the pivot's endpoints into one node; self-loops vanish."""
-    keep, drop, _ = edges[pivot]
-    out: _EdgeTable = {}
-    for eid, (u, v, a) in edges.items():
-        if eid == pivot:
-            continue
-        if u == drop:
-            u = keep
-        if v == drop:
-            v = keep
-        if u == v:
-            continue
-        out[eid] = (u, v, a)
-    if source == drop:
-        source = keep
-    if terminal == drop:
-        terminal = keep
-    return out, source, terminal
+def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> float:
+    """Source-terminal availability of a core by an edge-ordered frontier sweep.
 
-
-def _eval(
-    edges: _EdgeTable,
-    source: str,
-    terminal: str,
-    budget: int,
-    pivot_rule: Callable[[_EdgeTable], str],
-) -> float:
-    if source == terminal:
-        return 1.0
-    edges = _reduce(edges, source, terminal)
-    if not _connected(((u, v) for u, v, _ in edges.values()), source, terminal):
+    A state labels each frontier vertex with its block: 0 is the source's
+    block, 1 the terminal's, and the others are numbered in order of
+    appearance, so equal partitions share one key. Sorting the edges by
+    the larger, then the smaller breadth-first rank of their endpoints
+    makes every edge's lower endpoint already known when the edge comes.
+    """
+    rank = _bfs_order(((u, v) for u, v, _ in edges.values()), source)
+    if terminal not in rank:
         return 0.0
-    if len(edges) == 1:
-        (u, v, a) = next(iter(edges.values()))
-        if {u, v} == {source, terminal}:
-            return a
-    if budget <= 0:
-        raise PivotDepthError(
-            "pivot depth limit exceeded while factoring the network; "
-            "raise the limit or estimate with the Monte Carlo oracle"
-        )
-    pivot = pivot_rule(edges)
-    _, _, a = edges[pivot]
-    contracted, c_source, c_terminal = _contract(edges, pivot, source, terminal)
-    deleted = {eid: val for eid, val in edges.items() if eid != pivot}
-    up = _eval(contracted, c_source, c_terminal, budget - 1, pivot_rule)
-    down = _eval(deleted, source, terminal, budget - 1, pivot_rule)
-    return a * up + (1.0 - a) * down
+    core = sorted(
+        (max(rank[u], rank[v]), min(rank[u], rank[v]), eid, a)
+        for eid, (u, v, a) in edges.items()
+        if u in rank
+    )
+    last: dict[int, int] = {}
+    for i, (hi, lo, _, _) in enumerate(core):
+        last[hi] = last[lo] = i
+    t = rank[terminal]
+    frontier = [0]
+    states = {(0,): 1.0}
+    banked = 0.0
+    for i, (hi, lo, _, p) in enumerate(core):
+        if hi not in frontier:
+            frontier.append(hi)
+            if hi == t:
+                states = {s + (1,): m for s, m in states.items()}
+            else:
+                states = {s + (max(max(s), 1) + 1,): m for s, m in states.items()}
+        iu, iv = frontier.index(lo), frontier.index(hi)
+        q = 1.0 - p
+        nxt: dict[tuple[int, ...], float] = {}
+        for s, m in states.items():
+            a, b = s[iu], s[iv]
+            if a == b:
+                nxt[s] = nxt.get(s, 0.0) + m
+                continue
+            nxt[s] = nxt.get(s, 0.0) + m * q
+            if a + b == 1:  # an up edge joins the source's block to the terminal's
+                banked += m * p
+                continue
+            keep, drop = (a, b) if a < b else (b, a)
+            merged = _canonical(tuple([keep if x == drop else x for x in s]))
+            nxt[merged] = nxt.get(merged, 0.0) + m * p
+        keep_at = [j for j, w in enumerate(frontier) if last[w] != i]
+        if len(keep_at) < len(frontier):
+            seen_terminal = t <= hi
+            frontier = [frontier[j] for j in keep_at]
+            states = {}
+            for s, m in nxt.items():
+                rest = tuple([s[j] for j in keep_at])
+                if 0 not in rest or (seen_terminal and 1 not in rest):
+                    continue
+                rest = _canonical(rest)
+                states[rest] = states.get(rest, 0.0) + m
+        else:
+            states = nxt
+        if len(states) > max_states:
+            raise StateBudgetError(
+                f"network sweep exceeded {max_states} live states; "
+                "raise the limit or estimate with the Monte Carlo oracle"
+            )
+    return banked
 
 
 def _edge_table(net: Network, env: Mapping[str, float]) -> _EdgeTable:
@@ -280,19 +277,16 @@ def eval_network(
     net: Network,
     env: Mapping[str, float],
     *,
-    max_pivots: int = DEFAULT_PIVOT_DEPTH,
-    pivot_rule: Callable[[_EdgeTable], str] | None = None,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> Probability:
     """Availability of the source-terminal connection.
 
-    ``max_pivots`` bounds the factoring recursion depth; exceeding it
-    raises PivotDepthError, which suggests the Monte Carlo oracle for
-    meshes too dense to factor. ``pivot_rule`` is injectable for testing
-    — any rule that names an edge of the current core gives the same
-    result.
+    ``max_states`` bounds the live states of the frontier sweep over the
+    irreducible core; exceeding it raises StateBudgetError, which suggests
+    the Monte Carlo oracle for meshes too wide to sweep. A network that
+    reduction alone solves needs one state.
     """
     if net.source == net.terminal:
         raise EvaluationError("source and terminal must differ")
-    table = _edge_table(net, env)
-    rule = pivot_rule if pivot_rule is not None else _default_pivot
-    return Probability(_eval(table, net.source, net.terminal, max_pivots, rule))
+    core = _reduce(_edge_table(net, env), net.source, net.terminal)
+    return Probability(_sweep(core, net.source, net.terminal, max_states))

@@ -35,13 +35,14 @@ The whole budget runs on one stream — there is no worker splitting.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .blocks import Block, Bridge, KofN, Leaf, Parallel, Series, leaves
 from .network import Network
 from .probability import Probability
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EnumerationCapError",
@@ -60,9 +61,11 @@ StateVector = Sequence[bool]
 
 DEFAULT_ENUMERATION_CAP = 20
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+# numpy is imported by the functions that use it, so that importing
+# availkit, and evaluating without an oracle, does not load it.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
 # Rows of joint states evaluated at once, by enumeration and Monte Carlo.
@@ -110,17 +113,21 @@ def _splitmix64(seed: int, index: int) -> int:
 
 def _uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """Draws start .. start+count-1 of the stream as floats in [0, 1)."""
+    import numpy as np
+
     idx = np.arange(start, start + count, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + (idx + np.uint64(1)) * _GAMMA
+    z = np.uint64(seed & _MASK64) + (idx + np.uint64(1)) * np.uint64(_GAMMA)
     z ^= z >> np.uint64(30)
-    z *= _MIX1
+    z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
-    z *= _MIX2
+    z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def _batch_block(block: Block, working: np.ndarray, cursor: list[int]) -> np.ndarray:
+    import numpy as np
+
     if isinstance(block, Leaf):
         column = working[:, cursor[0]]
         cursor[0] += 1
@@ -146,6 +153,8 @@ def _batch_block(block: Block, working: np.ndarray, cursor: list[int]) -> np.nda
 
 
 def _batch_network(net: Network, working: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     nodes = sorted({net.source, net.terminal} | {n for e in net.edges for n in (e.a, e.b)})
     index = {n: i for i, n in enumerate(nodes)}
     ends = [(index[e.a], index[e.b]) for e in net.edges]
@@ -184,6 +193,8 @@ def structure_function(structure: Structure, state: StateVector) -> bool:
     expected = len(instances(structure))
     if len(state) != expected:
         raise ValueError(f"state has {len(state)} entries, structure has {expected}")
+    import numpy as np
+
     working = np.array(state, dtype=bool).reshape(1, expected)
     return bool(_batch_states(structure, working)[0])
 
@@ -194,6 +205,8 @@ def _up_state_probabilities(structure: Structure, avails: list[float]) -> Iterat
     Row ``code`` sets instance i up when bit i of ``code`` is set. Each
     row's probability is a product taken in instance order.
     """
+    import numpy as np
+
     n = len(avails)
     for start in range(0, 1 << n, _CHUNK_ROWS):
         codes = np.arange(start, min(start + _CHUNK_ROWS, 1 << n), dtype=np.int64)
@@ -246,6 +259,8 @@ def monte_carlo_availability(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    import numpy as np
+
     avails = np.array(_instance_availabilities(structure, env))
     m = len(avails)
     hits = 0

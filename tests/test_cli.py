@@ -8,6 +8,7 @@ import pytest
 import availkit.cli as cli
 from availkit import Probability
 from availkit.cli import main
+from availkit.modelfile import MAX_NESTING
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -99,7 +100,7 @@ class TestExitCodes:
             main(["eval", BRIDGE, "--bogus"])
         assert exc.value.code == 1
 
-    def test_pivot_depth_exhaustion(self, capsys, tmp_path):
+    def test_state_budget_exhaustion(self, capsys, tmp_path):
         f = tmp_path / "mesh.avail"
         f.write_text(
             "component link { availability = 0.9 }\n"
@@ -113,9 +114,10 @@ class TestExitCodes:
             "  edge(n3, n4, link)\n"
             "}\n"
         )
-        code, _, err = run(capsys, "eval", str(f), "--pivot-depth", "0")
+        code, _, err = run(capsys, "eval", str(f), "--max-states", "1")
         assert code == 1
-        assert "pivot depth" in err
+        assert "live states" in err
+        assert "Monte Carlo" in err
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -123,7 +125,7 @@ class TestExitCodes:
             ("--minutes-per-year", "0"),
             ("--minutes-per-year", "-5"),
             ("--enum-cap", "-3"),
-            ("--pivot-depth", "-1"),
+            ("--max-states", "0"),
             ("--samples", "0"),
         ],
     )
@@ -159,6 +161,26 @@ class TestCheck:
         code, out, _ = run(capsys, "check", BRIDGE)
         assert code == 0
         assert out.startswith("valid:")
+
+    def test_deep_nesting_is_a_diagnostic(self, capsys, tmp_path):
+        f = tmp_path / "deep.avail"
+        f.write_text("component a { availability = 0.9 }\nsystem = " + "series(" * 3000 + "a\n")
+        code, out, err = run(capsys, "check", str(f))
+        assert code == 1
+        assert out.startswith("invalid: 1 error(s)")
+        column = len("system = ") + len("series(") * MAX_NESTING + 1
+        assert err == f"{f}:2:{column}: error: blocks nest more than 200 levels deep\n"
+
+    def test_nesting_at_the_cap_evaluates(self, capsys, tmp_path):
+        f = tmp_path / "deep.avail"
+        depth = MAX_NESTING
+        f.write_text(
+            "component a { availability = 1 }\nsystem = "
+            + "series(a, " * depth + "a" + ")" * depth + "\n"
+        )
+        code, out, _ = run(capsys, "oracle", str(f), "--mode", "mc", "--samples", "10")
+        assert code == 0
+        assert "within tolerance: yes" in out
 
 
 class TestEval:
@@ -268,6 +290,16 @@ class TestSubprocess:
             env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0, result.stderr
+
+    def test_import_does_not_load_numpy(self):
+        # numpy is loaded only when an oracle or a k-of-n block needs it
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, availkit.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.stdout == "False\n", result.stderr
 
     def test_module_entry_point(self):
         result = subprocess.run(

@@ -1,6 +1,8 @@
 import random
 from pathlib import Path
 
+from hypothesis import given, strategies as st
+
 from availkit import (
     Bridge,
     Component,
@@ -15,6 +17,7 @@ from availkit import (
     parse_model,
     validate,
 )
+from availkit.modelfile import MAX_NESTING
 from conftest import random_tree
 
 DATA = Path(__file__).parent / "data"
@@ -89,7 +92,34 @@ class TestParsing:
         assert model.system.edges[0].component_id == "link"
 
 
+# Fragments of the model language, so generated text reaches past the lexer.
+_FRAGMENTS = st.sampled_from(
+    [
+        "component", "system", "network", "source", "terminal", "edge", "series",
+        "parallel", "kofn", "bridge", "availability", "mtbf_h", "mdt_h", "pnrs",
+        "c1", "a", "=", ",", ";", "(", ")", "{", "}", "0.9", "2", "-1", "1e999",
+        " ", "\n", "#", "é",
+    ]
+)
+
+
 class TestDiagnostics:
+    @given(st.text() | st.lists(_FRAGMENTS).map("".join))
+    def test_parse_never_raises(self, text):
+        model, diags = parse_model(text)
+        assert (model is None) == any(d.severity == "error" for d in diags)
+
+    def test_nesting_past_the_cap_is_a_positioned_error(self):
+        head = "component a { availability = 0.9 }\nsystem = "
+        at_cap = head + "series(a, " * MAX_NESTING + "a" + ")" * MAX_NESTING
+        model, diags = parse_model(at_cap)
+        assert diags == []
+        model, diags = parse_model(head + "parallel(a, " * 3000 + "a" + ")" * 3000)
+        assert model is None
+        [d] = diags
+        assert d.message == f"blocks nest more than {MAX_NESTING} levels deep"
+        assert (d.span.line, d.span.column) == (2, 10 + 12 * MAX_NESTING)
+
     def test_out_of_range_availability_points_at_value(self):
         model, diags = parse_model("component c1 { availability = 1.5 }\nsystem = c1")
         assert model is None

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,10 +7,11 @@ from availkit import (
     Edge,
     EvaluationError,
     Network,
-    PivotDepthError,
+    StateBudgetError,
     enumerate_availability,
     eval_bridge,
     eval_network,
+    monte_carlo_availability,
     reduce_network,
 )
 from conftest import random_network
@@ -27,6 +29,17 @@ def bridge_network():
 
 
 UNIFORM = {f"c{i}": 0.9 for i in range(1, 6)}
+
+
+def grid_network(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                edges.append(Edge(f"h{r}_{c}", f"g{r}_{c}", f"g{r}_{c + 1}", f"h{r}_{c}"))
+            if r + 1 < rows:
+                edges.append(Edge(f"v{r}_{c}", f"g{r}_{c}", f"g{r + 1}_{c}", f"v{r}_{c}"))
+    return Network(edges=tuple(edges), source="g0_0", terminal=f"g{rows - 1}_{cols - 1}")
 
 
 class TestReduce:
@@ -96,6 +109,17 @@ class TestReduce:
         assert len(red.network.edges) == 5
         assert red.synthetic == {}
 
+    def test_long_chain_fuses_to_one_edge(self):
+        n = 300
+        edges = tuple(Edge(f"e{i}", f"m{i}", f"m{i + 1}", f"c{i}") for i in range(n))
+        net = Network(edges=edges, source="m0", terminal=f"m{n}")
+        env = {f"c{i}": 0.999 for i in range(n)}
+        red = reduce_network(net, env)
+        [edge] = red.network.edges
+        assert {edge.a, edge.b} == {"m0", f"m{n}"}
+        assert abs(red.synthetic[edge.id] - 0.999**n) < 1e-12
+        assert abs(float(eval_network(net, env)) - 0.999**n) < 1e-12
+
 
 class TestEvalNetwork:
     def test_single_edge(self):
@@ -154,30 +178,84 @@ class TestEvalNetwork:
         with pytest.raises(EvaluationError, match="ghost"):
             eval_network(net, {})
 
-    def test_pivot_budget_zero_fails_on_bridge(self):
-        with pytest.raises(PivotDepthError, match="Monte Carlo"):
-            eval_network(bridge_network(), UNIFORM, max_pivots=0)
+    def test_state_budget_one_fails_on_bridge(self):
+        with pytest.raises(StateBudgetError, match="Monte Carlo"):
+            eval_network(bridge_network(), UNIFORM, max_states=1)
 
-    def test_pivot_budget_zero_fine_for_series_parallel(self):
-        # a reducible graph never needs to pivot
+    def test_state_budget_one_fine_for_series_parallel(self):
+        # a reducible graph leaves a single source-terminal edge: one state
         net = Network(
             edges=(Edge("e0", "s", "m", "a"), Edge("e1", "m", "t", "b")),
             source="s",
             terminal="t",
         )
-        assert abs(float(eval_network(net, {"a": 0.9, "b": 0.9}, max_pivots=0)) - 0.81) < 1e-15
+        assert abs(float(eval_network(net, {"a": 0.9, "b": 0.9}, max_states=1)) - 0.81) < 1e-15
 
-    def test_pivot_choice_does_not_change_the_answer(self):
+    def test_edge_order_and_node_names_do_not_change_the_answer(self):
         rng = random.Random(777)
-
-        def random_rule(edges):
-            return rng.choice(sorted(edges))
-
         for _ in range(60):
             net, env = random_network(rng, max_edges=10)
-            base = float(eval_network(net, env))
-            other = float(eval_network(net, env, pivot_rule=random_rule))
-            assert abs(base - other) < 1e-10
+            if net.source == net.terminal:
+                continue
+            # reversed names reverse every sorted order the engine uses
+            rename = {n: f"z{99 - int(n[1:])}" for n in net.nodes}
+            edges = [Edge(e.id, rename[e.a], rename[e.b], e.component_id) for e in net.edges]
+            rng.shuffle(edges)
+            other = Network(
+                edges=tuple(edges), source=rename[net.source], terminal=rename[net.terminal]
+            )
+            assert abs(float(eval_network(net, env)) - float(eval_network(other, env))) < 1e-12
+
+    def test_five_by_five_grid_agrees_with_monte_carlo(self):
+        net = grid_network(5, 5)
+        assert len(net.edges) == 40
+        rng = random.Random(779)
+        env = {e.component_id: rng.uniform(0.6, 0.99) for e in net.edges}
+        start = time.perf_counter()
+        exact = float(eval_network(net, env))
+        assert time.perf_counter() - start < 1.0
+        estimate, half_width = monte_carlo_availability(net, env, 200_000, 11)
+        assert abs(exact - estimate) <= 4 * half_width
+
+    @pytest.mark.parametrize(
+        "edges,terminal,want",
+        [
+            # the terminal hangs off a bridge core that never reaches it
+            (
+                [("n1", "n2"), ("n1", "n3"), ("n2", "n3"), ("n2", "n4"), ("n3", "n4"), ("x", "t")],
+                "t",
+                0.0,
+            ),
+            # an irreducible K4 outside the source's component
+            (
+                [("n1", "n2"), ("n1", "n3"), ("n2", "n3"), ("n2", "n4"), ("n3", "n4"),
+                 ("w", "x"), ("w", "y"), ("w", "z"), ("x", "y"), ("x", "z"), ("y", "z")],
+                "n4",
+                None,
+            ),
+            # parallel edges into the terminal
+            (
+                [("n1", "n2"), ("n1", "n3"), ("n2", "n3"), ("n2", "n4"), ("n3", "n4"),
+                 ("n2", "n4"), ("n4", "n3")],
+                "n4",
+                None,
+            ),
+            # reduction leaves an empty core
+            ([("n1", "m"), ("m", "x"), ("m", "y")], "t", 0.0),
+        ],
+        ids=["unreachable-terminal", "outside-component", "parallel-into-terminal", "empty-core"],
+    )
+    def test_edge_cases_match_enumeration(self, edges, terminal, want):
+        net = Network(
+            edges=tuple(Edge(f"e{i}", a, b, f"x{i}") for i, (a, b) in enumerate(edges)),
+            source="n1",
+            terminal=terminal,
+        )
+        env = {f"x{i}": 0.5 + 0.05 * i for i in range(len(edges))}
+        got = float(eval_network(net, env))
+        assert abs(got - float(enumerate_availability(net, env))) < 1e-12
+        if want is not None:
+            assert got == want
 
     def test_matches_enumeration_on_random_networks(self):
         rng = random.Random(778)
