@@ -15,6 +15,12 @@ from typing import Union
 
 __all__ = ["Leaf", "Series", "Parallel", "KofN", "Bridge", "Block", "leaves"]
 
+# Deepest nesting of series/parallel/kofn/bridge blocks. The parser
+# rejects deeper files and ``availkit.model.validate`` deeper trees, and
+# the evaluators recurse once per level, so a cap well inside the
+# interpreter's recursion limit keeps every walker of a valid tree total.
+MAX_NESTING = 200
+
 
 @dataclass(frozen=True)
 class Leaf:

@@ -5,6 +5,8 @@ Validation never raises: it returns a list of diagnostics, each carrying
 a severity, a dotted path into the structure, and a message. Errors make
 a model unevaluable; warnings flag suspect but legal constructions (an
 unused component, a network that cannot connect even with every edge up).
+A block tree nested deeper than ``blocks.MAX_NESTING`` levels is an
+error at its first block too deep, below which nothing else is checked.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Union
 
-from .blocks import Block, Bridge, KofN, Leaf, Parallel, Series
+from .blocks import MAX_NESTING, Block, Bridge, KofN, Leaf, Parallel, Series
 from .components import Component
 from .network import Network, _bfs_order
 
@@ -36,7 +38,12 @@ class Model:
 
 
 def _validate_block(
-    block: Block, path: str, known: set[str], used: set[str], out: list[Diagnostic]
+    block: Block,
+    path: str,
+    known: set[str],
+    used: set[str],
+    out: list[Diagnostic],
+    depth: int = 0,
 ) -> None:
     if isinstance(block, Leaf):
         used.add(block.component_id)
@@ -44,6 +51,19 @@ def _validate_block(
             out.append(
                 Diagnostic("error", path, f"unknown component {block.component_id!r}")
             )
+        return
+    # a composite below MAX_NESTING others is reported, not checked, so the
+    # recursion stays within MAX_NESTING + 1 frames however deep the tree
+    # goes; a loop still marks the components used beneath it
+    if isinstance(block, (Series, Parallel, KofN, Bridge)) and depth == MAX_NESTING:
+        out.append(Diagnostic("error", path, f"blocks nest more than {MAX_NESTING} levels deep"))
+        below = [block]
+        while below:
+            node = below.pop()
+            if isinstance(node, Leaf):
+                used.add(node.component_id)
+            elif isinstance(node, (Series, Parallel, KofN, Bridge)):
+                below.extend(node.children)
         return
     if isinstance(block, (Series, Parallel, KofN)):
         kind = type(block).__name__.lower()
@@ -58,11 +78,11 @@ def _validate_block(
                     Diagnostic("error", path, f"k={block.k} exceeds the {n} children")
                 )
         for i, child in enumerate(block.children):
-            _validate_block(child, f"{path}.children[{i}]", known, used, out)
+            _validate_block(child, f"{path}.children[{i}]", known, used, out, depth + 1)
         return
     if isinstance(block, Bridge):
         for i, child in enumerate(block.children, start=1):
-            _validate_block(child, f"{path}.b{i}", known, used, out)
+            _validate_block(child, f"{path}.b{i}", known, used, out, depth + 1)
         return
     out.append(Diagnostic("error", path, f"not a block: {block!r}"))
 

@@ -28,17 +28,20 @@ or nodes. ``#`` starts a line comment. A file declares either
 
 Parsing is total: it returns a model (or None) plus positioned
 diagnostics, and never raises on malformed input. Spans count bytes of
-the UTF-8 encoding; line and column are 1-based.
+the UTF-8 encoding, where a lone surrogate counts the 3 bytes of its
+``surrogatepass`` encoding; line and column are 1-based, and columns
+count code points.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Literal
 
-from .blocks import Bridge, KofN, Leaf, Parallel, Series
+from .blocks import MAX_NESTING, Bridge, KofN, Leaf, Parallel, Series
 from .components import (
     Component,
     DirectAvailability,
@@ -103,83 +106,79 @@ _COMBINATION_HINT = (
     "or mtbf_h with mttres_h, mldt_h, madt_h, pnrs, tat_h"
 )
 
-# Deepest nesting of series/parallel/kofn/bridge blocks a file may use.
-# The parser and every walker of a block tree recurse once per level, so
-# a cap well inside the interpreter's recursion limit keeps them total.
-MAX_NESTING = 200
-
-_NUM_RE = re.compile(r"-?(\d+(\.\d+)?|\.\d+)([eE][+-]?\d+)?")
 _INT_RE = re.compile(r"-?\d+$")
 
+# Whitespace and comments, then one alternative per token kind, tried in
+# this order. ``[^\W\d]`` also admits word characters that are neither
+# letters nor digits, such as '²', which start no token: ``_lex`` reports
+# one as a bad character and scans again after it.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:(?P<id>[^\W\d]\w*)"
+    r"|(?P<num>-?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<punct>[{}()=,;])"
+    r"|(?P<bad>.)"
+    r"|(?P<eof>\Z))",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "id" | "num" | "punct" | "eof"
-    text: str
-    span: SourceSpan
+# (kind, text, start, end) with char offsets; kind is a group name above.
+_Token = tuple[str, str, int, int]
 
 
-class _Lexer:
+def _lex(text: str) -> tuple[list[_Token], list[_Token]]:
+    """The tokens of ``text``, ending with the eof token, and its bad characters."""
+    tokens: list[_Token] = []
+    bad: list[_Token] = []
+    pos = 0
+    while True:
+        for m in _TOKEN_RE.finditer(text, pos):
+            kind = m.lastgroup
+            start, end = m.span(kind)
+            word = m.group(kind)
+            if kind == "id" and not (word[0].isalpha() or word[0] == "_"):
+                bad.append(("bad", word[0], start, start + 1))
+                pos = start + 1
+                break
+            (bad if kind == "bad" else tokens).append((kind, word, start, end))
+            if kind == "eof":
+                return tokens, bad
+
+
+class _Spans:
+    """Source spans of the tokens of one text, built only when reported.
+
+    Byte offsets equal char offsets in ASCII text; otherwise a cursor
+    encodes the text between the last offset asked for and this one.
+    Reports come in a few forward sweeps (bad characters, the parser, which
+    steps back at most to the start of a declaration, unknown refs), so the
+    cursor travels a few text lengths however many there are. Lines come
+    from a bisect over the newline offsets, indexed on first use.
+    """
+
     def __init__(self, text: str) -> None:
         self.text = text
-        self.pos = 0
-        self.byte = 0
-        self.line = 1
-        self.column = 1
-        self.diagnostics: list[ParseDiagnostic] = []
+        self.ascii = text.isascii()
+        self.char = self.byte = 0
+        self.newlines: list[int] | None = None
 
-    def _advance(self) -> None:
-        ch = self.text[self.pos]
-        self.pos += 1
-        self.byte += len(ch.encode("utf-8"))
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
+    def _byte(self, pos: int) -> int:
+        if self.ascii:
+            return pos
+        if pos >= self.char:
+            self.byte += len(self.text[self.char:pos].encode("utf-8", "surrogatepass"))
         else:
-            self.column += 1
+            self.byte -= len(self.text[pos:self.char].encode("utf-8", "surrogatepass"))
+        self.char = pos
+        return self.byte
 
-    def _mark(self) -> tuple[int, int, int]:
-        return self.byte, self.line, self.column
-
-    def _span_from(self, mark: tuple[int, int, int]) -> SourceSpan:
-        return SourceSpan(mark[0], self.byte, mark[1], mark[2])
-
-    def tokens(self) -> list[_Token]:
-        out: list[_Token] = []
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-                continue
-            if ch == "#":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance()
-                continue
-            mark = self._mark()
-            if ch.isalpha() or ch == "_":
-                start = self.pos
-                while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-                    self._advance()
-                out.append(_Token("id", text[start:self.pos], self._span_from(mark)))
-                continue
-            match = _NUM_RE.match(text, self.pos)
-            if match and (ch.isdigit() or ch in "-."):
-                for _ in range(match.end() - self.pos):
-                    self._advance()
-                out.append(_Token("num", match.group(), self._span_from(mark)))
-                continue
-            if ch in "{}()=,;":
-                self._advance()
-                out.append(_Token("punct", ch, self._span_from(mark)))
-                continue
-            self._advance()
-            self.diagnostics.append(
-                ParseDiagnostic("error", f"unexpected character {ch!r}", self._span_from(mark))
-            )
-        eof_span = SourceSpan(self.byte, self.byte, self.line, self.column)
-        out.append(_Token("eof", "", eof_span))
-        return out
+    def __call__(self, tok: _Token) -> SourceSpan:
+        start, end = tok[2], tok[3]
+        if self.newlines is None:
+            self.newlines = [m.start() for m in re.finditer("\n", self.text)]
+        line = bisect_left(self.newlines, start)
+        column = start - (self.newlines[line - 1] if line else -1)
+        return SourceSpan(self._byte(start), self._byte(end), line + 1, column)
 
 
 def _check_field(name: str, value: float) -> str | None:
@@ -200,20 +199,23 @@ def _check_field(name: str, value: float) -> str | None:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diagnostics: list[ParseDiagnostic]) -> None:
-        self.tokens = tokens
+    def __init__(self, text: str) -> None:
+        self.tokens, bad = _lex(text)
         self.i = 0
-        self.diagnostics = diagnostics
+        self.spans = _Spans(text)
+        self.diagnostics: list[ParseDiagnostic] = []
         self.components: dict[str, Component] = {}
         self.declared: set[str] = set()
-        self.refs: list[tuple[str, SourceSpan]] = []
+        self.refs: list[_Token] = []
         self.system: object | None = None
         self.network: Network | None = None
-        # spans of the declarations as *seen*, even when their bodies fail
-        # to parse — a broken system line is not a missing one
-        self.system_span: SourceSpan | None = None
-        self.network_span: SourceSpan | None = None
+        # the declarations as *seen*, even when their bodies fail to
+        # parse — a broken system line is not a missing one
+        self.system_tok: _Token | None = None
+        self.network_tok: _Token | None = None
         self.depth = 0  # enclosing composite blocks of the block being parsed
+        for tok in bad:
+            self._error(f"unexpected character {tok[1]!r}", tok)
 
     # -- token plumbing ------------------------------------------------
 
@@ -222,41 +224,41 @@ class _Parser:
 
     def _next(self) -> _Token:
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.i += 1
         return tok
 
-    def _error(self, message: str, span: SourceSpan) -> None:
-        self.diagnostics.append(ParseDiagnostic("error", message, span))
+    def _error(self, message: str, tok: _Token) -> None:
+        self.diagnostics.append(ParseDiagnostic("error", message, self.spans(tok)))
 
     def _expect_punct(self, text: str) -> _Token | None:
         tok = self._peek()
-        if tok.kind == "punct" and tok.text == text:
+        if tok[0] == "punct" and tok[1] == text:
             return self._next()
-        self._error(f"expected {text!r}", tok.span)
+        self._error(f"expected {text!r}", tok)
         return None
 
     def _expect_id(self, what: str) -> _Token | None:
         tok = self._peek()
-        if tok.kind == "id":
+        if tok[0] == "id":
             return self._next()
-        self._error(f"expected {what}", tok.span)
+        self._error(f"expected {what}", tok)
         return None
 
     def _expect_name(self, what: str) -> _Token | None:
         """An identifier that is not a reserved structural word."""
         tok = self._expect_id(what)
-        if tok is not None and tok.text in _KEYWORDS:
-            self._error(f"{tok.text!r} is a reserved word and cannot be used as {what}", tok.span)
+        if tok is not None and tok[1] in _KEYWORDS:
+            self._error(f"{tok[1]!r} is a reserved word and cannot be used as {what}", tok)
             return None
         return tok
 
     def _sync_top(self) -> None:
         while True:
             tok = self._peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 return
-            if tok.kind == "id" and tok.text in ("component", "system", "network"):
+            if tok[0] == "id" and tok[1] in ("component", "system", "network"):
                 return
             self._next()
 
@@ -264,18 +266,18 @@ class _Parser:
         depth = 0
         while True:
             tok = self._peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 return
-            if tok.kind == "id" and tok.text in ("component", "system", "network") and depth == 0:
+            if tok[0] == "id" and tok[1] in ("component", "system", "network") and depth == 0:
                 return
-            if tok.kind == "punct":
-                if tok.text == "(":
+            if tok[0] == "punct":
+                if tok[1] == "(":
                     depth += 1
-                elif tok.text == ")":
+                elif tok[1] == ")":
                     if depth == 0:
                         return
                     depth -= 1
-                elif tok.text in (",", "}") and depth == 0:
+                elif tok[1] in (",", "}") and depth == 0:
                     return
             self._next()
 
@@ -284,26 +286,25 @@ class _Parser:
     def parse(self) -> tuple[Model | None, list[ParseDiagnostic]]:
         while True:
             tok = self._peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 break
-            if tok.kind == "id" and tok.text == "component":
+            if tok[0] == "id" and tok[1] == "component":
                 self._component()
-            elif tok.kind == "id" and tok.text == "system":
+            elif tok[0] == "id" and tok[1] == "system":
                 self._system()
-            elif tok.kind == "id" and tok.text == "network":
+            elif tok[0] == "id" and tok[1] == "network":
                 self._network_decl()
             else:
-                self._error("expected 'component', 'system' or 'network'", tok.span)
+                self._error("expected 'component', 'system' or 'network'", tok)
                 self._next()
                 self._sync_top()
         self._finish_refs()
-        eof_span = self.tokens[-1].span
-        if self.system_span is None and self.network_span is None:
-            self._error("missing system declaration", eof_span)
-        elif self.system_span is not None and self.network_span is not None:
+        if self.system_tok is None and self.network_tok is None:
+            self._error("missing system declaration", self.tokens[-1])
+        elif self.system_tok is not None and self.network_tok is not None:
             self._error(
                 "a file declares either 'system = ...' or a network, not both",
-                self.system_span,
+                self.system_tok,
             )
         if any(d.severity == "error" for d in self.diagnostics):
             return None, self.diagnostics
@@ -311,9 +312,9 @@ class _Parser:
         return Model(components=self.components, system=system), self.diagnostics
 
     def _finish_refs(self) -> None:
-        for cid, span in self.refs:
-            if cid not in self.declared:
-                self._error(f"unknown component {cid!r}", span)
+        for tok in self.refs:
+            if tok[1] not in self.declared:
+                self._error(f"unknown component {tok[1]!r}", tok)
 
     def _component(self) -> None:
         self._next()  # 'component'
@@ -324,7 +325,7 @@ class _Parser:
         if self._expect_punct("{") is None:
             self._sync_top()
             return
-        fields: dict[str, tuple[float, SourceSpan]] = {}
+        fields: dict[str, float] = {}
         clean = True
         while True:
             field_tok = self._expect_id("a field name")
@@ -335,45 +336,45 @@ class _Parser:
             value_tok = None
             if self._expect_punct("=") is not None:
                 tok = self._peek()
-                if tok.kind == "num":
+                if tok[0] == "num":
                     value_tok = self._next()
                 else:
-                    self._error("expected a number", tok.span)
+                    self._error("expected a number", tok)
             if value_tok is None:
                 self._sync_nested()
                 clean = False
             else:
-                fname = field_tok.text
+                fname = field_tok[1]
                 if fname not in _FIELD_NAMES:
-                    self._error(f"unknown field {fname!r}", field_tok.span)
+                    self._error(f"unknown field {fname!r}", field_tok)
                     clean = False
                 elif fname in fields:
-                    self._error(f"duplicate field {fname!r}", field_tok.span)
+                    self._error(f"duplicate field {fname!r}", field_tok)
                     clean = False
                 else:
-                    value = float(value_tok.text)
+                    value = float(value_tok[1])
                     problem = _check_field(fname, value)
                     if problem is not None:
-                        self._error(problem, value_tok.span)
+                        self._error(problem, value_tok)
                         clean = False
                     else:
-                        fields[fname] = (value, value_tok.span)
+                        fields[fname] = value
             tok = self._peek()
-            if tok.kind == "punct" and tok.text == ",":
+            if tok[0] == "punct" and tok[1] == ",":
                 self._next()
                 continue
             break
         if self._expect_punct("}") is None:
             self._sync_top()
             clean = False
-        name = name_tok.text
+        name = name_tok[1]
         if name in self.declared:
-            self._error(f"duplicate component id {name!r}", name_tok.span)
+            self._error(f"duplicate component id {name!r}", name_tok)
             return
         self.declared.add(name)
         if not clean:
             return
-        spec = self._build_spec(name_tok, {k: v for k, (v, _) in fields.items()})
+        spec = self._build_spec(name_tok, fields)
         if spec is not None:
             self.components[name] = Component(name, spec)
 
@@ -394,15 +395,15 @@ class _Parser:
                     tat_h=values["tat_h"],
                 ),
             )
-        self._error(_COMBINATION_HINT, name_tok.span)
+        self._error(_COMBINATION_HINT, name_tok)
         return None
 
     def _system(self) -> None:
         tok = self._next()  # 'system'
-        if self.system_span is not None:
-            self._error("duplicate system declaration", tok.span)
+        if self.system_tok is not None:
+            self._error("duplicate system declaration", tok)
         else:
-            self.system_span = tok.span
+            self.system_tok = tok
         if self._expect_punct("=") is None:
             self._sync_top()
             return
@@ -412,29 +413,29 @@ class _Parser:
 
     def _block(self):
         tok = self._peek()
-        if tok.kind != "id":
-            self._error("expected a block", tok.span)
+        if tok[0] != "id":
+            self._error("expected a block", tok)
             self._sync_nested()
             return None
         self._next()
-        if tok.text in ("series", "parallel", "kofn", "bridge") and self.depth == MAX_NESTING:
-            self._error(f"blocks nest more than {MAX_NESTING} levels deep", tok.span)
+        if tok[1] in ("series", "parallel", "kofn", "bridge") and self.depth == MAX_NESTING:
+            self._error(f"blocks nest more than {MAX_NESTING} levels deep", tok)
             return None
-        if tok.text in ("series", "parallel"):
+        if tok[1] in ("series", "parallel"):
             children = self._block_list(tok)
             if children is None:
                 return None
             if len(children) < 2:
-                self._error(f"{tok.text} requires at least two sub-blocks", tok.span)
+                self._error(f"{tok[1]} requires at least two sub-blocks", tok)
                 return None
-            return Series(tuple(children)) if tok.text == "series" else Parallel(tuple(children))
-        if tok.text == "kofn":
+            return Series(tuple(children)) if tok[1] == "series" else Parallel(tuple(children))
+        if tok[1] == "kofn":
             if self._expect_punct("(") is None:
                 self._sync_nested()
                 return None
             k_tok = self._peek()
-            if k_tok.kind != "num" or not _INT_RE.match(k_tok.text):
-                self._error("expected an integer k", k_tok.span)
+            if k_tok[0] != "num" or not _INT_RE.match(k_tok[1]):
+                self._error("expected an integer k", k_tok)
                 self._sync_nested()
                 return None
             self._next()
@@ -445,29 +446,29 @@ class _Parser:
             if children is None:
                 return None
             if len(children) < 2:
-                self._error("kofn requires at least two sub-blocks", tok.span)
+                self._error("kofn requires at least two sub-blocks", tok)
                 return None
-            k = int(k_tok.text)
+            k = int(k_tok[1])
             if k < 1:
-                self._error(f"k must be >= 1, got {k}", k_tok.span)
+                self._error(f"k must be >= 1, got {k}", k_tok)
                 return None
             if k > len(children):
-                self._error(f"k={k} exceeds the {len(children)} sub-blocks", k_tok.span)
+                self._error(f"k={k} exceeds the {len(children)} sub-blocks", k_tok)
                 return None
             return KofN(k, tuple(children))
-        if tok.text == "bridge":
+        if tok[1] == "bridge":
             children = self._block_list(tok)
             if children is None:
                 return None
             if len(children) != 5:
-                self._error(f"bridge requires exactly five sub-blocks, got {len(children)}", tok.span)
+                self._error(f"bridge requires exactly five sub-blocks, got {len(children)}", tok)
                 return None
             return Bridge(*children)
-        if tok.text in _KEYWORDS:
-            self._error(f"{tok.text!r} is a reserved word and cannot name a component", tok.span)
+        if tok[1] in _KEYWORDS:
+            self._error(f"{tok[1]!r} is a reserved word and cannot name a component", tok)
             return None
-        self.refs.append((tok.text, tok.span))
-        return Leaf(tok.text)
+        self.refs.append(tok)
+        return Leaf(tok[1])
 
     def _block_list(self, head: _Token):
         if self._expect_punct("(") is None:
@@ -483,27 +484,27 @@ class _Parser:
             self.depth -= 1
             if child is None:
                 self._sync_nested()
-                if self._peek().kind == "punct" and self._peek().text == ")":
+                if self._peek()[0] == "punct" and self._peek()[1] == ")":
                     self._next()
                 return None
             children.append(child)
             tok = self._peek()
-            if tok.kind == "punct" and tok.text == ",":
+            if tok[0] == "punct" and tok[1] == ",":
                 self._next()
                 continue
-            if tok.kind == "punct" and tok.text == ")":
+            if tok[0] == "punct" and tok[1] == ")":
                 self._next()
                 return children
-            self._error("expected ',' or ')'", tok.span)
+            self._error("expected ',' or ')'", tok)
             self._sync_nested()
             return None
 
     def _network_decl(self) -> None:
         tok = self._next()  # 'network'
-        if self.network_span is not None:
-            self._error("duplicate network declaration", tok.span)
+        if self.network_tok is not None:
+            self._error("duplicate network declaration", tok)
         else:
-            self.network_span = tok.span
+            self.network_tok = tok
         if self._expect_punct("{") is None:
             self._sync_top()
             return
@@ -518,7 +519,7 @@ class _Parser:
         edges: list[Edge] = []
         while True:
             tok2 = self._peek()
-            if tok2.kind == "punct" and tok2.text == ",":
+            if tok2[0] == "punct" and tok2[1] == ",":
                 self._next()
                 edge = self._edge(len(edges))
                 if edge is None:
@@ -531,26 +532,26 @@ class _Parser:
             self._sync_top()
             return
         if not edges:
-            self._error("network requires at least one edge", tok.span)
+            self._error("network requires at least one edge", tok)
             return
         if self.network is None:
             self.network = Network(edges=tuple(edges), source=source, terminal=terminal)
 
     def _keyed_node(self, key: str) -> str | None:
         tok = self._peek()
-        if tok.kind != "id" or tok.text != key:
-            self._error(f"expected {key!r}", tok.span)
+        if tok[0] != "id" or tok[1] != key:
+            self._error(f"expected {key!r}", tok)
             return None
         self._next()
         if self._expect_punct("=") is None:
             return None
         node = self._expect_name("a node id")
-        return None if node is None else node.text
+        return None if node is None else node[1]
 
     def _edge(self, index: int) -> Edge | None:
         tok = self._peek()
-        if tok.kind != "id" or tok.text != "edge":
-            self._error("expected 'edge'", tok.span)
+        if tok[0] != "id" or tok[1] != "edge":
+            self._error("expected 'edge'", tok)
             return None
         self._next()
         if self._expect_punct("(") is None:
@@ -564,17 +565,14 @@ class _Parser:
         comp = self._expect_name("a component id")
         if comp is None or self._expect_punct(")") is None:
             return None
-        self.refs.append((comp.text, comp.span))
-        return Edge(f"e{index}", a.text, b.text, comp.text)
+        self.refs.append(comp)
+        return Edge(f"e{index}", a[1], b[1], comp[1])
 
 
 def parse_model(text: str) -> tuple[Model | None, list[ParseDiagnostic]]:
     """Parse a model file. Returns (model, diagnostics); the model is None
     when any diagnostic is an error. Never raises on malformed input."""
-    lexer = _Lexer(text)
-    tokens = lexer.tokens()
-    parser = _Parser(tokens, lexer.diagnostics)
-    return parser.parse()
+    return _Parser(text).parse()
 
 
 def _num_text(value: float) -> str:

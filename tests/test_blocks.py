@@ -3,6 +3,7 @@ import pytest
 from availkit import (
     Bridge,
     Component,
+    Diagnostic,
     Edge,
     KofN,
     Leaf,
@@ -13,6 +14,7 @@ from availkit import (
     leaves,
     validate,
 )
+from availkit.blocks import MAX_NESTING
 
 
 def comps(*ids):
@@ -77,6 +79,23 @@ class TestValidateBlocks:
         )
         [diag] = validate(m)
         assert diag.path == "system.b5"
+
+    def test_nesting_past_the_cap_is_an_error_not_a_recursion(self):
+        def chain(depth, bottom):
+            tree = Leaf(bottom)
+            for _ in range(depth):
+                tree = Series((Leaf("a"), tree))
+            return Model(comps("a", bottom), tree)
+
+        too_deep = Diagnostic(
+            "error",
+            "system" + ".children[1]" * MAX_NESTING,
+            f"blocks nest more than {MAX_NESTING} levels deep",
+        )
+        assert validate(chain(MAX_NESTING, "a")) == []
+        assert validate(chain(3000, "a")) == [too_deep]
+        # used only below the cap is still used
+        assert validate(chain(3000, "b")) == [too_deep]
 
     def test_unused_component_warning(self):
         m = Model(comps("a", "b", "z"), Series((Leaf("a"), Leaf("b"))))

@@ -1,6 +1,8 @@
 import random
+import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 from availkit import (
@@ -103,11 +105,86 @@ _FRAGMENTS = st.sampled_from(
 )
 
 
+# Lone surrogates, which no UTF-8 file decodes to but a str may hold.
+_SURROGATES = st.characters(
+    min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()
+)
+
+# Lexer edge cases: (text, [(message, byte start, byte end, line, column)]).
+_LEXER_EDGES = [
+    # '²', 'Ⅳ' and '½' are word characters that continue an id but start nothing
+    ("component x² { availability = 1.5 }\nsystem = x²",
+     [("availability 1.5 out of [0, 1]", 31, 34, 1, 31)]),
+    ("component c { availability = 0.9 }\nsystem = ²",
+     [("unexpected character '²'", 44, 46, 2, 10), ("expected a block", 46, 46, 2, 11)]),
+    ("component c { availability = ²0.5 }\nsystem = Ⅳ½c",
+     [("unexpected character '²'", 29, 31, 1, 30), ("unexpected character 'Ⅳ'", 46, 49, 2, 10),
+      ("unexpected character '½'", 49, 51, 2, 11)]),
+    ("component c { availability = 0.9 }\nsystem = series(c, ⅣX²)",
+     [("unexpected character 'Ⅳ'", 54, 57, 2, 20), ("unknown component 'X²'", 57, 60, 2, 21)]),
+    # an Arabic-Indic three is a decimal digit, and float() reads it
+    ("component c { availability = \u0663 }\nsystem = c",
+     [("availability 3.0 out of [0, 1]", 29, 31, 1, 30)]),
+    ("component c { availability = 0.9 }\nsystem =\xa0c\x0b",
+     [("unexpected character '\\xa0'", 43, 45, 2, 9),
+      ("unexpected character '\\x0b'", 46, 47, 2, 11)]),
+    ("component c { availability = 0.9 }\r\n\r\nsystem = ghost\r\n",
+     [("unknown component 'ghost'", 47, 52, 3, 10)]),
+    ("component c { availability = 0.9 } # no system",
+     [("missing system declaration", 46, 46, 1, 47)]),
+    ("component c { availability = 1. }\nsystem = c",
+     [("unexpected character '.'", 30, 31, 1, 31)]),
+    ("component c { mtbf_h = --1, mdt_h = 1 }\nsystem = c",
+     [("unexpected character '-'", 23, 24, 1, 24),
+      ("mtbf_h must be a finite value > 0, got -1.0", 24, 26, 1, 25)]),
+    ("component é { availability = 2 }\nsystem = é @",
+     [("unexpected character '@'", 46, 47, 2, 12),
+      ("availability 2.0 out of [0, 1]", 30, 31, 1, 30)]),
+]
+
+
+def positioned(diags):
+    return [(d.message, d.span.start, d.span.end, d.span.line, d.span.column) for d in diags]
+
+
 class TestDiagnostics:
-    @given(st.text() | st.lists(_FRAGMENTS).map("".join))
+    @given(st.text() | st.lists(_FRAGMENTS | _SURROGATES).map("".join))
     def test_parse_never_raises(self, text):
         model, diags = parse_model(text)
         assert (model is None) == any(d.severity == "error" for d in diags)
+
+    @pytest.mark.parametrize("text, expected", _LEXER_EDGES)
+    def test_lexer_edge_cases(self, text, expected):
+        _, diags = parse_model(text)
+        assert positioned(diags) == expected
+
+    def test_lone_surrogates_count_three_bytes(self):
+        _, diags = parse_model("\ud800")
+        assert positioned(diags) == [
+            ("unexpected character '\\ud800'", 0, 3, 1, 1),
+            ("missing system declaration", 3, 3, 1, 2),
+        ]
+        _, diags = parse_model("system = a # \udfff\n\udc80 b")
+        assert positioned(diags) == [
+            ("unexpected character '\\udc80'", 17, 20, 2, 1),
+            ("expected 'component', 'system' or 'network'", 21, 22, 2, 3),
+            ("unknown component 'a'", 9, 10, 1, 10),
+        ]
+
+    def test_spans_stay_linear_in_the_text(self):
+        # ~200k chars of non-ASCII text with 80k diagnostics: lexer errors
+        # all through it, then unknown refs reported from the start again
+        head = "component ä { availability = 0.9 }\nsystem = series("
+        text = head + "ü\xa0, " * 40_000 + "ä)"
+        started = time.perf_counter()
+        model, diags = parse_model(text)
+        assert time.perf_counter() - started < 5.0
+        assert model is None and len(diags) == 80_000
+        last = text.rindex("ü")
+        assert positioned(diags[-1:]) == [
+            ("unknown component 'ü'", len(text[:last].encode()), len(text[:last + 1].encode()),
+             2, last - text.index("\n")),
+        ]
 
     def test_nesting_past_the_cap_is_a_positioned_error(self):
         head = "component a { availability = 0.9 }\nsystem = "
