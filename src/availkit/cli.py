@@ -216,7 +216,10 @@ def _cmd_oracle(args, model: Model, env) -> int:
         estimate, half_width = monte_carlo_availability(
             model.system, env, args.samples, args.seed
         )
-        tolerance = MC_HALF_WIDTHS * half_width
+        # At an estimate of exactly 0 or 1 the normal half-width is 0, so
+        # use the rule of three's 3/samples in its place.
+        certain = float(estimate) in (0.0, 1.0)
+        tolerance = MC_HALF_WIDTHS * (3 / args.samples if certain else half_width)
         extra = [
             ("samples", str(args.samples)),
             ("seed", str(args.seed)),

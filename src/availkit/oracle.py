@@ -6,12 +6,14 @@ component states — no probability algebra is shared with
 two routes is meaningful evidence.
 
 One structure evaluator serves both oracles: it takes a boolean matrix
-of joint states, one row per state and one column per instance, and
-marks the rows in which the system is up. Enumeration feeds it the 2**n
-states in chunks of at most 2**16 rows and sums the up-rows'
-probabilities with ``math.fsum``, so the result is correctly rounded and
-independent of summation order. Monte Carlo feeds it sampled states in
-chunks of the same size.
+of joint states, one row per state and one contiguous column per
+instance, and marks the rows in which the system is up. Enumeration
+feeds it the 2**n states in chunks of at most 2**16 rows and sums the
+up-rows' probabilities with ``math.fsum``, so the result is correctly
+rounded and independent of summation order. Monte Carlo feeds it sampled
+states in chunks of the same size. A network's edge columns are packed
+eight states to a byte; every edge is swept both ways, carrying reached
+states across it when it is up, until a whole sweep changes nothing.
 
 Monte Carlo reproducibility
 ---------------------------
@@ -28,6 +30,9 @@ in any language:
 
 Sample j consumes draws j*m .. j*m+m-1, one per instance in canonical
 order (see ``instances``); instance k is up when u < availability_k.
+Each instance's draws are hashed as one row and compared as integers:
+u < a exactly when (z >> 11) < ceil(a * 2**53), since scaling a in
+[0, 1] by 2**53 is exact and the left side is an integer.
 Results are a pure function of (structure, environment, samples, seed).
 The whole budget runs on one stream — there is no worker splitting.
 """
@@ -111,18 +116,33 @@ def _splitmix64(seed: int, index: int) -> int:
     return z
 
 
-def _uniform_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Draws start .. start+count-1 of the stream as floats in [0, 1)."""
+def _up_rows(seed: int, start: int, count: int, avails: Sequence[float]) -> np.ndarray:
+    """Up states of samples start .. start+count-1, one row per instance.
+
+    Element [k, j] is draw (start+j)*m + k read against ``avails[k]``.
+    """
     import numpy as np
 
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + (idx + np.uint64(1)) * np.uint64(_GAMMA)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    m = len(avails)
+    up = np.empty((m, count), dtype=bool)
+    # seed + (i + 1) * gamma for each sample's first draw i; the draw of
+    # instance k is k * gamma further on.
+    base = np.arange(start, start + count, dtype=np.uint64) * np.uint64(m) + np.uint64(1)
+    base = base * np.uint64(_GAMMA) + np.uint64(seed & _MASK64)
+    z, t = np.empty_like(base), np.empty_like(base)
+    for k, a in enumerate(avails):
+        np.add(base, np.uint64(k * _GAMMA & _MASK64), out=z)
+        np.right_shift(z, np.uint64(30), out=t)
+        z ^= t
+        z *= np.uint64(_MIX1)
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= np.uint64(_MIX2)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+        z >>= np.uint64(11)
+        np.less(z, np.uint64(math.ceil(a * 2.0**53)), out=up[k])
+    return up
 
 
 def _batch_block(block: Block, working: np.ndarray, cursor: list[int]) -> np.ndarray:
@@ -158,23 +178,20 @@ def _batch_network(net: Network, working: np.ndarray) -> np.ndarray:
     nodes = sorted({net.source, net.terminal} | {n for e in net.edges for n in (e.a, e.b)})
     index = {n: i for i, n in enumerate(nodes)}
     ends = [(index[e.a], index[e.b]) for e in net.edges]
-    reach = np.zeros((working.shape[0], len(nodes)), dtype=bool)
-    reach[:, index[net.source]] = True
-    for _ in range(len(nodes)):
-        changed = False
-        for column, (ai, bi) in enumerate(ends):
-            up = working[:, column]
-            forward = reach[:, ai] & up & ~reach[:, bi]
-            if forward.any():
-                reach[:, bi] |= forward
-                changed = True
-            backward = reach[:, bi] & up & ~reach[:, ai]
-            if backward.any():
-                reach[:, ai] |= backward
-                changed = True
-        if not changed:
-            break
-    return reach[:, index[net.terminal]]
+    # One bit per state: a packed row per edge, and per node its reached states.
+    up = np.packbits(working.T, axis=1)
+    reach = np.zeros((len(nodes), up.shape[1]), dtype=np.uint8)
+    reach[index[net.source]] = 0xFF
+    step = np.empty(up.shape[1], dtype=np.uint8)
+    while True:
+        before = reach.copy()
+        for edge, (ai, bi) in zip(up, ends):
+            np.bitwise_and(reach[ai], edge, out=step)
+            reach[bi] |= step
+            np.bitwise_and(reach[bi], edge, out=step)
+            reach[ai] |= step
+        if np.array_equal(reach, before):
+            return np.unpackbits(reach[index[net.terminal]], count=working.shape[0]).view(bool)
 
 
 def _batch_states(structure: Structure, working: np.ndarray) -> np.ndarray:
@@ -261,13 +278,12 @@ def monte_carlo_availability(
         raise ValueError(f"samples must be >= 1, got {samples}")
     import numpy as np
 
-    avails = np.array(_instance_availabilities(structure, env))
-    m = len(avails)
+    avails = _instance_availabilities(structure, env)
     hits = 0
     for start in range(0, samples, _CHUNK_ROWS):
         count = min(_CHUNK_ROWS, samples - start)
-        draws = _uniform_block(seed, start * m, count * m)
-        working = draws.reshape(count, m) < avails[None, :]
+        # The transpose has a contiguous column per instance, as in enumeration.
+        working = _up_rows(seed, start, count, avails).T
         hits += int(np.count_nonzero(_batch_states(structure, working)))
     estimate = hits / samples
     half_width = 1.96 * math.sqrt(estimate * (1.0 - estimate) / samples)

@@ -90,6 +90,31 @@ class TestExitCodes:
         assert code == 3
         assert '"within_tolerance": false' in out
 
+    def test_certain_mc_estimate_uses_rule_of_three(self, capsys, tmp_path):
+        # Every sample is up, so the normal half-width is 0; the
+        # tolerance falls back to four rule-of-three half-widths, 3/n.
+        f = tmp_path / "high.avail"
+        f.write_text("component a { availability = 0.99999999 }\nsystem = a\n")
+        argv = ["oracle", str(f), "--mode", "mc", "--samples", "100000"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "within tolerance: yes" in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert '"half_width_95": 0.0,' in out
+        assert '"tolerance": 0.00012,' in out
+
+    def test_certain_mc_estimate_can_still_disagree(self, capsys, monkeypatch, tmp_path):
+        f = tmp_path / "half.avail"
+        f.write_text("component a { availability = 0.5 }\nsystem = a\n")
+        monkeypatch.setattr(
+            cli, "monte_carlo_availability",
+            lambda structure, env, samples, seed: (Probability(1.0), 0.0),
+        )
+        code, out, _ = run(capsys, "oracle", str(f), "--mode", "mc", "--format", "json")
+        assert code == 3
+        assert '"within_tolerance": false' in out
+
     def test_usage_error_is_validation(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval"])  # missing the model path

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -21,7 +22,7 @@ from availkit import (
     structure_function,
 )
 from availkit import oracle
-from availkit.oracle import _splitmix64, _uniform_block
+from availkit.oracle import _splitmix64, _up_rows
 
 BRIDGE = Bridge(Leaf("c1"), Leaf("c2"), Leaf("c3"), Leaf("c4"), Leaf("c5"))
 UNIFORM = {f"c{i}": 0.9 for i in range(1, 6)}
@@ -36,6 +37,26 @@ def bridge_network():
         Edge("e4", "n3", "n4", "c5"),
     )
     return Network(edges=edges, source="n1", terminal="n4")
+
+
+def grid_network(rows, cols):
+    """A rows x cols grid from corner to corner, and its environment."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            if c < cols - 1:
+                edges.append(((r, c), (r, c + 1)))
+            if r < rows - 1:
+                edges.append(((r, c), (r + 1, c)))
+    net = Network(
+        edges=tuple(
+            Edge(f"e{i}", f"n{a[0]}{a[1]}", f"n{b[0]}{b[1]}", f"g{i}")
+            for i, (a, b) in enumerate(edges)
+        ),
+        source="n00",
+        terminal=f"n{rows - 1}{cols - 1}",
+    )
+    return net, {f"g{i}": 0.6 + 0.01 * i for i in range(len(edges))}
 
 
 class TestInstances:
@@ -203,14 +224,45 @@ class TestSplitmix:
         ]
 
     def test_vectorized_block_matches_scalar(self):
-        blk = _uniform_block(42, 5, 64)
-        scalars = np.array([(_splitmix64(42, i) >> 11) * 2.0**-53 for i in range(5, 69)])
-        assert np.array_equal(blk, scalars)
+        # One instance: row 0 is draws 5 .. 68. Reading it against each
+        # draw's own u must give u_i < u_j for every pair (so the tie is
+        # down), and against the next float above u_j must turn draw j up.
+        scalars = [(_splitmix64(42, i) >> 11) * 2.0**-53 for i in range(5, 69)]
+        for j, uj in enumerate(scalars):
+            up = _up_rows(42, 5, 64, [uj])[0]
+            assert up.tolist() == [ui < uj for ui in scalars], j
+            assert _up_rows(42, 5 + j, 1, [math.nextafter(uj, 1)])[0, 0], j
 
     def test_uniforms_in_unit_interval(self):
-        blk = _uniform_block(7, 0, 10000)
-        assert blk.min() >= 0.0
-        assert blk.max() < 1.0
+        # Every u is in [0, 1): none is below 0, all are below 1, and
+        # only a u of exactly 0 is below the smallest step 2**-53.
+        up = _up_rows(7, 0, 10000, [0.0, 1.0, 2.0**-53])
+        assert not up[0].any()
+        assert up[1].all()
+        zeros = [(_splitmix64(7, 3 * j + 2) >> 11) == 0 for j in range(10000)]
+        assert up[2].tolist() == zeros
+
+    def test_up_rows_match_scalar_stream(self):
+        # Element [k, j] is draw (3 + j) * m + k, up exactly when u < a.
+        # Availability 5 is the u of element [5, 10], so that tie must
+        # read as down. Availability 6 is the next float above the u of
+        # element [6, 10], which is below 0.5, so a * 2**53 is no integer
+        # and must round up for that draw to read as up.
+        m, start, count = 7, 3, 64
+
+        def u(k, j):
+            return (_splitmix64(42, (start + j) * m + k) >> 11) * 2.0**-53
+
+        assert u(6, 10) < 0.5
+        avails = [0.0, 0.3, 1.0, 1.0 - 2.0**-53, 2.0**-60]
+        avails += [u(5, 10), math.nextafter(u(6, 10), 1)]
+        up = _up_rows(42, start, count, avails)
+        assert up.shape == (m, count) and up.dtype == np.bool_
+        for k, a in enumerate(avails):
+            for j in range(count):
+                assert up[k, j] == (u(k, j) < a), (k, j)
+        assert not up[5, 10] and up[6, 10]
+        assert not up[0].any() and up[2].all()
 
 
 class TestMonteCarlo:
@@ -256,6 +308,54 @@ class TestMonteCarlo:
             if u1 < 0.7 and u2 < 0.6:
                 hits += 1
         assert float(est) == hits / samples
+
+    @pytest.mark.parametrize(
+        "name,samples,estimate,half_width",
+        [
+            # Recorded before draws were compared as integers; chunk
+            # edges at 2**16 and a ragged third chunk at 140001.
+            ("bridge_tree", 65535, "0x1.f52df52df52dfp-1", "0x1.20acd04b8146cp-10"),
+            ("bridge_tree", 65536, "0x1.f52e000000000p-1", "0x1.20abb2bc7071fp-10"),
+            ("bridge_tree", 65537, "0x1.f52e0ad1f52e1p-1", "0x1.20aa952f94750p-10"),
+            ("bridge_tree", 140001, "0x1.f4fee889ab230p-1", "0x1.8e478ee036afcp-11"),
+            ("bridge_net", 65535, "0x1.f52df52df52dfp-1", "0x1.20acd04b8146cp-10"),
+            ("bridge_net", 65536, "0x1.f52e000000000p-1", "0x1.20abb2bc7071fp-10"),
+            ("bridge_net", 65537, "0x1.f52e0ad1f52e1p-1", "0x1.20aa952f94750p-10"),
+            ("bridge_net", 140001, "0x1.f4fee889ab230p-1", "0x1.8e478ee036afcp-11"),
+            ("grid4x4", 65535, "0x1.5bfd5bfd5bfd6p-1", "0x1.d44019d5d3fb6p-9"),
+            ("grid4x4", 65536, "0x1.5bfe000000000p-1", "0x1.d43eb3ed95893p-9"),
+            ("grid4x4", 65537, "0x1.5bfea4015bfeap-1", "0x1.d43d4e072c367p-9"),
+            ("grid4x4", 140001, "0x1.5b98252bc25cfp-1", "0x1.40925c91ecaa5p-9"),
+            ("kofn", 65535, "0x1.b7f1b7f1b7f1bp-1", "0x1.5cf9406aff354p-9"),
+            ("kofn", 65536, "0x1.b7f2000000000p-1", "0x1.5cf80005a1b21p-9"),
+            ("kofn", 65537, "0x1.b7f2480db7f25p-1", "0x1.5cf6bfa28978dp-9"),
+            ("kofn", 140001, "0x1.b6a1843d50b23p-1", "0x1.e12276bbcccf0p-10"),
+        ],
+    )
+    def test_pinned_bits(self, name, samples, estimate, half_width):
+        structure, env = {
+            "bridge_tree": (BRIDGE, UNIFORM),
+            "bridge_net": (bridge_network(), UNIFORM),
+            "grid4x4": grid_network(4, 4),
+            "kofn": (
+                KofN(3, tuple(Leaf(f"k{i}") for i in range(5))),
+                {f"k{i}": 0.55 + 0.08 * i for i in range(5)},
+            ),
+        }[name]
+        est, hw = monte_carlo_availability(structure, env, samples, 2026)
+        assert (float(est).hex(), hw.hex()) == (estimate, half_width)
+
+    def test_samples_are_drawn_in_bounded_chunks(self, monkeypatch):
+        rows = []
+        batch_states = oracle._batch_states
+
+        def recording(structure, working):
+            rows.append(working.shape[0])
+            return batch_states(structure, working)
+
+        monkeypatch.setattr(oracle, "_batch_states", recording)
+        monte_carlo_availability(BRIDGE, UNIFORM, 140001, 5)
+        assert rows == [1 << 16, 1 << 16, 8929]
 
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
