@@ -15,15 +15,39 @@ from dataclasses import dataclass
 from .probability import Probability, unavailability
 
 __all__ = [
+    "check_field",
     "MaintainabilityParams",
     "mean_down_time",
     "availability_from_times",
 ]
 
 
-def _require_nonnegative(name: str, value: float) -> None:
+def check_field(name: str, value: float) -> str | None:
+    """The range rule of one model field: None when ``value`` keeps it,
+    else the message that says why not.
+
+    ``availability`` and ``pnrs`` are probabilities, ``mtbf_h`` is finite
+    and positive, and every other duration is finite and non-negative.
+    """
+    if name in ("availability", "pnrs"):
+        try:
+            Probability(value)
+        except ValueError:
+            return f"{name} {value!r} out of [0, 1]"
+        return None
+    if name == "mtbf_h":
+        if not (math.isfinite(value) and value > 0.0):
+            return f"mtbf_h must be a finite value > 0, got {value!r}"
+        return None
     if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be a finite value >= 0, got {value!r}")
+        return f"{name} must be a finite value >= 0, got {value!r}"
+    return None
+
+
+def _require(name: str, value: float) -> None:
+    problem = check_field(name, value)
+    if problem is not None:
+        raise ValueError(problem)
 
 
 @dataclass(frozen=True)
@@ -45,7 +69,7 @@ class MaintainabilityParams:
 
     def __post_init__(self) -> None:
         for name in ("mttres_h", "mldt_h", "madt_h", "tat_h"):
-            _require_nonnegative(name, getattr(self, name))
+            _require(name, getattr(self, name))
         object.__setattr__(self, "pnrs", Probability(self.pnrs))
 
 
@@ -66,9 +90,8 @@ def availability_from_times(mtbf_h: float, mdt_h: float) -> Probability:
     When the sum overflows to inf, the equal quotient 1 / (1 + MDT/MTBF)
     is used instead of the 0.0 the plain form would give.
     """
-    if not (math.isfinite(mtbf_h) and mtbf_h > 0.0):
-        raise ValueError(f"mtbf_h must be a finite value > 0, got {mtbf_h!r}")
-    _require_nonnegative("mdt_h", mdt_h)
+    _require("mtbf_h", mtbf_h)
+    _require("mdt_h", mdt_h)
     total = mtbf_h + mdt_h
     if not math.isfinite(total):
         return Probability(1.0 / (1.0 + mdt_h / mtbf_h))

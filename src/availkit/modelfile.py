@@ -27,15 +27,21 @@ or nodes. ``#`` starts a line comment. A file declares either
 ``system = ...`` or one ``network { ... }``, not both.
 
 Parsing is total: it returns a model (or None) plus positioned
-diagnostics, and never raises on malformed input. Spans count bytes of
+diagnostics, and never raises on any input text. Spans count bytes of
 the UTF-8 encoding, where a lone surrogate counts the 3 bytes of its
 ``surrogatepass`` encoding; line and column are 1-based, and columns
 count code points.
+
+Tokens are plain strings from one ``findall``, and a token's kind
+follows from its text. Offsets are found only when something is
+reported, by one more pass of the same pattern, so a well-formed file
+never builds a span. A text with a character that starts no token is
+lexed instead by a positioned walk, which reports the character and
+scans again after it.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -48,10 +54,9 @@ from .components import (
     MtbfMaintainability,
     MtbfMdt,
 )
-from .maintainability import MaintainabilityParams
+from .maintainability import MaintainabilityParams, check_field
 from .model import Model
 from .network import Edge, Network
-from .probability import Probability
 
 __all__ = ["SourceSpan", "ParseDiagnostic", "parse_model", "format_model"]
 
@@ -108,52 +113,87 @@ _COMBINATION_HINT = (
 
 _INT_RE = re.compile(r"-?\d+$")
 
-# Whitespace and comments, then one alternative per token kind, tried in
-# this order. ``[^\W\d]`` also admits word characters that are neither
-# letters nor digits, such as '²', which start no token: ``_lex`` reports
-# one as a bad character and scans again after it.
+_PUNCT = frozenset("{}()=,;")
+_TOP_WORDS = frozenset({"component", "system", "network"})
+_COMPOSITES = frozenset({"series", "parallel", "kofn", "bridge"})
+
+# Whitespace and comments, then one token, whose alternatives are tried in
+# this order: id, number, punctuation, any other character, end of text.
+# ``[^\W\d]`` also admits word characters that are neither letters nor
+# digits, such as '²', which start no token (see ``_regular``).
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]+|#[^\n]*)*"
-    r"(?:(?P<id>[^\W\d]\w*)"
-    r"|(?P<num>-?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<punct>[{}()=,;])"
-    r"|(?P<bad>.)"
-    r"|(?P<eof>\Z))",
+    r"([^\W\d]\w*"
+    r"|-?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
+    r"|[{}()=,;]"
+    r"|.|\Z)",
     re.DOTALL,
 )
 
-# (kind, text, start, end) with char offsets; kind is a group name above.
-_Token = tuple[str, str, int, int]
+
+# A token is its text, and its kind follows from that: "" is the end of
+# the text, a letter or '_' starts an id, a digit, or '-' or '.' before
+# more, starts a number, and the rest are punctuation.
+def _is_id(tok: str) -> bool:
+    return tok[:1].isalpha() or tok[:1] == "_"
 
 
-def _lex(text: str) -> tuple[list[_Token], list[_Token]]:
-    """The tokens of ``text``, ending with the eof token, and its bad characters."""
-    tokens: list[_Token] = []
-    bad: list[_Token] = []
+def _is_num(tok: str) -> bool:
+    return tok[:1].isdecimal() or (len(tok) > 1 and tok[0] in "-.")
+
+
+def _regular(tok: str) -> bool:
+    """Whether ``tok`` is a token; if not, its first character starts none.
+
+    Those are a character the other alternatives refuse, such as '@' or a
+    '-' before no digit, and a word that starts with a word character that
+    is neither a letter nor a digit, such as '²0' or 'Ⅳ½c'.
+    """
+    return _is_id(tok) or _is_num(tok) or tok in _PUNCT or not tok
+
+
+def _offsets(text: str) -> list[tuple[int, int]]:
+    """The (start, end) char offsets of the tokens of a text in which every
+    character starts a token."""
+    return [m.span(1) for m in _TOKEN_RE.finditer(text)]
+
+
+def _walk(text: str) -> tuple[list[str], list[tuple[int, int]], list[int]]:
+    """The tokens of any text up to its end, their char offsets, and the
+    offsets of the characters that start no token.
+
+    A character that starts no token is reported, and scanning resumes
+    right after it, so '²0.5' is the bad character '²' and the number 0.5.
+    """
+    toks: list[str] = []
+    spans: list[tuple[int, int]] = []
+    bad: list[int] = []
     pos = 0
     while True:
         for m in _TOKEN_RE.finditer(text, pos):
-            kind = m.lastgroup
-            start, end = m.span(kind)
-            word = m.group(kind)
-            if kind == "id" and not (word[0].isalpha() or word[0] == "_"):
-                bad.append(("bad", word[0], start, start + 1))
+            tok = m[1]
+            if not _regular(tok):
+                start = m.start(1)
+                bad.append(start)
                 pos = start + 1
                 break
-            (bad if kind == "bad" else tokens).append((kind, word, start, end))
-            if kind == "eof":
-                return tokens, bad
+            toks.append(tok)
+            spans.append(m.span(1))
+            if not tok:
+                return toks, spans, bad
 
 
 class _Spans:
     """Source spans of the tokens of one text, built only when reported.
 
-    Byte offsets equal char offsets in ASCII text; otherwise a cursor
-    encodes the text between the last offset asked for and this one.
-    Reports come in a few forward sweeps (bad characters, the parser, which
-    steps back at most to the start of a declaration, unknown refs), so the
-    cursor travels a few text lengths however many there are. Lines come
-    from a bisect over the newline offsets, indexed on first use.
+    The first report finds the tokens' char offsets in one more pass over
+    the text; a well-formed text needs none. Byte offsets equal char
+    offsets in ASCII text; otherwise a cursor encodes the text between the
+    last offset asked for and this one. Reports come in a few forward
+    sweeps (bad characters, the parser, which steps back at most to the
+    start of a declaration, unknown refs), so the cursor travels a few text
+    lengths however many there are. Lines come from a bisect over the
+    newline offsets, indexed on first use.
     """
 
     def __init__(self, text: str) -> None:
@@ -161,6 +201,7 @@ class _Spans:
         self.ascii = text.isascii()
         self.char = self.byte = 0
         self.newlines: list[int] | None = None
+        self.offsets: list[tuple[int, int]] | None = None
 
     def _byte(self, pos: int) -> int:
         if self.ascii:
@@ -172,135 +213,133 @@ class _Spans:
         self.char = pos
         return self.byte
 
-    def __call__(self, tok: _Token) -> SourceSpan:
-        start, end = tok[2], tok[3]
+    def at(self, start: int, end: int) -> SourceSpan:
+        """The span of the chars ``text[start:end]``."""
         if self.newlines is None:
             self.newlines = [m.start() for m in re.finditer("\n", self.text)]
         line = bisect_left(self.newlines, start)
         column = start - (self.newlines[line - 1] if line else -1)
         return SourceSpan(self._byte(start), self._byte(end), line + 1, column)
 
-
-def _check_field(name: str, value: float) -> str | None:
-    """Range rule for one field value; returns a message when violated."""
-    if name in ("availability", "pnrs"):
-        try:
-            Probability(value)
-        except ValueError:
-            return f"{name} {value!r} out of [0, 1]"
-        return None
-    if name == "mtbf_h":
-        if not (math.isfinite(value) and value > 0.0):
-            return f"mtbf_h must be a finite value > 0, got {value!r}"
-        return None
-    if not (math.isfinite(value) and value >= 0.0):
-        return f"{name} must be a finite value >= 0, got {value!r}"
-    return None
+    def __call__(self, i: int) -> SourceSpan:
+        """The span of token ``i``."""
+        if self.offsets is None:
+            self.offsets = _offsets(self.text)
+        return self.at(*self.offsets[i])
 
 
 class _Parser:
+    """Recursive descent over token texts; ``i`` is the next token's index.
+
+    Diagnostics and references name tokens by index. The hot loops,
+    ``_component`` and ``_block_items``, read ``toks`` directly.
+    """
+
     def __init__(self, text: str) -> None:
-        self.tokens, bad = _lex(text)
-        self.i = 0
         self.spans = _Spans(text)
         self.diagnostics: list[ParseDiagnostic] = []
+        # After text ending in whitespace or a comment, findall also yields
+        # a second, empty match at the end; parsing stops at the first.
+        toks = _TOKEN_RE.findall(text)
+        if not all(map(_regular, set(toks))):
+            toks, self.spans.offsets, bad = _walk(text)
+            for start in bad:
+                self.diagnostics.append(ParseDiagnostic(
+                    "error", f"unexpected character {text[start]!r}",
+                    self.spans.at(start, start + 1),
+                ))
+        self.toks = toks
+        self.i = 0
         self.components: dict[str, Component] = {}
         self.declared: set[str] = set()
-        self.refs: list[_Token] = []
+        self.refs: list[int] = []
         self.system: object | None = None
         self.network: Network | None = None
         # the declarations as *seen*, even when their bodies fail to
         # parse — a broken system line is not a missing one
-        self.system_tok: _Token | None = None
-        self.network_tok: _Token | None = None
+        self.system_tok: int | None = None
+        self.network_tok: int | None = None
         self.depth = 0  # enclosing composite blocks of the block being parsed
-        for tok in bad:
-            self._error(f"unexpected character {tok[1]!r}", tok)
 
     # -- token plumbing ------------------------------------------------
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.i]
+    def _next(self) -> int:
+        i = self.i
+        if self.toks[i]:
+            self.i = i + 1
+        return i
 
-    def _next(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
+    def _error(self, message: str, i: int) -> None:
+        self.diagnostics.append(ParseDiagnostic("error", message, self.spans(i)))
 
-    def _error(self, message: str, tok: _Token) -> None:
-        self.diagnostics.append(ParseDiagnostic("error", message, self.spans(tok)))
-
-    def _expect_punct(self, text: str) -> _Token | None:
-        tok = self._peek()
-        if tok[0] == "punct" and tok[1] == text:
-            return self._next()
-        self._error(f"expected {text!r}", tok)
+    def _expect_punct(self, text: str) -> int | None:
+        i = self.i
+        if self.toks[i] == text:
+            self.i = i + 1
+            return i
+        self._error(f"expected {text!r}", i)
         return None
 
-    def _expect_id(self, what: str) -> _Token | None:
-        tok = self._peek()
-        if tok[0] == "id":
-            return self._next()
-        self._error(f"expected {what}", tok)
+    def _expect_id(self, what: str) -> int | None:
+        i = self.i
+        if _is_id(self.toks[i]):
+            self.i = i + 1
+            return i
+        self._error(f"expected {what}", i)
         return None
 
-    def _expect_name(self, what: str) -> _Token | None:
+    def _expect_name(self, what: str) -> int | None:
         """An identifier that is not a reserved structural word."""
-        tok = self._expect_id(what)
-        if tok is not None and tok[1] in _KEYWORDS:
-            self._error(f"{tok[1]!r} is a reserved word and cannot be used as {what}", tok)
+        i = self._expect_id(what)
+        if i is not None and self.toks[i] in _KEYWORDS:
+            self._error(f"{self.toks[i]!r} is a reserved word and cannot be used as {what}", i)
             return None
-        return tok
+        return i
 
     def _sync_top(self) -> None:
-        while True:
-            tok = self._peek()
-            if tok[0] == "eof":
-                return
-            if tok[0] == "id" and tok[1] in ("component", "system", "network"):
-                return
-            self._next()
+        toks, i = self.toks, self.i
+        while toks[i] and toks[i] not in _TOP_WORDS:
+            i += 1
+        self.i = i
 
     def _sync_nested(self) -> None:
+        toks, i = self.toks, self.i
         depth = 0
         while True:
-            tok = self._peek()
-            if tok[0] == "eof":
-                return
-            if tok[0] == "id" and tok[1] in ("component", "system", "network") and depth == 0:
-                return
-            if tok[0] == "punct":
-                if tok[1] == "(":
-                    depth += 1
-                elif tok[1] == ")":
-                    if depth == 0:
-                        return
-                    depth -= 1
-                elif tok[1] in (",", "}") and depth == 0:
-                    return
-            self._next()
+            tok = toks[i]
+            if not tok:
+                break
+            if depth == 0 and (tok in _TOP_WORDS or tok in (",", "}")):
+                break
+            if tok == "(":
+                depth += 1
+            elif tok == ")":
+                if depth == 0:
+                    break
+                depth -= 1
+            i += 1
+        self.i = i
 
     # -- declarations --------------------------------------------------
 
     def parse(self) -> tuple[Model | None, list[ParseDiagnostic]]:
         while True:
-            tok = self._peek()
-            if tok[0] == "eof":
+            tok = self.toks[self.i]
+            if not tok:
                 break
-            if tok[0] == "id" and tok[1] == "component":
+            if tok == "component":
                 self._component()
-            elif tok[0] == "id" and tok[1] == "system":
+            elif tok == "system":
                 self._system()
-            elif tok[0] == "id" and tok[1] == "network":
+            elif tok == "network":
                 self._network_decl()
             else:
-                self._error("expected 'component', 'system' or 'network'", tok)
+                self._error("expected 'component', 'system' or 'network'", self.i)
                 self._next()
                 self._sync_top()
         self._finish_refs()
         if self.system_tok is None and self.network_tok is None:
-            self._error("missing system declaration", self.tokens[-1])
+            self._error("missing system declaration", self.i)
         elif self.system_tok is not None and self.network_tok is not None:
             self._error(
                 "a file declares either 'system = ...' or a network, not both",
@@ -312,14 +351,16 @@ class _Parser:
         return Model(components=self.components, system=system), self.diagnostics
 
     def _finish_refs(self) -> None:
-        for tok in self.refs:
-            if tok[1] not in self.declared:
-                self._error(f"unknown component {tok[1]!r}", tok)
+        toks = self.toks
+        for i in self.refs:
+            if toks[i] not in self.declared:
+                self._error(f"unknown component {toks[i]!r}", i)
 
     def _component(self) -> None:
-        self._next()  # 'component'
-        name_tok = self._expect_name("a component id")
-        if name_tok is None:
+        toks = self.toks
+        self.i += 1  # 'component'
+        name_i = self._expect_name("a component id")
+        if name_i is None:
             self._sync_top()
             return
         if self._expect_punct("{") is None:
@@ -327,59 +368,70 @@ class _Parser:
             return
         fields: dict[str, float] = {}
         clean = True
+        i = self.i
         while True:
-            field_tok = self._expect_id("a field name")
-            if field_tok is None:
+            field_i, fname = i, toks[i]
+            if not _is_id(fname):
+                self._error("expected a field name", i)
+                self.i = i
                 self._sync_nested()
+                i = self.i
                 clean = False
                 break
-            value_tok = None
-            if self._expect_punct("=") is not None:
-                tok = self._peek()
-                if tok[0] == "num":
-                    value_tok = self._next()
-                else:
-                    self._error("expected a number", tok)
-            if value_tok is None:
+            value_i = None
+            i += 1
+            if toks[i] != "=":
+                self._error("expected '='", i)
+            elif _is_num(toks[i + 1]):
+                value_i = i + 1
+                i += 2
+            else:
+                i += 1
+                self._error("expected a number", i)
+            if value_i is None:
+                self.i = i
                 self._sync_nested()
+                i = self.i
+                clean = False
+            elif fname not in _FIELD_NAMES:
+                self._error(f"unknown field {fname!r}", field_i)
+                clean = False
+            elif fname in fields:
+                self._error(f"duplicate field {fname!r}", field_i)
                 clean = False
             else:
-                fname = field_tok[1]
-                if fname not in _FIELD_NAMES:
-                    self._error(f"unknown field {fname!r}", field_tok)
-                    clean = False
-                elif fname in fields:
-                    self._error(f"duplicate field {fname!r}", field_tok)
+                value = float(toks[value_i])
+                problem = check_field(fname, value)
+                if problem is not None:
+                    self._error(problem, value_i)
                     clean = False
                 else:
-                    value = float(value_tok[1])
-                    problem = _check_field(fname, value)
-                    if problem is not None:
-                        self._error(problem, value_tok)
-                        clean = False
-                    else:
-                        fields[fname] = value
-            tok = self._peek()
-            if tok[0] == "punct" and tok[1] == ",":
-                self._next()
+                    fields[fname] = value
+            if toks[i] == ",":
+                i += 1
                 continue
             break
+        self.i = i
         if self._expect_punct("}") is None:
             self._sync_top()
             clean = False
-        name = name_tok[1]
+        name = toks[name_i]
         if name in self.declared:
-            self._error(f"duplicate component id {name!r}", name_tok)
+            self._error(f"duplicate component id {name!r}", name_i)
             return
         self.declared.add(name)
         if not clean:
             return
-        spec = self._build_spec(name_tok, fields)
-        if spec is not None:
+        spec = self._build_spec(name_i, fields)
+        if spec is None:
+            return
+        try:
             self.components[name] = Component(name, spec)
+        except ValueError as exc:  # a mean down time that overflows
+            self._error(str(exc), name_i)
 
-    def _build_spec(self, name_tok: _Token, values: dict[str, float]):
-        keys = frozenset(values)
+    def _build_spec(self, name_i: int, values: dict[str, float]):
+        keys = values.keys()
         if keys == _DIRECT_FIELDS:
             return DirectAvailability(values["availability"])
         if keys == _SIMPLE_FIELDS:
@@ -391,19 +443,19 @@ class _Parser:
                     mttres_h=values["mttres_h"],
                     mldt_h=values["mldt_h"],
                     madt_h=values["madt_h"],
-                    pnrs=Probability(values["pnrs"]),
+                    pnrs=values["pnrs"],
                     tat_h=values["tat_h"],
                 ),
             )
-        self._error(_COMBINATION_HINT, name_tok)
+        self._error(_COMBINATION_HINT, name_i)
         return None
 
     def _system(self) -> None:
-        tok = self._next()  # 'system'
+        i = self._next()  # 'system'
         if self.system_tok is not None:
-            self._error("duplicate system declaration", tok)
+            self._error("duplicate system declaration", i)
         else:
-            self.system_tok = tok
+            self.system_tok = i
         if self._expect_punct("=") is None:
             self._sync_top()
             return
@@ -412,71 +464,72 @@ class _Parser:
             self.system = block
 
     def _block(self):
-        tok = self._peek()
-        if tok[0] != "id":
-            self._error("expected a block", tok)
+        i = self.i
+        tok = self.toks[i]
+        if not _is_id(tok):
+            self._error("expected a block", i)
             self._sync_nested()
             return None
-        self._next()
-        if tok[1] in ("series", "parallel", "kofn", "bridge") and self.depth == MAX_NESTING:
-            self._error(f"blocks nest more than {MAX_NESTING} levels deep", tok)
-            return None
-        if tok[1] in ("series", "parallel"):
-            children = self._block_list(tok)
-            if children is None:
+        self.i = i + 1
+        if tok in _COMPOSITES:
+            if self.depth == MAX_NESTING:
+                self._error(f"blocks nest more than {MAX_NESTING} levels deep", i)
                 return None
-            if len(children) < 2:
-                self._error(f"{tok[1]} requires at least two sub-blocks", tok)
-                return None
-            return Series(tuple(children)) if tok[1] == "series" else Parallel(tuple(children))
-        if tok[1] == "kofn":
+            if tok == "kofn":
+                return self._kofn(i)
             if self._expect_punct("(") is None:
                 self._sync_nested()
                 return None
-            k_tok = self._peek()
-            if k_tok[0] != "num" or not _INT_RE.match(k_tok[1]):
-                self._error("expected an integer k", k_tok)
-                self._sync_nested()
-                return None
-            self._next()
-            if self._expect_punct(";") is None:
-                self._sync_nested()
-                return None
-            children = self._block_items(tok)
+            children = self._block_items()
             if children is None:
                 return None
+            if tok == "bridge":
+                if len(children) != 5:
+                    self._error(
+                        f"bridge requires exactly five sub-blocks, got {len(children)}", i
+                    )
+                    return None
+                return Bridge(*children)
             if len(children) < 2:
-                self._error("kofn requires at least two sub-blocks", tok)
+                self._error(f"{tok} requires at least two sub-blocks", i)
                 return None
-            k = int(k_tok[1])
-            if k < 1:
-                self._error(f"k must be >= 1, got {k}", k_tok)
-                return None
-            if k > len(children):
-                self._error(f"k={k} exceeds the {len(children)} sub-blocks", k_tok)
-                return None
-            return KofN(k, tuple(children))
-        if tok[1] == "bridge":
-            children = self._block_list(tok)
-            if children is None:
-                return None
-            if len(children) != 5:
-                self._error(f"bridge requires exactly five sub-blocks, got {len(children)}", tok)
-                return None
-            return Bridge(*children)
-        if tok[1] in _KEYWORDS:
-            self._error(f"{tok[1]!r} is a reserved word and cannot name a component", tok)
+            return Series(tuple(children)) if tok == "series" else Parallel(tuple(children))
+        if tok in _KEYWORDS:
+            self._error(f"{tok!r} is a reserved word and cannot name a component", i)
             return None
-        self.refs.append(tok)
-        return Leaf(tok[1])
+        self.refs.append(i)
+        return Leaf(tok)
 
-    def _block_list(self, head: _Token):
+    def _kofn(self, head: int):
         if self._expect_punct("(") is None:
             self._sync_nested()
             return None
-        return self._block_items(head)
+        k_i = self.i
+        if not _INT_RE.match(self.toks[k_i]):
+            self._error("expected an integer k", k_i)
+            self._sync_nested()
+            return None
+        self.i += 1
+        if self._expect_punct(";") is None:
+            self._sync_nested()
+            return None
+        children = self._block_items()
+        if children is None:
+            return None
+        if len(children) < 2:
+            self._error("kofn requires at least two sub-blocks", head)
+            return None
+        k = int(self.toks[k_i])
+        if k < 1:
+            self._error(f"k must be >= 1, got {k}", k_i)
+            return None
+        if k > len(children):
+            self._error(f"k={k} exceeds the {len(children)} sub-blocks", k_i)
+            return None
+        return KofN(k, tuple(children))
 
-    def _block_items(self, head: _Token):
+    def _block_items(self):
+        toks = self.toks
         children = []
         while True:
             self.depth += 1
@@ -484,27 +537,27 @@ class _Parser:
             self.depth -= 1
             if child is None:
                 self._sync_nested()
-                if self._peek()[0] == "punct" and self._peek()[1] == ")":
-                    self._next()
+                if toks[self.i] == ")":
+                    self.i += 1
                 return None
             children.append(child)
-            tok = self._peek()
-            if tok[0] == "punct" and tok[1] == ",":
-                self._next()
+            tok = toks[self.i]
+            if tok == ",":
+                self.i += 1
                 continue
-            if tok[0] == "punct" and tok[1] == ")":
-                self._next()
+            if tok == ")":
+                self.i += 1
                 return children
-            self._error("expected ',' or ')'", tok)
+            self._error("expected ',' or ')'", self.i)
             self._sync_nested()
             return None
 
     def _network_decl(self) -> None:
-        tok = self._next()  # 'network'
+        head = self._next()  # 'network'
         if self.network_tok is not None:
-            self._error("duplicate network declaration", tok)
+            self._error("duplicate network declaration", head)
         else:
-            self.network_tok = tok
+            self.network_tok = head
         if self._expect_punct("{") is None:
             self._sync_top()
             return
@@ -517,43 +570,37 @@ class _Parser:
             self._sync_top()
             return
         edges: list[Edge] = []
-        while True:
-            tok2 = self._peek()
-            if tok2[0] == "punct" and tok2[1] == ",":
-                self._next()
-                edge = self._edge(len(edges))
-                if edge is None:
-                    self._sync_top()
-                    return
-                edges.append(edge)
-                continue
-            break
+        while self.toks[self.i] == ",":
+            self.i += 1
+            edge = self._edge(len(edges))
+            if edge is None:
+                self._sync_top()
+                return
+            edges.append(edge)
         if self._expect_punct("}") is None:
             self._sync_top()
             return
         if not edges:
-            self._error("network requires at least one edge", tok)
+            self._error("network requires at least one edge", head)
             return
         if self.network is None:
             self.network = Network(edges=tuple(edges), source=source, terminal=terminal)
 
     def _keyed_node(self, key: str) -> str | None:
-        tok = self._peek()
-        if tok[0] != "id" or tok[1] != key:
-            self._error(f"expected {key!r}", tok)
+        if self.toks[self.i] != key:
+            self._error(f"expected {key!r}", self.i)
             return None
-        self._next()
+        self.i += 1
         if self._expect_punct("=") is None:
             return None
         node = self._expect_name("a node id")
-        return None if node is None else node[1]
+        return None if node is None else self.toks[node]
 
     def _edge(self, index: int) -> Edge | None:
-        tok = self._peek()
-        if tok[0] != "id" or tok[1] != "edge":
-            self._error("expected 'edge'", tok)
+        if self.toks[self.i] != "edge":
+            self._error("expected 'edge'", self.i)
             return None
-        self._next()
+        self.i += 1
         if self._expect_punct("(") is None:
             return None
         a = self._expect_name("a node id")
@@ -566,7 +613,8 @@ class _Parser:
         if comp is None or self._expect_punct(")") is None:
             return None
         self.refs.append(comp)
-        return Edge(f"e{index}", a[1], b[1], comp[1])
+        toks = self.toks
+        return Edge(f"e{index}", toks[a], toks[b], toks[comp])
 
 
 def parse_model(text: str) -> tuple[Model | None, list[ParseDiagnostic]]:

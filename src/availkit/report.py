@@ -11,7 +11,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .components import component_mdt
 from .evaluate import Environment
 from .model import Model
 from .probability import unavailability
@@ -71,7 +70,7 @@ def build_report(
     """
     down = float(unavailability(availability))
     per_component = tuple(
-        ComponentLine(cid, float(env[cid]), component_mdt(comp))
+        ComponentLine(cid, float(env[cid]), comp.mdt_h)
         for cid, comp in model.components.items()
     )
     return AvailabilityReport(

@@ -168,6 +168,23 @@ class TestExitCodes:
         assert '"valid": false' in out
         assert "out of [0, 1]" in err  # diagnostics also go to stderr
 
+    def test_overflowing_mean_down_time_is_a_diagnostic(self, tmp_path):
+        bad = tmp_path / "overflow.avail"
+        bad.write_text(
+            "component a { mtbf_h = 1, mttres_h = 1e308, mldt_h = 1e308, "
+            "madt_h = 0, pnrs = 0.5, tat_h = 1 }\nsystem = a\n"
+        )
+        for command in ("check", "eval"):
+            result = subprocess.run(
+                [sys.executable, "-m", "availkit", command, str(bad)],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+            assert result.returncode == 1
+            assert "Traceback" not in result.stderr
+            assert ":1:11: error: component 'a': mean down time must be" in result.stderr
+
 
 class TestCheck:
     def test_warnings_do_not_fail(self, capsys, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from availkit import (
@@ -6,9 +8,11 @@ from availkit import (
     MaintainabilityParams,
     MtbfMaintainability,
     MtbfMdt,
+    Probability,
     component_availability,
     component_mdt,
     derive_environment,
+    mean_down_time,
 )
 
 MAINT = MaintainabilityParams(
@@ -42,6 +46,52 @@ class TestConstruction:
             Component.from_mtbf_mdt("srv", -5.0, 1.0)
         with pytest.raises(ValueError, match="'db'"):
             Component.direct("db", 1.5)
+
+    def test_overflowing_mean_down_time_names_it(self):
+        maint = MaintainabilityParams(
+            mttres_h=1e308, mldt_h=1e308, madt_h=0.0, pnrs=0.5, tat_h=1.0
+        )
+        message = "'a': mean down time must be a finite value >= 0, got inf"
+        with pytest.raises(ValueError, match=message):
+            Component.from_maintainability("a", 1.0, maint)
+
+
+class TestStoredNumbers:
+    CASES = [
+        Component.direct("a", 0.995),
+        Component.direct("one", 1.0),
+        Component.direct("dust", 1.0 + 1e-13),
+        Component.from_mtbf_mdt("b", 1000.0, 10.0),
+        Component.from_mtbf_mdt("huge", 1e308, 1e308),
+        Component.from_maintainability("c", 100000.0, MAINT),
+        Component.from_maintainability(
+            "d", 3.0, MaintainabilityParams(0.1, 0.2, 0.0, 1.0 - 2**-53, 1e300)
+        ),
+    ]
+
+    @pytest.mark.parametrize("c", CASES, ids=lambda c: c.id)
+    def test_stored_availability_is_the_derived_one(self, c):
+        assert type(c.availability) is Probability
+        assert float(c.availability).hex() == float(component_availability(c)).hex()
+        assert derive_environment([c])[c.id] is c.availability
+
+    @pytest.mark.parametrize("c", CASES, ids=lambda c: c.id)
+    def test_stored_numbers_stay_out_of_repr_and_eq(self, c):
+        assert repr(c) == f"Component(id={c.id!r}, spec={c.spec!r})"
+        other = Component(c.id, c.spec)
+        object.__setattr__(other, "availability", Probability(0.5))
+        object.__setattr__(other, "mdt_h", 123.0)
+        assert other == c and hash(other) == hash(c)
+
+    def test_replace_derives_afresh(self):
+        c = Component.from_mtbf_mdt("b", 1000.0, 10.0)
+        d = dataclasses.replace(c, spec=MtbfMdt(90.0, 10.0))
+        assert float(d.availability) == 0.9 and d.mdt_h == 10.0
+        e = dataclasses.replace(c, spec=MtbfMaintainability(100000.0, MAINT))
+        assert e.mdt_h == mean_down_time(MAINT)
+        assert float(e.availability).hex() == float(component_availability(e)).hex()
+        f = dataclasses.replace(e, spec=DirectAvailability(0.5))
+        assert float(f.availability) == 0.5 and f.mdt_h is None
 
 
 class TestMdt:

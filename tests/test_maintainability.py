@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from availkit import (
@@ -5,6 +8,7 @@ from availkit import (
     availability_from_times,
     mean_down_time,
 )
+from availkit.maintainability import check_field
 
 
 def params(**overrides):
@@ -67,3 +71,32 @@ class TestAvailabilityFromTimes:
         with pytest.raises(ValueError):
             availability_from_times(10.0, -1.0)
 
+
+class TestCheckField:
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("availability", 0.5, None),
+            ("availability", 1.5, "availability 1.5 out of [0, 1]"),
+            ("pnrs", 1.0 + 1e-13, None),
+            ("pnrs", math.nan, "pnrs nan out of [0, 1]"),
+            ("mtbf_h", 1e-300, None),
+            ("mtbf_h", 0.0, "mtbf_h must be a finite value > 0, got 0.0"),
+            ("mtbf_h", math.inf, "mtbf_h must be a finite value > 0, got inf"),
+            ("mdt_h", 0.0, None),
+            ("tat_h", -0.5, "tat_h must be a finite value >= 0, got -0.5"),
+            ("mldt_h", math.nan, "mldt_h must be a finite value >= 0, got nan"),
+        ],
+    )
+    def test_rules(self, name, value, message):
+        assert check_field(name, value) == message
+
+    def test_constructors_raise_its_messages(self):
+        cases = [
+            (lambda: params(tat_h=-0.5), "tat_h must be a finite value >= 0, got -0.5"),
+            (lambda: availability_from_times(0.0, 1.0), "mtbf_h must be a finite value > 0, got 0.0"),
+            (lambda: availability_from_times(10.0, -1.0), "mdt_h must be a finite value >= 0, got -1.0"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()

@@ -1,9 +1,10 @@
 import random
+import re
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from availkit import (
     Bridge,
@@ -19,6 +20,7 @@ from availkit import (
     parse_model,
     validate,
 )
+from availkit import modelfile
 from availkit.modelfile import MAX_NESTING
 from conftest import random_tree
 
@@ -328,6 +330,106 @@ class TestDiagnostics:
         assert d.span.column == 31
         value_byte = text.encode("utf-8").index(b"1.5")
         assert d.span.start == value_byte
+
+
+# The lexer as it was when tokens carried their kind, one named group per
+# kind: the reference for the string tokens. Returns the (kind, text,
+# start, end) tokens up to eof, and the offsets of the bad characters.
+_REFERENCE_RE = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*"
+    r"(?:(?P<id>[^\W\d]\w*)"
+    r"|(?P<num>-?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<punct>[{}()=,;])"
+    r"|(?P<bad>.)"
+    r"|(?P<eof>\Z))",
+    re.DOTALL,
+)
+
+
+def reference_lex(text):
+    tokens, bad, pos = [], [], 0
+    while True:
+        for m in _REFERENCE_RE.finditer(text, pos):
+            kind = m.lastgroup
+            start, end = m.span(kind)
+            if kind == "bad" or (kind == "id" and not (text[start].isalpha() or text[start] == "_")):
+                bad.append(start)
+                pos = start + 1
+                break
+            tokens.append((kind, m[kind], start, end))
+            if kind == "eof":
+                return tokens, bad
+
+
+def kind_of(tok):
+    if not tok:
+        return "eof"
+    if modelfile._is_id(tok):
+        return "id"
+    return "num" if modelfile._is_num(tok) else "punct"
+
+
+class TestLexing:
+    @given(st.text() | st.lists(_FRAGMENTS | _SURROGATES | st.sampled_from(
+        ["²", "½", "Ⅳ", "\u0663", "五", "𝔘", "\xa0", "\r\n", "# tail", "\t", "-", "."]
+    )).map("".join))
+    @example("component c { availability = 0.9 } # tail")
+    @example("system = c \n")
+    @example("")
+    def test_findall_texts_equal_the_walk(self, text):
+        ref, ref_bad = reference_lex(text)
+        walked, spans, bad = modelfile._walk(text)
+        assert [(kind_of(t), t, *span) for t, span in zip(walked, spans)] == ref
+        assert bad == ref_bad
+        # findall is trusted exactly when the text has no bad character,
+        # and then it yields the walk's texts, plus a second empty match
+        # after trailing space or a trailing comment; so does _offsets
+        toks = modelfile._TOKEN_RE.findall(text)
+        assert all(map(modelfile._regular, set(toks))) == (not bad)
+        if not bad:
+            trailing = text[spans[-2][1] if len(spans) > 1 else 0:]  # after the last token
+            assert toks == walked + ([""] if trailing else [])
+            offsets = modelfile._offsets(text)
+            assert offsets == spans + ([(len(text), len(text))] if trailing else [])
+
+    def test_a_well_formed_file_builds_no_span(self, monkeypatch):
+        lines = []
+        for i in range(2000):
+            if i % 3 == 0:
+                lines.append(f"component u{i} {{ availability = 0.99{i} }}")
+            elif i % 3 == 1:
+                lines.append(f"component u{i} {{ mtbf_h = {1000 + i}, mdt_h = 2.5 }}")
+            else:
+                lines.append(
+                    f"component u{i} {{ mtbf_h = 1e5, mttres_h = 2, mldt_h = 4,\r\n"
+                    f"  madt_h = 1, pnrs = 0.99, tat_h = {i} }}  # pipeline"
+                )
+        groups = [
+            f"kofn(2; u{i}, u{i + 1}, u{i + 2}, u{i + 3})" for i in range(0, 2000, 4)
+        ]
+        lines.append(f"system = parallel(series({', '.join(groups)}), u0)  # end")
+        texts = [(DATA / "bridge.avail").read_text(), "\n".join(lines)]
+
+        def walk(text):
+            raise AssertionError("a span was built")
+
+        monkeypatch.setattr(modelfile, "_walk", walk)
+        monkeypatch.setattr(modelfile, "_offsets", walk)
+        for text in texts:
+            model, diags = parse_model(text)
+            assert diags == [] and model is not None
+        assert len(model.components) == 2000
+
+    def test_overflowing_mean_down_time_is_a_diagnostic(self):
+        text = (
+            "component a { mtbf_h = 1, mttres_h = 1e308, mldt_h = 1e308,\n"
+            "              madt_h = 0, pnrs = 0.5, tat_h = 1 }\nsystem = a\n"
+        )
+        model, diags = parse_model(text)
+        assert model is None
+        assert positioned(diags) == [
+            ("component 'a': mean down time must be a finite value >= 0, got inf", 10, 11, 1, 11),
+        ]
 
 
 class TestFormatting:
