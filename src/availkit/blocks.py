@@ -20,6 +20,7 @@ __all__ = ["Leaf", "Series", "Parallel", "KofN", "Bridge", "Block", "leaves"]
 # the evaluators recurse once per level, so a cap well inside the
 # interpreter's recursion limit keeps every walker of a valid tree total.
 MAX_NESTING = 200
+NESTING_ERROR = f"blocks nest more than {MAX_NESTING} levels deep"
 
 
 @dataclass(frozen=True)
@@ -80,22 +81,14 @@ class Bridge:
 Block = Union[Leaf, Series, Parallel, KofN, Bridge]
 
 
-def leaves(block: Block) -> list[str]:
-    """Component ids of every leaf occurrence, in depth-first order.
-    Duplicates appear once per occurrence."""
-    out: list[str] = []
-
-    def walk(node: Block) -> None:
-        if isinstance(node, Leaf):
-            out.append(node.component_id)
-        elif isinstance(node, (Series, Parallel, KofN)):
-            for child in node.children:
-                walk(child)
-        elif isinstance(node, Bridge):
-            for child in node.children:
-                walk(child)
-        else:
-            raise TypeError(f"not a block: {node!r}")
-
-    walk(block)
-    return out
+def leaves(block: Block, depth: int = 0) -> list[str]:
+    """Component ids of every leaf occurrence, in depth-first order, with
+    duplicates once per occurrence. ``block`` sits ``depth`` levels down;
+    nesting past MAX_NESTING is a ValueError."""
+    if isinstance(block, Leaf):
+        return [block.component_id]
+    if not isinstance(block, (Series, Parallel, KofN, Bridge)):
+        raise TypeError(f"not a block: {block!r}")
+    if depth == MAX_NESTING:
+        raise ValueError(NESTING_ERROR)
+    return [cid for child in block.children for cid in leaves(child, depth + 1)]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Literal, Union
 
-from .blocks import MAX_NESTING, Block, Bridge, KofN, Leaf, Parallel, Series
+from .blocks import MAX_NESTING, NESTING_ERROR, Block, Bridge, KofN, Leaf, Parallel, Series
 from .components import Component
 from .network import Network, _bfs_order
 
@@ -56,7 +56,7 @@ def _validate_block(
     # recursion stays within MAX_NESTING + 1 frames however deep the tree
     # goes; a loop still marks the components used beneath it
     if isinstance(block, (Series, Parallel, KofN, Bridge)) and depth == MAX_NESTING:
-        out.append(Diagnostic("error", path, f"blocks nest more than {MAX_NESTING} levels deep"))
+        out.append(Diagnostic("error", path, NESTING_ERROR))
         below = [block]
         while below:
             node = below.pop()

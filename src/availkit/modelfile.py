@@ -47,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Literal
 
-from .blocks import MAX_NESTING, Bridge, KofN, Leaf, Parallel, Series
+from .blocks import MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series
 from .components import (
     Component,
     DirectAvailability,
@@ -473,7 +473,7 @@ class _Parser:
         self.i = i + 1
         if tok in _COMPOSITES:
             if self.depth == MAX_NESTING:
-                self._error(f"blocks nest more than {MAX_NESTING} levels deep", i)
+                self._error(NESTING_ERROR, i)
                 return None
             if tok == "kofn":
                 return self._kofn(i)

@@ -5,15 +5,15 @@ component states — no probability algebra is shared with
 ``availkit.evaluate`` or ``availkit.network``, so agreement between the
 two routes is meaningful evidence.
 
-One structure evaluator serves both oracles: it takes a boolean matrix
-of joint states, one row per state and one contiguous column per
-instance, and marks the rows in which the system is up. Enumeration
-feeds it the 2**n states in chunks of at most 2**16 rows and sums the
-up-rows' probabilities with ``math.fsum``, so the result is correctly
-rounded and independent of summation order. Monte Carlo feeds it sampled
-states in chunks of the same size. A network's edge columns are packed
-eight states to a byte; every edge is swept both ways, carrying reached
-states across it when it is up, until a whole sweep changes nothing.
+One structure evaluator serves both oracles. It works on Python ints as
+bitsets, where bit r of an instance's int is its state in row r: series
+is ``&``, parallel ``|``, k-of-n a bit-sliced binary counter, and a
+network's reached rows are carried across every edge, both ways, until
+nothing changes. Enumeration feeds it the 2**n states in chunks of at
+most 2**16 rows and sums the up rows' probabilities with ``math.fsum``,
+so the result is correctly rounded and independent of summation order.
+Monte Carlo feeds it sampled states in chunks of the same size, and is
+the one user of numpy, to hash its draws.
 
 Monte Carlo reproducibility
 ---------------------------
@@ -40,9 +40,12 @@ The whole budget runs on one stream — there is no worker splitting.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import and_, mul, or_
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .blocks import Block, Bridge, KofN, Leaf, Parallel, Series, leaves
+from .blocks import MAX_NESTING, NESTING_ERROR, Block, Bridge, Leaf, Parallel, Series, leaves
 from .network import Network
 from .probability import Probability
 
@@ -66,15 +69,17 @@ StateVector = Sequence[bool]
 
 DEFAULT_ENUMERATION_CAP = 20
 
-# numpy is imported by the functions that use it, so that importing
-# availkit, and evaluating without an oracle, does not load it.
+# numpy is imported by Monte Carlo alone, to hash its draws, so that
+# importing availkit, enumerating and structure_function do not load it.
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK64 = (1 << 64) - 1
 
 # Rows of joint states evaluated at once, by enumeration and Monte Carlo.
-_CHUNK_ROWS = 1 << 16
+_CHUNK_BITS = 16
+_CHUNK_ROWS = 1 << _CHUNK_BITS
+_BYTE_PER_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class EnumerationCapError(RuntimeError):
@@ -145,59 +150,59 @@ def _up_rows(seed: int, start: int, count: int, avails: Sequence[float]) -> np.n
     return up
 
 
-def _batch_block(block: Block, working: np.ndarray, cursor: list[int]) -> np.ndarray:
-    import numpy as np
+def _evaluate(structure: Structure, columns: Sequence[int], rows: int) -> int:
+    """The rows, of ``rows``, in which the system is up, as a bitset.
+    Bit r of ``columns[i]`` is set when instance i is up in row r."""
+    full = (1 << rows) - 1
+    if not isinstance(structure, Network):
+        return _block_up(structure, iter(columns), full, 0)
+    index = {structure.source: 0}
+    terminal = index.setdefault(structure.terminal, 1)
+    ends = [
+        (index.setdefault(e.a, len(index)), index.setdefault(e.b, len(index)), up)
+        for e, up in zip(structure.edges, columns)
+    ]
+    reach = [full] + [0] * (len(index) - 1)
+    # Carry the reached rows across every up edge, both ways, until a
+    # whole sweep changes nothing.
+    changed = True
+    while changed:
+        changed = False
+        for a, b, up in ends:
+            ra, rb = reach[a], reach[b]
+            if (ra ^ rb) & up:
+                reach[a], reach[b] = ra | rb & up, rb | ra & up
+                changed = True
+    return reach[terminal]
 
+
+def _block_up(block: Block, columns: Iterator[int], full: int, depth: int) -> int:
     if isinstance(block, Leaf):
-        column = working[:, cursor[0]]
-        cursor[0] += 1
-        return column
-    if isinstance(block, (Series, Parallel)):
-        # Start from the identity so that a childless block is all-up
-        # (series) or all-down (parallel), as all() and any() would be.
-        is_series = isinstance(block, Series)
-        op = np.logical_and if is_series else np.logical_or
-        up = np.full(working.shape[0], is_series)
-        for c in block.children:
-            op(up, _batch_block(c, working, cursor), out=up)
-        return up
-    if isinstance(block, KofN):
-        counts = np.zeros(working.shape[0], dtype=np.int32)
-        for c in block.children:
-            counts += _batch_block(c, working, cursor)
-        return counts >= block.k
+        return next(columns)
+    if depth == MAX_NESTING:
+        raise ValueError(NESTING_ERROR)
+    ups = [_block_up(c, columns, full, depth + 1) for c in block.children]
+    if isinstance(block, Series):  # childless, it is up in every row
+        return reduce(and_, ups, full)
+    if isinstance(block, Parallel):
+        return reduce(or_, ups, 0)
     if isinstance(block, Bridge):
-        b1, b2, b3, b4, b5 = [_batch_block(c, working, cursor) for c in block.children]
+        b1, b2, b3, b4, b5 = ups
         return (b1 & b4) | (b2 & b5) | (b3 & ((b1 & b5) | (b2 & b4)))
-    raise TypeError(f"not a block: {block!r}")
-
-
-def _batch_network(net: Network, working: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    nodes = sorted({net.source, net.terminal} | {n for e in net.edges for n in (e.a, e.b)})
-    index = {n: i for i, n in enumerate(nodes)}
-    ends = [(index[e.a], index[e.b]) for e in net.edges]
-    # One bit per state: a packed row per edge, and per node its reached states.
-    up = np.packbits(working.T, axis=1)
-    reach = np.zeros((len(nodes), up.shape[1]), dtype=np.uint8)
-    reach[index[net.source]] = 0xFF
-    step = np.empty(up.shape[1], dtype=np.uint8)
-    while True:
-        before = reach.copy()
-        for edge, (ai, bi) in zip(up, ends):
-            np.bitwise_and(reach[ai], edge, out=step)
-            reach[bi] |= step
-            np.bitwise_and(reach[bi], edge, out=step)
-            reach[ai] |= step
-        if np.array_equal(reach, before):
-            return np.unpackbits(reach[index[net.terminal]], count=working.shape[0]).view(bool)
-
-
-def _batch_states(structure: Structure, working: np.ndarray) -> np.ndarray:
-    if isinstance(structure, Network):
-        return _batch_network(structure, working)
-    return _batch_block(structure, working, [0])
+    # k-of-n: a bit-sliced counter, count[b] holding bit b of each row's
+    # count, starts at 2**len(count) - k. Each child is added with a ripple
+    # carry, and a row carries out of the top bit as its k-th child is up.
+    k = block.k
+    if k <= 0:
+        return full
+    bias = (1 << k.bit_length()) - k
+    count = [full if bias >> b & 1 else 0 for b in range(k.bit_length())]
+    reached = 0
+    for carry in ups:
+        for b, bits in enumerate(count):
+            count[b], carry = bits ^ carry, bits & carry
+        reached |= carry
+    return reached
 
 
 def structure_function(structure: Structure, state: StateVector) -> bool:
@@ -206,35 +211,44 @@ def structure_function(structure: Structure, state: StateVector) -> bool:
     Monotone by construction: repairing an instance never takes the
     system down.
     """
-    state = list(state)
+    columns = [1 if s else 0 for s in state]
     expected = len(instances(structure))
-    if len(state) != expected:
-        raise ValueError(f"state has {len(state)} entries, structure has {expected}")
-    import numpy as np
-
-    working = np.array(state, dtype=bool).reshape(1, expected)
-    return bool(_batch_states(structure, working)[0])
+    if len(columns) != expected:
+        raise ValueError(f"state has {len(columns)} entries, structure has {expected}")
+    return bool(_evaluate(structure, columns, 1))
 
 
-def _up_state_probabilities(structure: Structure, avails: list[float]) -> Iterator[float]:
-    """Probability of every up-state, in code order, one chunk at a time.
+def _products(prefixes: list[float], avails: Sequence[float]) -> list[float]:
+    """Every prefix times each joint state's factors, left to right. The
+    state of ``avails[j]`` is bit j of an entry's index // len(prefixes)."""
+    for a in avails:
+        q = 1.0 - a
+        prefixes = [x * q for x in prefixes] + [x * a for x in prefixes]
+    return prefixes
 
-    Row ``code`` sets instance i up when bit i of ``code`` is set. Each
-    row's probability is a product taken in instance order.
+
+def _up_state_probabilities(structure: Structure, avails: list[float]) -> Iterator[Iterable[float]]:
+    """The up-states' probabilities, one chunk at a time.
+
+    Instance i is up in the state whose code has bit i set, and a state's
+    probability is a product in instance order. A chunk fixes the low
+    instances and varies the top ``_CHUNK_BITS``, or all of them.
     """
-    import numpy as np
-
-    n = len(avails)
-    for start in range(0, 1 << n, _CHUNK_ROWS):
-        codes = np.arange(start, min(start + _CHUNK_ROWS, 1 << n), dtype=np.int64)
-        working = np.empty((len(codes), n), dtype=bool, order="F")
-        p = np.ones(len(codes))
-        for i, a in enumerate(avails):
-            working[:, i] = (codes >> i) & 1
-            p *= np.where(working[:, i], a, 1.0 - a)
-        # A memoryview hands out Python floats one at a time, where
-        # tolist() would build a list of the whole chunk first.
-        yield from memoryview(p[_batch_states(structure, working)])
+    fixed = max(0, len(avails) - _CHUNK_BITS)
+    columns, rows = [], 1
+    for _ in avails[fixed:]:  # varied instance j is up in the rows with bit j set
+        columns = [c | c << rows for c in columns] + [((1 << rows) - 1) << rows]
+        rows *= 2
+    full, half = (1 << rows) - 1, rows // 2
+    last, not_last = avails[-1], 1.0 - avails[-1]
+    for code, start in enumerate(_products([1.0], avails[:fixed])):
+        up = _evaluate(structure, [full if code >> i & 1 else 0 for i in range(fixed)] + columns, rows)
+        # One byte per row, 1 where the system is up, to select the up
+        # rows' prefixes; the last instance's factor multiplies only those.
+        selected = format(up, f"0{rows}b")[::-1].encode().translate(_BYTE_PER_BIT)
+        head = _products([start], avails[fixed:-1])
+        yield map(mul, compress(head, selected[:half]), repeat(not_last))
+        yield map(mul, compress(head, selected[half:]), repeat(last))
 
 
 def enumerate_availability(
@@ -258,7 +272,9 @@ def enumerate_availability(
             f"{n} instances would need 2**{n} states, over the cap of {cap}; "
             "use the Monte Carlo estimate instead"
         )
-    return Probability(math.fsum(_up_state_probabilities(structure, avails)))
+    if not avails:  # one state, in which nothing can fail
+        return Probability(_evaluate(structure, [], 1))
+    return Probability(math.fsum(chain.from_iterable(_up_state_probabilities(structure, avails))))
 
 
 def monte_carlo_availability(
@@ -282,9 +298,10 @@ def monte_carlo_availability(
     hits = 0
     for start in range(0, samples, _CHUNK_ROWS):
         count = min(_CHUNK_ROWS, samples - start)
-        # The transpose has a contiguous column per instance, as in enumeration.
-        working = _up_rows(seed, start, count, avails).T
-        hits += int(np.count_nonzero(_batch_states(structure, working)))
+        # Row k, packed with sample j at bit j, is instance k's bitset.
+        packed = np.packbits(_up_rows(seed, start, count, avails), axis=1, bitorder="little")
+        columns = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        hits += _evaluate(structure, columns, count).bit_count()
     estimate = hits / samples
     half_width = 1.96 * math.sqrt(estimate * (1.0 - estimate) / samples)
     return Probability(estimate), half_width

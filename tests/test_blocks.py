@@ -44,6 +44,18 @@ class TestLeaves:
         with pytest.raises(TypeError):
             leaves("not a block")
 
+    def test_nesting_past_the_cap_is_an_error_not_a_recursion(self):
+        def chain(depth):
+            tree = Leaf("a")
+            for _ in range(depth):
+                tree = Series((tree,))
+            return tree
+
+        assert leaves(chain(MAX_NESTING)) == ["a"]
+        for depth in (MAX_NESTING + 1, 3000):
+            with pytest.raises(ValueError, match=f"^blocks nest more than {MAX_NESTING} levels deep$"):
+                leaves(chain(depth))
+
 
 class TestValidateBlocks:
     def test_clean_model(self):

@@ -343,6 +343,30 @@ class TestSubprocess:
         )
         assert result.stdout == "False\n", result.stderr
 
+    def test_enumeration_oracle_does_not_load_numpy(self, tmp_path):
+        # Monte Carlo alone needs numpy among the oracles
+        net = tmp_path / "net.avail"
+        net.write_text(
+            "component link { availability = 0.9 }\n"
+            "network { source = n1, terminal = n3,"
+            " edge(n1, n2, link), edge(n2, n3, link), edge(n1, n3, link) }\n"
+        )
+        script = (
+            "import contextlib, io, sys\n"
+            "from availkit import KofN, Leaf, cli, structure_function\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['oracle', path]) for path in sys.argv[1:]]\n"
+            "up = structure_function(KofN(2, (Leaf('a'), Leaf('b'), Leaf('c'))), [1, 0, 1])\n"
+            "print(codes, up, 'numpy' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, BRIDGE, str(net)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.stdout == "[0, 0] True False\n", result.stderr
+
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "availkit", "eval", BRIDGE, "--format", "json"],

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from availkit import (
     Bridge,
@@ -22,6 +23,7 @@ from availkit import (
     structure_function,
 )
 from availkit import oracle
+from availkit.blocks import MAX_NESTING
 from availkit.oracle import _splitmix64, _up_rows
 
 BRIDGE = Bridge(Leaf("c1"), Leaf("c2"), Leaf("c3"), Leaf("c4"), Leaf("c5"))
@@ -57,6 +59,70 @@ def grid_network(rows, cols):
         terminal=f"n{rows - 1}{cols - 1}",
     )
     return net, {f"g{i}": 0.6 + 0.01 * i for i in range(len(edges))}
+
+
+def pinned_tree(n):
+    """A series of a parallel, a 2-of-n, and a bridge beside a series."""
+    ids = [f"c{i}" for i in range(n)]
+    third = n // 3
+    tree = Series((
+        Parallel(tuple(Leaf(c) for c in ids[:third])),
+        KofN(2, tuple(Leaf(c) for c in ids[third:2 * third])),
+        Parallel((
+            Bridge(*(Leaf(c) for c in ids[2 * third:2 * third + 5])),
+            Series(tuple(Leaf(c) for c in ids[2 * third + 5:])),
+        )),
+    ))
+    return tree, {c: 0.5 + 0.023 * i for i, c in enumerate(ids)}
+
+
+def pinned_network(n):
+    """n edges spread over five nodes, many of them parallel."""
+    nodes = ["s", "m1", "m2", "m3", "t"]
+    edges = []
+    for i in range(n):
+        a, b = nodes[i % 4], nodes[(i * 3 + 1) % 5]
+        edges.append(Edge(f"e{i}", a, "t" if a == b else b, f"x{i}"))
+    net = Network(edges=tuple(edges), source="s", terminal="t")
+    return net, {f"x{i}": 0.55 + 0.02 * (i % 20) for i in range(n)}
+
+
+def pinned_enumeration_case(name):
+    """A structure and environment for the pinned enumeration bits."""
+    if name.startswith("tree"):
+        return pinned_tree(int(name.removeprefix("tree")))
+    if name.removeprefix("net").isdigit():
+        return pinned_network(int(name.removeprefix("net")))
+    kids = tuple(Leaf(f"k{i}") for i in range(6))
+    kenv = {f"k{i}": 0.6 + 0.05 * i for i in range(6)}
+    two_edges = {"x0": 0.3, "x1": 0.7}
+    special = tuple(Leaf(f"s{i}") for i in range(4))
+    s0, s1, s2, s3 = special
+    senv = dict(zip(("s0", "s1", "s2", "s3"), (0.0, 1.0, 1.0 - 2.0**-53, 2.0**-60)))
+    return {
+        "childless_series": (Series(()), {}),
+        "childless_parallel": (Parallel(()), {}),
+        "kofn_0": (KofN(0, kids), kenv),
+        "kofn_n": (KofN(6, kids), kenv),
+        "kofn_over_n": (KofN(7, kids), kenv),
+        "net_s_is_t": (
+            Network(edges=(Edge("e0", "a", "b", "x0"), Edge("e1", "b", "a", "x1")),
+                    source="a", terminal="a"),
+            two_edges,
+        ),
+        "net_unreachable": (
+            Network(edges=(Edge("e0", "a", "b", "x0"), Edge("e1", "c", "d", "x1")),
+                    source="a", terminal="d"),
+            two_edges,
+        ),
+        "special_series": (Series(special + (s2, s3)), senv),
+        "special_parallel": (Parallel(special + (s2, s3)), senv),
+        "special_kofn": (KofN(3, special + special), senv),
+        "special_bridge": (Bridge(s2, s3, s0, s2, s1), senv),
+        "special_tiny_parallel": (Parallel((s3, s3, s0)), senv),
+        "special_near_one_series": (Series((s2, s2, s1, s2)), senv),
+        "special_kofn_mixed": (KofN(2, (s3, s2, s3, s0, s1)), senv),
+    }[name]
 
 
 class TestInstances:
@@ -105,6 +171,22 @@ class TestStructureFunction:
         tree = KofN(n, tuple(Leaf("a") for _ in range(n)))
         assert structure_function(tree, [True] * n)
         assert float(monte_carlo_availability(tree, {"a": 1.0}, 1, 0)[0]) == 1.0
+
+    @given(
+        st.integers(1, 70).flatmap(
+            lambda rows: st.tuples(st.just(rows), st.lists(st.integers(0, (1 << rows) - 1), max_size=40))
+        ),
+        st.integers(-1, 42),
+    )
+    def test_bit_sliced_kofn_matches_a_plain_count(self, case, k):
+        # bit r of columns[i] is child i's state in row r
+        rows, columns = case
+        tree = KofN(k, tuple(Leaf("a") for _ in columns))
+        up = oracle._evaluate(tree, columns, rows)
+        for r in range(rows):
+            states = [c >> r & 1 for c in columns]
+            assert up >> r & 1 == (sum(states) >= k)
+            assert structure_function(tree, states) is (sum(states) >= k)
 
     def test_network_connectivity(self):
         net = bridge_network()
@@ -191,16 +273,47 @@ class TestEnumeration:
 
     def test_states_are_evaluated_in_bounded_chunks(self, monkeypatch):
         rows = []
-        batch_states = oracle._batch_states
+        evaluate = oracle._evaluate
 
-        def recording(structure, working):
-            rows.append(working.shape[0])
-            return batch_states(structure, working)
+        def recording(structure, columns, count):
+            rows.append(count)
+            assert len(columns) == 18 and all(0 <= c < 1 << count for c in columns)
+            return evaluate(structure, columns, count)
 
-        monkeypatch.setattr(oracle, "_batch_states", recording)
+        monkeypatch.setattr(oracle, "_evaluate", recording)
         wide = Parallel(tuple(Leaf(f"c{i}") for i in range(18)))
         enumerate_availability(wide, {f"c{i}": 0.5 for i in range(18)})
         assert rows == [1 << 16] * 4
+
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            # Recorded while the evaluator still ran on numpy bool matrices.
+            ("tree17", "0x1.cfe50bbe45031p-1"),
+            ("net17", "0x1.ffdb432e7062cp-1"),
+            ("tree18", "0x1.f284bf0ec2624p-1"),
+            ("net18", "0x1.ffdbf7abe89bdp-1"),
+            ("tree20", "0x1.ede662d1e611cp-1"),
+            ("net20", "0x1.fffd2ec2a2859p-1"),
+            ("childless_series", "0x1.0000000000000p+0"),
+            ("childless_parallel", "0x0.0p+0"),
+            ("kofn_0", "0x1.0000000000000p+0"),
+            ("kofn_n", "0x1.1d249e44fa051p-3"),
+            ("kofn_over_n", "0x0.0p+0"),
+            ("net_s_is_t", "0x1.0000000000000p+0"),
+            ("net_unreachable", "0x0.0p+0"),
+            ("special_series", "0x0.0p+0"),
+            ("special_parallel", "0x1.0000000000000p+0"),
+            ("special_kofn", "0x1.0000000000000p+0"),
+            ("special_bridge", "0x1.ffffffffffffep-1"),
+            ("special_tiny_parallel", "0x1.0000000000000p-59"),
+            ("special_near_one_series", "0x1.ffffffffffffdp-1"),
+            ("special_kofn_mixed", "0x1.fffffffffffffp-1"),
+        ],
+    )
+    def test_pinned_bits(self, name, expected):
+        structure, env = pinned_enumeration_case(name)
+        assert float(enumerate_availability(structure, env)).hex() == expected
 
     def test_childless_series_is_up_and_parallel_down(self):
         assert float(enumerate_availability(Series(()), {})) == 1.0
@@ -347,16 +460,47 @@ class TestMonteCarlo:
 
     def test_samples_are_drawn_in_bounded_chunks(self, monkeypatch):
         rows = []
-        batch_states = oracle._batch_states
+        evaluate = oracle._evaluate
 
-        def recording(structure, working):
-            rows.append(working.shape[0])
-            return batch_states(structure, working)
+        def recording(structure, columns, count):
+            rows.append(count)
+            assert len(columns) == 5 and all(0 <= c < 1 << count for c in columns)
+            return evaluate(structure, columns, count)
 
-        monkeypatch.setattr(oracle, "_batch_states", recording)
+        monkeypatch.setattr(oracle, "_evaluate", recording)
         monte_carlo_availability(BRIDGE, UNIFORM, 140001, 5)
         assert rows == [1 << 16, 1 << 16, 8929]
 
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
             monte_carlo_availability(BRIDGE, UNIFORM, 0, 1)
+
+
+class TestNesting:
+    @staticmethod
+    def chain(levels):
+        tree = Leaf("a")
+        for _ in range(levels):
+            tree = Series((tree,))
+        return tree
+
+    def test_nesting_at_the_cap_evaluates(self):
+        tree = self.chain(MAX_NESTING)
+        assert instances(tree) == ("a",)
+        assert float(enumerate_availability(tree, {"a": 0.25})) == 0.25
+        assert float(monte_carlo_availability(tree, {"a": 1.0}, 10, 0)[0]) == 1.0
+        assert structure_function(tree, [True])
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 3000])
+    def test_nesting_past_the_cap_is_an_error_not_a_recursion(self, levels):
+        tree = self.chain(levels)
+        calls = [
+            lambda: instances(tree),
+            lambda: enumerate_availability(tree, {"a": 0.5}),
+            lambda: monte_carlo_availability(tree, {"a": 0.5}, 10, 0),
+            lambda: structure_function(tree, [True]),
+            lambda: oracle._evaluate(tree, [1], 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^blocks nest more than {MAX_NESTING} levels deep$"):
+                call()
