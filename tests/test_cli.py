@@ -15,6 +15,7 @@ GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"
 SRC = Path(__file__).parent.parent / "src"
 BRIDGE = str(DATA / "bridge.avail")
+MIXED = str(DATA / "mixed.avail")
 
 
 def run(capsys, *argv):
@@ -23,30 +24,48 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-class TestGoldens:
-    @pytest.mark.parametrize(
-        "name,argv",
+GOLDEN_RUNS = [
+    ("eval", ["eval", BRIDGE, "--format", "json"], 0),
+    ("check", ["check", BRIDGE, "--format", "json"], 0),
+    ("oracle", ["oracle", BRIDGE, "--format", "json"], 0),
+    (
+        "whatif",
+        ["whatif", BRIDGE, "--set", "c3.availability=1.0", "--format", "json"],
+        0,
+    ),
+    (
+        "oracle_mc",
         [
-            ("eval", ["eval", BRIDGE, "--format", "json"]),
-            ("check", ["check", BRIDGE, "--format", "json"]),
-            ("oracle", ["oracle", BRIDGE, "--format", "json"]),
-            (
-                "whatif",
-                ["whatif", BRIDGE, "--set", "c3.availability=1.0", "--format", "json"],
-            ),
-            (
-                "oracle_mc",
-                [
-                    "oracle", BRIDGE, "--mode", "mc",
-                    "--samples", "100000", "--seed", "7", "--format", "json",
-                ],
-            ),
+            "oracle", BRIDGE, "--mode", "mc",
+            "--samples", "100000", "--seed", "7", "--format", "json",
         ],
+        0,
+    ),
+    ("eval_mixed", ["eval", MIXED, "--format", "json"], 0),
+    ("check_broken", ["check", str(DATA / "broken.avail"), "--format", "json"], 1),
+    (
+        "whatif_two",
+        [
+            "whatif", MIXED, "--set", "db.pnrs=0.5",
+            "--set", "café.availability=0.999", "--format", "json",
+        ],
+        0,
+    ),
+]
+
+
+class TestGoldens:
+    # ids stay "<golden>-argv<index>" whatever the exit code
+    @pytest.mark.parametrize(
+        "name,argv,exit_code",
+        GOLDEN_RUNS,
+        ids=[f"{name}-argv{i}" for i, (name, _, _) in enumerate(GOLDEN_RUNS)],
     )
-    def test_output_matches_golden(self, capsys, name, argv):
+    def test_output_matches_golden(self, capsys, name, argv, exit_code):
         code, out, err = run(capsys, *argv)
-        assert code == 0
-        assert err == ""
+        assert code == exit_code
+        # diagnostics go to stderr, so only a clean run leaves it empty
+        assert (err == "") == (exit_code == 0)
         assert out == (GOLDEN / f"{name}.golden").read_text()
 
     def test_goldens_again_byte_for_byte(self, capsys):
