@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -41,7 +40,7 @@ from .oracle import (
     monte_carlo_availability,
 )
 from .probability import Probability
-from .report import MINUTES_PER_YEAR, _json_num, _nines_json, build_report, render_json, render_text
+from .report import MINUTES_PER_YEAR, build_report, headline, render_json, render_text, to_json
 
 __all__ = ["main"]
 
@@ -69,14 +68,18 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_VALIDATION)
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer >= ``low``; a smaller value is a usage error."""
+def _int_at_least(low: int, convert=int):
+    """argparse type for an integer >= ``low``, handed on as ``convert(value)``;
+    a smaller value, or one that ``convert`` overflows on, is a usage error."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
+        try:
+            return convert(value)
+        except OverflowError:
+            raise argparse.ArgumentTypeError(f"too large for a {convert.__name__}") from None
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
@@ -89,8 +92,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--minutes-per-year",
-        type=_int_at_least(1),
-        default=int(MINUTES_PER_YEAR),
+        type=_int_at_least(1, float),
+        default=MINUTES_PER_YEAR,
         help="calendar used for downtime minutes (default 525600)",
     )
     parser.add_argument(
@@ -162,34 +165,14 @@ def _evaluate(model: Model, env, max_states: int) -> Probability:
     return eval_block(model.system, env)
 
 
-def _json_str(text: str) -> str:
-    return json.dumps(text)
-
-
 def _cmd_check(args, parse_diags, model_diags) -> int:
     rows = _diag_rows(parse_diags, model_diags)
     errors = sum(1 for severity, _, _ in rows if severity == "error")
     warnings = len(rows) - errors
     if args.format == "json":
-        lines = [
-            "{",
-            f'  "valid": {"true" if errors == 0 else "false"},',
-            f'  "errors": {errors},',
-            f'  "warnings": {warnings},',
-        ]
-        if rows:
-            lines.append('  "diagnostics": [')
-            for i, (severity, where, message) in enumerate(rows):
-                sep = "," if i + 1 < len(rows) else ""
-                lines.append(
-                    f'    {{"severity": {_json_str(severity)}, "where": {_json_str(where)}, '
-                    f'"message": {_json_str(message)}}}{sep}'
-                )
-            lines.append("  ]")
-        else:
-            lines.append('  "diagnostics": []')
-        lines.append("}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        diagnostics = [dict(zip(("severity", "where", "message"), row)) for row in rows]
+        fields = {"valid": errors == 0, "errors": errors, "warnings": warnings}
+        sys.stdout.write(to_json({**fields, "diagnostics": diagnostics}))
     else:
         verdict = "valid" if errors == 0 else "invalid"
         sys.stdout.write(f"{verdict}: {errors} error(s), {warnings} warning(s)\n")
@@ -200,7 +183,7 @@ def _cmd_check(args, parse_diags, model_diags) -> int:
 
 def _cmd_eval(args, model: Model, env) -> int:
     availability = _evaluate(model, env, args.max_states)
-    report = build_report(model, env, availability, float(args.minutes_per_year))
+    report = build_report(model, env, availability, args.minutes_per_year)
     text = render_json(report) if args.format == "json" else render_text(report)
     sys.stdout.write(text)
     return EXIT_OK
@@ -211,7 +194,7 @@ def _cmd_oracle(args, model: Model, env) -> int:
     if args.mode == "enumerate":
         estimate = enumerate_availability(model.system, env, cap=args.enum_cap)
         tolerance = ENUMERATION_TOLERANCE
-        extra: list[tuple[str, str]] = []
+        extra: dict[str, int | float] = {}
     else:
         estimate, half_width = monte_carlo_availability(
             model.system, env, args.samples, args.seed
@@ -220,34 +203,21 @@ def _cmd_oracle(args, model: Model, env) -> int:
         # use the rule of three's 3/samples in its place.
         certain = float(estimate) in (0.0, 1.0)
         tolerance = MC_HALF_WIDTHS * (3 / args.samples if certain else half_width)
-        extra = [
-            ("samples", str(args.samples)),
-            ("seed", str(args.seed)),
-            ("half_width_95", _json_num(half_width)),
-        ]
+        extra = {"samples": args.samples, "seed": args.seed, "half_width_95": float(half_width)}
     difference = abs(float(exact) - float(estimate))
     within = difference <= tolerance
     if args.format == "json":
-        lines = [
-            "{",
-            f'  "mode": {_json_str(args.mode)},',
-            f'  "exact": {_json_num(float(exact))},',
-            f'  "oracle": {_json_num(float(estimate))},',
-            f'  "abs_difference": {_json_num(difference)},',
-        ]
-        for key, value in extra:
-            lines.append(f'  "{key}": {value},')
-        lines.append(f'  "tolerance": {_json_num(tolerance)},')
-        lines.append(f'  "within_tolerance": {"true" if within else "false"}')
-        lines.append("}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        fields = {"mode": args.mode, "exact": float(exact), "oracle": float(estimate)}
+        fields.update(abs_difference=difference, **extra)
+        fields.update(tolerance=tolerance, within_tolerance=within)
+        sys.stdout.write(to_json(fields))
     else:
         rows = [f"mode        {args.mode}"]
         rows.append(f"exact       {float.__repr__(float(exact))}")
         rows.append(f"oracle      {float.__repr__(float(estimate))}")
         rows.append(f"difference  {float.__repr__(difference)}")
-        for key, value in extra:
-            rows.append(f"{key.ljust(11)} {value}")
+        for key, value in extra.items():
+            rows.append(f"{key.ljust(11)} {value!r}")
         rows.append(f"within tolerance: {'yes' if within else 'no'}")
         sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK if within else EXIT_MISMATCH
@@ -295,17 +265,6 @@ def _apply_override(component: Component, field: str, value: float) -> Component
     )
 
 
-def _summary_json(label: str, report) -> list[str]:
-    return [
-        f'  "{label}": {{',
-        f'    "availability": {_json_num(report.availability)},',
-        f'    "unavailability": {_json_num(report.unavailability)},',
-        f'    "nines": {_nines_json(report.nines)},',
-        f'    "downtime_minutes_per_year": {_json_num(report.downtime_minutes_per_year)}',
-        "  },",
-    ]
-
-
 def _cmd_whatif(args, model: Model, env) -> int:
     try:
         parsed = [_parse_override(text) for text in args.overrides]
@@ -319,21 +278,20 @@ def _cmd_whatif(args, model: Model, env) -> int:
         return EXIT_VALIDATION
     modified = Model(components=components, system=model.system)
     modified_env = derive_environment(components)
-    minutes = float(args.minutes_per_year)
+    minutes = args.minutes_per_year
     base = build_report(model, env, _evaluate(model, env, args.max_states), minutes)
     after = build_report(
         modified, modified_env, _evaluate(modified, modified_env, args.max_states), minutes
     )
     delta = after.downtime_minutes_per_year - base.downtime_minutes_per_year
     if args.format == "json":
-        lines = ["{"]
-        joined = ", ".join(_json_str(o) for o in args.overrides)
-        lines.append(f'  "overrides": [{joined}],')
-        lines.extend(_summary_json("baseline", base))
-        lines.extend(_summary_json("modified", after))
-        lines.append(f'  "downtime_delta_minutes_per_year": {_json_num(delta)}')
-        lines.append("}")
-        sys.stdout.write("\n".join(lines) + "\n")
+        fields = {
+            "overrides": args.overrides,
+            "baseline": headline(base),
+            "modified": headline(after),
+            "downtime_delta_minutes_per_year": delta,
+        }
+        sys.stdout.write(to_json(fields))
     else:
         rows = [
             f"overrides                {'; '.join(args.overrides)}",

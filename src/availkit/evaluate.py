@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .blocks import Block, Bridge, KofN, Leaf, Parallel, Series
+from .blocks import MAX_NESTING, NESTING_ERROR, Block, Bridge, KofN, Leaf, Parallel, Series
 from .probability import Probability
 
 __all__ = [
@@ -88,12 +88,13 @@ def eval_bridge(a1: float, a2: float, a3: float, a4: float, a5: float) -> Probab
     return Probability(a3 * columns + (1.0 - a3) * paths)
 
 
-def eval_block(block: Block, env: Environment) -> Probability:
+def eval_block(block: Block, env: Environment, depth: int = 0) -> Probability:
     """Evaluate a block tree against per-component availabilities.
 
     Duplicate leaf ids refer to independent replicas of the same
     component type; each occurrence contributes its availability
-    independently.
+    independently. ``block`` sits ``depth`` levels down; nesting past
+    MAX_NESTING is an EvaluationError.
     """
     if isinstance(block, Leaf):
         try:
@@ -102,18 +103,15 @@ def eval_block(block: Block, env: Environment) -> Probability:
             raise EvaluationError(
                 f"no availability for component {block.component_id!r}"
             ) from None
+    if depth == MAX_NESTING:
+        raise EvaluationError(NESTING_ERROR)
+    depth += 1
     if isinstance(block, Series):
-        return eval_series([eval_block(c, env) for c in block.children])
+        return eval_series([eval_block(c, env, depth) for c in block.children])
     if isinstance(block, Parallel):
-        return eval_parallel([eval_block(c, env) for c in block.children])
+        return eval_parallel([eval_block(c, env, depth) for c in block.children])
     if isinstance(block, KofN):
-        return eval_kofn(block.k, [eval_block(c, env) for c in block.children])
+        return eval_kofn(block.k, [eval_block(c, env, depth) for c in block.children])
     if isinstance(block, Bridge):
-        return eval_bridge(
-            eval_block(block.b1, env),
-            eval_block(block.b2, env),
-            eval_block(block.b3, env),
-            eval_block(block.b4, env),
-            eval_block(block.b5, env),
-        )
+        return eval_bridge(*[eval_block(c, env, depth) for c in block.children])
     raise EvaluationError(f"not a block: {block!r}")

@@ -642,18 +642,17 @@ def _spec_fields(spec) -> str:
     raise TypeError(f"unrecognised component spec {spec!r}")
 
 
-def _block_text(block) -> str:
+def _block_text(block, depth: int = 0) -> str:
     if isinstance(block, Leaf):
         return block.component_id
-    if isinstance(block, Series):
-        return f"series({', '.join(_block_text(c) for c in block.children)})"
-    if isinstance(block, Parallel):
-        return f"parallel({', '.join(_block_text(c) for c in block.children)})"
+    if not isinstance(block, (Series, Parallel, KofN, Bridge)):
+        raise TypeError(f"not a block: {block!r}")
+    if depth == MAX_NESTING:
+        raise ValueError(NESTING_ERROR)
+    inner = ", ".join([_block_text(c, depth + 1) for c in block.children])
     if isinstance(block, KofN):
-        return f"kofn({block.k}; {', '.join(_block_text(c) for c in block.children)})"
-    if isinstance(block, Bridge):
-        return f"bridge({', '.join(_block_text(c) for c in block.children)})"
-    raise TypeError(f"not a block: {block!r}")
+        inner = f"{block.k}; {inner}"
+    return f"{type(block).__name__.lower()}({inner})"
 
 
 def format_model(model: Model) -> str:
@@ -661,6 +660,7 @@ def format_model(model: Model) -> str:
 
     Networks print without edge ids — the parser assigns e0, e1, ... in
     declaration order — so the round-trip is stable for parsed models.
+    Blocks nested past MAX_NESTING are a ValueError.
     """
     lines = [
         f"component {cid} {{ {_spec_fields(comp.spec)} }}"

@@ -1,15 +1,17 @@
 """Evaluation reports: the headline numbers and their renderings.
 
-The JSON rendering is byte-stable: keys appear in a fixed order and
+This module owns the one JSON writer, ``to_json``; ``render_json`` and
+every ``--format json`` output of the CLI build an ordered dict and hand
+it over. The output is byte-stable: keys appear in insertion order and
 floats are written in Python's shortest round-trip form, which decodes
 back to the exact double. Text mode shows the same values.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .evaluate import Environment
 from .model import Model
@@ -21,8 +23,10 @@ __all__ = [
     "AvailabilityReport",
     "nines",
     "build_report",
+    "headline",
     "render_text",
     "render_json",
+    "to_json",
 ]
 
 MINUTES_PER_YEAR = 525600.0
@@ -70,7 +74,7 @@ def build_report(
     """
     down = float(unavailability(availability))
     per_component = tuple(
-        ComponentLine(cid, float(env[cid]), comp.mdt_h)
+        ComponentLine(cid, float(env[cid]), None if comp.mdt_h is None else float(comp.mdt_h))
         for cid, comp in model.components.items()
     )
     return AvailabilityReport(
@@ -82,53 +86,84 @@ def build_report(
     )
 
 
-def _json_num(value: float) -> str:
-    """Shortest decimal form that round-trips to the same double.
+def to_json(obj: dict) -> str:
+    """The one JSON writer: every ``--format json`` output goes through it.
 
-    CPython's float repr always carries a '.' or an exponent, both of
-    which are legal JSON number syntax, so the output needs no fixup.
+    A dict is an object with one ``"key": value`` per line, indented two
+    spaces per level. A list of dicts is ``[``, one inline object per
+    line, then ``]``; any other list, and an inline object, sits on one
+    line as ``["a", "b"]`` or ``{"k": v, "k2": v2}``. Strings are ASCII
+    with ``\\u`` escapes, and numbers are their repr: the shortest form that
+    round-trips to the same int or double.
     """
-    return float.__repr__(float(value))
+    return _block(obj, "") + "\n"
 
 
-def _nines_json(value: float) -> str:
-    return '"inf"' if math.isinf(value) else str(int(value))
+def _block(obj: dict, pad: str) -> str:
+    inner = pad + "  "
+    rows = []
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            text = _block(value, inner)
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            entries = ",\n".join([f"{inner}  {_inline(v)}" for v in value])
+            text = f"[\n{entries}\n{inner}]"
+        else:
+            text = _inline(value)
+        rows.append(f"{inner}{_quote(key)}: {text}")
+    return "{\n" + ",\n".join(rows) + f"\n{pad}}}"
+
+
+def _inline(value: object) -> str:
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        fields = ", ".join([f"{_quote(k)}: {_inline(v)}" for k, v in value.items()])
+        return "{" + fields + "}"
+    return "[" + ", ".join([_inline(v) for v in value]) + "]"
+
+
+def headline(report: AvailabilityReport) -> dict:
+    """The four headline figures in report order; nines is an int or "inf"."""
+    return {
+        "availability": report.availability,
+        "unavailability": report.unavailability,
+        "nines": "inf" if math.isinf(report.nines) else int(report.nines),
+        "downtime_minutes_per_year": report.downtime_minutes_per_year,
+    }
 
 
 def render_json(report: AvailabilityReport) -> str:
-    lines = [
-        "{",
-        f'  "availability": {_json_num(report.availability)},',
-        f'  "unavailability": {_json_num(report.unavailability)},',
-        f'  "nines": {_nines_json(report.nines)},',
-        f'  "downtime_minutes_per_year": {_json_num(report.downtime_minutes_per_year)},',
-        '  "per_component": [',
+    fields = headline(report)
+    fields["per_component"] = [
+        {"id": line.id, "availability": line.availability}
+        if line.mdt_h is None
+        else {"id": line.id, "availability": line.availability, "mdt_h": line.mdt_h}
+        for line in report.per_component
     ]
-    for i, line in enumerate(report.per_component):
-        entry = f'    {{"id": {json.dumps(line.id)}, "availability": {_json_num(line.availability)}'
-        if line.mdt_h is not None:
-            entry += f', "mdt_h": {_json_num(line.mdt_h)}'
-        entry += "}" + ("," if i + 1 < len(report.per_component) else "")
-        lines.append(entry)
-    lines.append("  ]")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return to_json(fields)
 
 
 def render_text(report: AvailabilityReport) -> str:
     nines_text = "inf" if math.isinf(report.nines) else str(int(report.nines))
     lines = [
-        f"availability             {_json_num(report.availability)}",
-        f"unavailability           {_json_num(report.unavailability)}",
+        f"availability             {float.__repr__(report.availability)}",
+        f"unavailability           {float.__repr__(report.unavailability)}",
         f"nines                    {nines_text}",
-        f"downtime (minutes/year)  {_json_num(report.downtime_minutes_per_year)}",
+        f"downtime (minutes/year)  {float.__repr__(report.downtime_minutes_per_year)}",
     ]
     if report.per_component:
         lines.append("components:")
         width = max(len(line.id) for line in report.per_component)
         for line in report.per_component:
-            row = f"  {line.id.ljust(width)}  availability {_json_num(line.availability)}"
+            row = f"  {line.id.ljust(width)}  availability {float.__repr__(line.availability)}"
             if line.mdt_h is not None:
-                row += f"  mdt {_json_num(line.mdt_h)} h"
+                row += f"  mdt {float.__repr__(line.mdt_h)} h"
             lines.append(row)
     return "\n".join(lines) + "\n"

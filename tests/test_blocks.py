@@ -5,12 +5,15 @@ from availkit import (
     Component,
     Diagnostic,
     Edge,
+    EvaluationError,
     KofN,
     Leaf,
     Model,
     Network,
     Parallel,
     Series,
+    eval_block,
+    format_model,
     leaves,
     validate,
 )
@@ -51,10 +54,24 @@ class TestLeaves:
                 tree = Series((tree,))
             return tree
 
-        assert leaves(chain(MAX_NESTING)) == ["a"]
-        for depth in (MAX_NESTING + 1, 3000):
-            with pytest.raises(ValueError, match=f"^blocks nest more than {MAX_NESTING} levels deep$"):
-                leaves(chain(depth))
+        def formatted(tree):
+            return format_model(Model(comps("a"), tree))
+
+        walkers = (
+            (leaves, ValueError),
+            (lambda tree: eval_block(tree, {"a": 0.9}), EvaluationError),
+            (formatted, ValueError),
+        )
+        at_cap = chain(MAX_NESTING)
+        assert leaves(at_cap) == ["a"]
+        assert eval_block(at_cap, {"a": 0.9}) == 0.9
+        assert formatted(at_cap).endswith(
+            "\nsystem = " + "series(" * MAX_NESTING + "a" + ")" * MAX_NESTING + "\n"
+        )
+        for walk, error in walkers:
+            for depth in (MAX_NESTING + 1, 3000):
+                with pytest.raises(error, match=f"^blocks nest more than {MAX_NESTING} levels deep$"):
+                    walk(chain(depth))
 
 
 class TestValidateBlocks:

@@ -179,6 +179,12 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert f"argument {flag}: must be >=" in capsys.readouterr().err
 
+    def test_minutes_per_year_past_float_range_is_validation(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", BRIDGE, "--minutes-per-year", "1" + "0" * 400])
+        assert exc.value.code == 1
+        assert "argument --minutes-per-year: too large for a float" in capsys.readouterr().err
+
     def test_check_invalid_model_reports_and_fails(self, capsys, tmp_path):
         bad = tmp_path / "bad.avail"
         bad.write_text("component c1 { availability = 1.5 }\nsystem = c1\n")

@@ -14,6 +14,7 @@ from availkit import (
     render_json,
     render_text,
 )
+from availkit.report import to_json
 
 
 def direct_model(availability):
@@ -128,6 +129,45 @@ class TestRenderJson:
         by_id = {entry["id"]: entry for entry in data["per_component"]}
         assert "mdt_h" not in by_id["a"]
         assert by_id["srv"]["mdt_h"] == 8.68
+
+
+    def test_integer_mdt_built_in_code_is_written_as_a_float(self):
+        comps = {"w": Component.from_mtbf_mdt("w", 5000, 2)}
+        model = Model(comps, Leaf("w"))
+        env = derive_environment(comps)
+        rep = build_report(model, env, eval_block(model.system, env))
+        assert '"mdt_h": 2.0}' in render_json(rep)
+        assert "mdt 2.0 h" in render_text(rep)
+
+
+class TestToJson:
+    def test_layout(self):
+        obj = {
+            "flag": True,
+            "count": 3,
+            "name": "caf\u00e9",
+            "tags": ["a", "b"],
+            "none": [],
+            "rows": [{"x": 0.1, "ok": False}, {"x": 1e-09}],
+            "nested": {"y": 2.5},
+        }
+        assert to_json(obj) == (
+            "{\n"
+            '  "flag": true,\n'
+            '  "count": 3,\n'
+            '  "name": "caf\\u00e9",\n'
+            '  "tags": ["a", "b"],\n'
+            '  "none": [],\n'
+            '  "rows": [\n'
+            '    {"x": 0.1, "ok": false},\n'
+            '    {"x": 1e-09}\n'
+            "  ],\n"
+            '  "nested": {\n'
+            '    "y": 2.5\n'
+            "  }\n"
+            "}\n"
+        )
+        assert json.loads(to_json(obj)) == obj
 
 
 class TestRenderText:
