@@ -11,16 +11,21 @@ trees can still be inspected and reported on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, TypeVar, Union
 
-__all__ = ["Leaf", "Series", "Parallel", "KofN", "Bridge", "Block", "leaves"]
+__all__ = ["Leaf", "Series", "Parallel", "KofN", "Bridge", "Block", "EvaluationError", "fold",
+           "leaves"]
 
 # Deepest nesting of series/parallel/kofn/bridge blocks. The parser
-# rejects deeper files and ``availkit.model.validate`` deeper trees, and
-# the evaluators recurse once per level, so a cap well inside the
-# interpreter's recursion limit keeps every walker of a valid tree total.
+# rejects deeper files, and ``fold`` and ``availkit.model.validate``
+# deeper trees built in code. Both recurse once per level, so a cap well
+# inside the interpreter's recursion limit keeps every walker total.
 MAX_NESTING = 200
 NESTING_ERROR = f"blocks nest more than {MAX_NESTING} levels deep"
+
+
+class EvaluationError(ValueError):
+    """A structure could not be evaluated: it nests too deep or misfits its environment."""
 
 
 @dataclass(frozen=True)
@@ -79,16 +84,30 @@ class Bridge:
 
 
 Block = Union[Leaf, Series, Parallel, KofN, Bridge]
+_T = TypeVar("_T")
 
 
-def leaves(block: Block, depth: int = 0) -> list[str]:
-    """Component ids of every leaf occurrence, in depth-first order, with
-    duplicates once per occurrence. ``block`` sits ``depth`` levels down;
-    nesting past MAX_NESTING is a ValueError."""
-    if isinstance(block, Leaf):
-        return [block.component_id]
+def fold(
+    block: Block, leaf: Callable[[Leaf], _T], node: Callable[[Block, list[_T]], _T], _depth: int = 0
+) -> _T:
+    """Fold a block tree bottom-up: ``leaf(l)`` is a leaf's value and ``node(b, values)``
+    a composite's, from its children's values in child order; both are called in
+    canonical depth-first order. A non-block is a TypeError, and nesting past
+    MAX_NESTING an EvaluationError. ``block`` sits ``_depth`` composites down."""
+    if type(block) is Leaf:
+        return leaf(block)
     if not isinstance(block, (Series, Parallel, KofN, Bridge)):
         raise TypeError(f"not a block: {block!r}")
-    if depth == MAX_NESTING:
-        raise ValueError(NESTING_ERROR)
-    return [cid for child in block.children for cid in leaves(child, depth + 1)]
+    if _depth == MAX_NESTING:
+        raise EvaluationError(NESTING_ERROR)
+    _depth += 1  # leaf children are folded in place, saving a call each
+    values = [leaf(c) if type(c) is Leaf else fold(c, leaf, node, _depth) for c in block.children]
+    return node(block, values)
+
+
+def leaves(block: Block) -> list[str]:
+    """Component ids of every leaf occurrence, in depth-first order, with
+    duplicates once per occurrence; raises as ``fold`` does."""
+    ids: list[str] = []
+    fold(block, lambda leaf: ids.append(leaf.component_id), lambda block, values: None)
+    return ids

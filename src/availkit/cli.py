@@ -3,7 +3,7 @@
 Subcommands::
 
     availkit eval   MODEL   evaluate and print the availability report
-    availkit check  MODEL   parse + validate only, report diagnostics
+    availkit check  MODEL   parse, and validate a file that parses
     availkit oracle MODEL   cross-check evaluation against a brute-force
                             oracle (exhaustive enumeration or Monte Carlo)
     availkit whatif MODEL --set id.field=value [...]
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
     _add_common(sub.add_parser("eval", help="evaluate a model"))
-    _add_common(sub.add_parser("check", help="parse and validate a model"))
+    _add_common(sub.add_parser("check", help="parse a model, and validate it if it parses"))
 
     oracle = sub.add_parser("oracle", help="cross-check the evaluation")
     _add_common(oracle)
@@ -241,20 +241,14 @@ def _apply_override(component: Component, field: str, value: float) -> Component
     spec = component.spec
     if field == "availability":
         return Component.direct(component.id, value)
-    if isinstance(spec, MtbfMdt):
-        if field == "mtbf_h":
-            return Component.from_mtbf_mdt(component.id, value, spec.mdt_h)
-        if field == "mdt_h":
-            return Component.from_mtbf_mdt(component.id, spec.mtbf_h, value)
-    if isinstance(spec, MtbfMaintainability):
-        if field == "mtbf_h":
-            return Component.from_maintainability(component.id, value, spec.maint)
-        if field in ("mttres_h", "mldt_h", "madt_h", "tat_h"):
+    if hasattr(spec, field):  # mtbf_h, and mdt_h of the mtbf/mdt form
+        return Component(component.id, dataclasses.replace(spec, **{field: value}))
+    if isinstance(spec, MtbfMaintainability) and hasattr(spec.maint, field):
+        try:
             maint = dataclasses.replace(spec.maint, **{field: value})
-            return Component.from_maintainability(component.id, spec.mtbf_h, maint)
-        if field == "pnrs":
-            maint = dataclasses.replace(spec.maint, pnrs=Probability(value))
-            return Component.from_maintainability(component.id, spec.mtbf_h, maint)
+        except ValueError as exc:  # prefixed as Component prefixes its own errors
+            raise ValueError(f"component {component.id!r}: {exc}") from None
+        return Component(component.id, dataclasses.replace(spec, maint=maint))
     form = {
         DirectAvailability: "direct availability",
         MtbfMdt: "mtbf/mdt",

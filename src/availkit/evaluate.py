@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .blocks import MAX_NESTING, NESTING_ERROR, Block, Bridge, KofN, Leaf, Parallel, Series
+from .blocks import Block, EvaluationError, KofN, Leaf, Parallel, Series, fold
 from .probability import Probability
 
 __all__ = [
@@ -25,10 +25,6 @@ __all__ = [
 
 # Availability per component id; must cover every leaf of the structure.
 Environment = Mapping[str, float]
-
-
-class EvaluationError(ValueError):
-    """A structure could not be evaluated against its environment."""
 
 
 def eval_series(avails: Sequence[float]) -> Probability:
@@ -88,30 +84,27 @@ def eval_bridge(a1: float, a2: float, a3: float, a4: float, a5: float) -> Probab
     return Probability(a3 * columns + (1.0 - a3) * paths)
 
 
-def eval_block(block: Block, env: Environment, depth: int = 0) -> Probability:
+def eval_block(block: Block, env: Environment) -> Probability:
     """Evaluate a block tree against per-component availabilities.
 
     Duplicate leaf ids refer to independent replicas of the same
     component type; each occurrence contributes its availability
-    independently. ``block`` sits ``depth`` levels down; nesting past
-    MAX_NESTING is an EvaluationError.
+    independently. A leaf missing from ``env`` and nesting past
+    MAX_NESTING are EvaluationErrors; a non-block is a TypeError (``fold``).
     """
-    if isinstance(block, Leaf):
+    def leaf(block: Leaf) -> Probability:
         try:
             return Probability(env[block.component_id])
         except KeyError:
-            raise EvaluationError(
-                f"no availability for component {block.component_id!r}"
-            ) from None
-    if depth == MAX_NESTING:
-        raise EvaluationError(NESTING_ERROR)
-    depth += 1
+            raise EvaluationError(f"no availability for component {block.component_id!r}") from None
+    return fold(block, leaf, _combine)
+
+
+def _combine(block: Block, avails: Sequence[Probability]) -> Probability:
     if isinstance(block, Series):
-        return eval_series([eval_block(c, env, depth) for c in block.children])
+        return eval_series(avails)
     if isinstance(block, Parallel):
-        return eval_parallel([eval_block(c, env, depth) for c in block.children])
+        return eval_parallel(avails)
     if isinstance(block, KofN):
-        return eval_kofn(block.k, [eval_block(c, env, depth) for c in block.children])
-    if isinstance(block, Bridge):
-        return eval_bridge(*[eval_block(c, env, depth) for c in block.children])
-    raise EvaluationError(f"not a block: {block!r}")
+        return eval_kofn(block.k, avails)
+    return eval_bridge(*avails)

@@ -45,9 +45,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Literal
 
-from .blocks import MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series
+from .blocks import MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series, fold
 from .components import (
     Component,
     DirectAvailability,
@@ -642,14 +643,8 @@ def _spec_fields(spec) -> str:
     raise TypeError(f"unrecognised component spec {spec!r}")
 
 
-def _block_text(block, depth: int = 0) -> str:
-    if isinstance(block, Leaf):
-        return block.component_id
-    if not isinstance(block, (Series, Parallel, KofN, Bridge)):
-        raise TypeError(f"not a block: {block!r}")
-    if depth == MAX_NESTING:
-        raise ValueError(NESTING_ERROR)
-    inner = ", ".join([_block_text(c, depth + 1) for c in block.children])
+def _block_text(block, texts: list[str]) -> str:
+    inner = ", ".join(texts)
     if isinstance(block, KofN):
         inner = f"{block.k}; {inner}"
     return f"{type(block).__name__.lower()}({inner})"
@@ -660,7 +655,7 @@ def format_model(model: Model) -> str:
 
     Networks print without edge ids — the parser assigns e0, e1, ... in
     declaration order — so the round-trip is stable for parsed models.
-    Blocks nested past MAX_NESTING are a ValueError.
+    Blocks nested past MAX_NESTING are an EvaluationError (``blocks.fold``).
     """
     lines = [
         f"component {cid} {{ {_spec_fields(comp.spec)} }}"
@@ -677,5 +672,6 @@ def format_model(model: Model) -> str:
             lines.append(f"  edge({edge.a}, {edge.b}, {edge.component_id}){sep}")
         lines.append("}")
     else:
-        lines.append(f"system = {_block_text(model.system)}")
+        system = fold(model.system, attrgetter("component_id"), _block_text)
+        lines.append(f"system = {system}")
     return "\n".join(lines) + "\n"

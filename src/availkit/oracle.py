@@ -40,12 +40,12 @@ The whole budget runs on one stream — there is no worker splitting.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, compress, repeat
 from operator import and_, mul, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .blocks import MAX_NESTING, NESTING_ERROR, Block, Bridge, Leaf, Parallel, Series, leaves
+from .blocks import Block, Bridge, Parallel, Series, fold, leaves
 from .network import Network
 from .probability import Probability
 
@@ -155,7 +155,8 @@ def _evaluate(structure: Structure, columns: Sequence[int], rows: int) -> int:
     Bit r of ``columns[i]`` is set when instance i is up in row r."""
     full = (1 << rows) - 1
     if not isinstance(structure, Network):
-        return _block_up(structure, iter(columns), full, 0)
+        leaf_columns = iter(columns)
+        return fold(structure, lambda _: next(leaf_columns), partial(_block_up, full))
     index = {structure.source: 0}
     terminal = index.setdefault(structure.terminal, 1)
     ends = [
@@ -176,12 +177,8 @@ def _evaluate(structure: Structure, columns: Sequence[int], rows: int) -> int:
     return reach[terminal]
 
 
-def _block_up(block: Block, columns: Iterator[int], full: int, depth: int) -> int:
-    if isinstance(block, Leaf):
-        return next(columns)
-    if depth == MAX_NESTING:
-        raise ValueError(NESTING_ERROR)
-    ups = [_block_up(c, columns, full, depth + 1) for c in block.children]
+def _block_up(full: int, block: Block, ups: list[int]) -> int:
+    """The rows in which a composite is up, from its children's rows."""
     if isinstance(block, Series):  # childless, it is up in every row
         return reduce(and_, ups, full)
     if isinstance(block, Parallel):

@@ -12,12 +12,16 @@ from availkit import (
     Network,
     Parallel,
     Series,
+    enumerate_availability,
     eval_block,
     format_model,
+    instances,
     leaves,
+    monte_carlo_availability,
+    structure_function,
     validate,
 )
-from availkit.blocks import MAX_NESTING
+from availkit.blocks import MAX_NESTING, NESTING_ERROR, fold
 
 
 def comps(*ids):
@@ -72,6 +76,93 @@ class TestLeaves:
             for depth in (MAX_NESTING + 1, 3000):
                 with pytest.raises(error, match=f"^blocks nest more than {MAX_NESTING} levels deep$"):
                     walk(chain(depth))
+
+
+class TestFold:
+    # one of each kind, with leaves at several depths
+    TREE = Series(
+        (
+            Leaf("a"),
+            KofN(2, (Leaf("b"), Parallel((Leaf("c"), Leaf("d"))), Leaf("e"))),
+            Bridge(Leaf("f"), Series((Leaf("g"),)), Leaf("h"), Leaf("i"), Leaf("j")),
+        )
+    )
+
+    def test_leaf_and_node_run_in_canonical_depth_first_order(self):
+        calls = []
+
+        def leaf(block):
+            calls.append(block.component_id)
+            return block.component_id
+
+        def node(block, values):
+            calls.append(f"{type(block).__name__}{list(values)}")
+            return type(block).__name__
+
+        assert fold(self.TREE, leaf, node) == "Series"
+        assert calls == [
+            "a",
+            "b",
+            "c",
+            "d",
+            "Parallel['c', 'd']",
+            "e",
+            "KofN['b', 'Parallel', 'e']",
+            "f",
+            "g",
+            "Series['g']",
+            "h",
+            "i",
+            "j",
+            "Bridge['f', 'Series', 'h', 'i', 'j']",
+            "Series['a', 'KofN', 'Bridge']",
+        ]
+        assert [c for c in calls if len(c) == 1] == list(instances(self.TREE))
+
+    def test_a_leaf_alone_is_folded_by_leaf(self):
+        assert fold(Leaf("a"), lambda block: block.component_id, None) == "a"
+
+    def test_node_gets_the_child_values_in_child_order(self):
+        def node(block, values):
+            return "(" + " ".join(values) + ")"
+
+        tree = Parallel((Leaf("z"), Series((Leaf("y"), Leaf("x"))), Leaf("w")))
+        assert fold(tree, lambda block: block.component_id, node) == "(z (y x) w)"
+
+    def test_a_nested_non_block_is_a_type_error_in_every_walker(self):
+        tree = Series((Leaf("a"), "x"))
+        walkers = (
+            lambda: fold(tree, lambda block: 0, lambda block, values: 0),
+            lambda: eval_block(tree, {"a": 0.9}),
+            lambda: leaves(tree),
+            lambda: format_model(Model(comps("a"), tree)),
+            lambda: instances(tree),
+        )
+        for walk in walkers:
+            with pytest.raises(TypeError, match="^not a block: 'x'$"):
+                walk()
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 3000])
+    def test_nesting_past_the_cap_is_one_error_in_every_walker(self, levels):
+        tree = Leaf("a")
+        for _ in range(levels):
+            tree = Series((tree,))
+        env = {"a": 0.5}
+        walkers = (
+            lambda: fold(tree, lambda block: 0, lambda block, values: 0),
+            lambda: eval_block(tree, env),
+            lambda: leaves(tree),
+            lambda: format_model(Model(comps("a"), tree)),
+            lambda: instances(tree),
+            lambda: enumerate_availability(tree, env),
+            lambda: monte_carlo_availability(tree, env, 10, 0),
+            lambda: structure_function(tree, [True]),
+        )
+        for walk in walkers:
+            with pytest.raises(EvaluationError) as raised:
+                walk()
+            assert type(raised.value) is EvaluationError
+            assert str(raised.value) == NESTING_ERROR
 
 
 class TestValidateBlocks:

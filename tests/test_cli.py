@@ -317,6 +317,21 @@ class TestWhatif:
         assert code == 1
         assert "outside [0, 1]" in err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("db.pnrs=2", "probability 2.0 outside [0, 1]"),
+            ("db.tat_h=-1", "tat_h must be a finite value >= 0, got -1.0"),
+        ],
+    )
+    def test_maintainability_override_out_of_range_names_the_component(
+        self, capsys, override, message
+    ):
+        code, out, err = run(capsys, "whatif", MIXED, "--set", override)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: component 'db': {message}\n"
+
     def test_pnrs_override_reruns_down_time_pipeline(self, capsys, tmp_path):
         f = tmp_path / "srv.avail"
         f.write_text(
