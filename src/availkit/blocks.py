@@ -10,8 +10,9 @@ trees can still be inspected and reported on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, TypeVar, Union
+from typing import Callable, Iterable, TypeVar, Union
+
+from ._frozen import Frozen, setfield
 
 __all__ = ["Leaf", "Series", "Parallel", "KofN", "Bridge", "Block", "EvaluationError", "fold",
            "leaves"]
@@ -28,55 +29,56 @@ class EvaluationError(ValueError):
     """A structure could not be evaluated: it nests too deep or misfits its environment."""
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Frozen):
     """A single component instance. The same id used twice means two
     independent replicas of that component type."""
 
-    component_id: str
+    __slots__ = _fields = ("component_id",)
+
+    def __init__(self, component_id: str) -> None:
+        setfield(self, "component_id", component_id)
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Frozen):
     """Up only if every child is up."""
 
-    children: tuple["Block", ...]
+    __slots__ = _fields = ("children",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, children: Iterable["Block"]) -> None:
+        setfield(self, "children", tuple(children))
 
 
-@dataclass(frozen=True)
-class Parallel:
+class Parallel(Frozen):
     """Up if any child is up."""
 
-    children: tuple["Block", ...]
+    __slots__ = _fields = ("children",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, children: Iterable["Block"]) -> None:
+        setfield(self, "children", tuple(children))
 
 
-@dataclass(frozen=True)
-class KofN:
+class KofN(Frozen):
     """Up if at least k of the children are up."""
 
-    k: int
-    children: tuple["Block", ...]
+    __slots__ = _fields = ("k", "children")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, k: int, children: Iterable["Block"]) -> None:
+        setfield(self, "k", k)
+        setfield(self, "children", tuple(children))
 
 
-@dataclass(frozen=True)
-class Bridge:
+class Bridge(Frozen):
     """The five-slot bridge: b1/b2 form the left column, b4/b5 the right
     column, and b3 is the cross-link between the two mid-points."""
 
-    b1: "Block"
-    b2: "Block"
-    b3: "Block"
-    b4: "Block"
-    b5: "Block"
+    __slots__ = _fields = ("b1", "b2", "b3", "b4", "b5")
+
+    def __init__(self, b1: "Block", b2: "Block", b3: "Block", b4: "Block", b5: "Block") -> None:
+        setfield(self, "b1", b1)
+        setfield(self, "b2", b2)
+        setfield(self, "b3", b3)
+        setfield(self, "b4", b4)
+        setfield(self, "b5", b5)
 
     @property
     def children(self) -> tuple["Block", ...]:

@@ -17,7 +17,6 @@ to stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -242,13 +241,13 @@ def _apply_override(component: Component, field: str, value: float) -> Component
     if field == "availability":
         return Component.direct(component.id, value)
     if hasattr(spec, field):  # mtbf_h, and mdt_h of the mtbf/mdt form
-        return Component(component.id, dataclasses.replace(spec, **{field: value}))
+        return Component(component.id, spec.replace(**{field: value}))
     if isinstance(spec, MtbfMaintainability) and hasattr(spec.maint, field):
         try:
-            maint = dataclasses.replace(spec.maint, **{field: value})
+            maint = spec.maint.replace(**{field: value})
         except ValueError as exc:  # prefixed as Component prefixes its own errors
             raise ValueError(f"component {component.id!r}: {exc}") from None
-        return Component(component.id, dataclasses.replace(spec, maint=maint))
+        return Component(component.id, spec.replace(maint=maint))
     form = {
         DirectAvailability: "direct availability",
         MtbfMdt: "mtbf/mdt",

@@ -7,9 +7,9 @@ from the maintainability pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
+from ._frozen import Frozen, setfield
 from .maintainability import (
     MaintainabilityParams,
     availability_from_times,
@@ -30,56 +30,64 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DirectAvailability:
+class DirectAvailability(Frozen):
     """Availability stated outright.
 
     Specs are plain data holders; range checks happen when a Component
     is built, so every complaint names the offending component.
     """
 
-    availability: float
+    __slots__ = _fields = ("availability",)
+
+    def __init__(self, availability: float) -> None:
+        setfield(self, "availability", availability)
 
 
-@dataclass(frozen=True)
-class MtbfMdt:
+class MtbfMdt(Frozen):
     """MTBF paired with a known mean down time, both in hours."""
 
-    mtbf_h: float
-    mdt_h: float
+    __slots__ = _fields = ("mtbf_h", "mdt_h")
+
+    def __init__(self, mtbf_h: float, mdt_h: float) -> None:
+        setfield(self, "mtbf_h", mtbf_h)
+        setfield(self, "mdt_h", mdt_h)
 
 
-@dataclass(frozen=True)
-class MtbfMaintainability:
+class MtbfMaintainability(Frozen):
     """MTBF in hours plus the maintainability pipeline for the down time."""
 
-    mtbf_h: float
-    maint: MaintainabilityParams
+    __slots__ = _fields = ("mtbf_h", "maint")
+
+    def __init__(self, mtbf_h: float, maint: MaintainabilityParams) -> None:
+        setfield(self, "mtbf_h", mtbf_h)
+        setfield(self, "maint", maint)
 
 
 ComponentSpec = Union[DirectAvailability, MtbfMdt, MtbfMaintainability]
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Frozen):
     """A named unit of the system with one of the three availability specs.
 
-    Its availability and mean down time (None for a direct availability)
-    are derived once, at construction, so bad numbers fail fast. They stay
-    out of ``repr`` and ``==``, which compare the declaration only.
+    Its ``availability`` and ``mdt_h`` (mean down time, None for a direct
+    availability) are derived once, at construction, so bad numbers fail
+    fast. They stay out of ``repr``, ``==`` and ``hash``, which see the
+    declaration only.
     """
 
-    id: str
-    spec: ComponentSpec
-    availability: Probability = field(init=False, repr=False, compare=False)
-    mdt_h: float | None = field(init=False, repr=False, compare=False)
+    _fields = ("id", "spec")
+    __slots__ = _fields + ("availability", "mdt_h")
+    availability: Probability
+    mdt_h: float | None
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __init__(self, id: str, spec: ComponentSpec) -> None:
+        if not id:
             raise ValueError("component id must be non-empty")
+        setfield(self, "id", id)
+        setfield(self, "spec", spec)
         availability, mdt_h = _derive(self)
-        object.__setattr__(self, "availability", availability)
-        object.__setattr__(self, "mdt_h", mdt_h)
+        setfield(self, "availability", availability)
+        setfield(self, "mdt_h", mdt_h)
 
     @classmethod
     def direct(cls, id: str, availability: float) -> "Component":

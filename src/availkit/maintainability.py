@@ -10,8 +10,8 @@ weighted by the chance that no ready spare is on site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen, setfield
 from .probability import Probability, unavailability
 
 __all__ = [
@@ -50,8 +50,7 @@ def _require(name: str, value: float) -> None:
         raise ValueError(problem)
 
 
-@dataclass(frozen=True)
-class MaintainabilityParams:
+class MaintainabilityParams(Frozen):
     """Inputs to the mean-down-time pipeline.
 
     mttres_h  mean time to restore once the fix is in hand
@@ -61,16 +60,21 @@ class MaintainabilityParams:
     tat_h     turn-around time to obtain a replacement when it is not
     """
 
-    mttres_h: float
-    mldt_h: float
-    madt_h: float
+    __slots__ = _fields = ("mttres_h", "mldt_h", "madt_h", "pnrs", "tat_h")
     pnrs: Probability
-    tat_h: float
 
-    def __post_init__(self) -> None:
-        for name in ("mttres_h", "mldt_h", "madt_h", "tat_h"):
-            _require(name, getattr(self, name))
-        object.__setattr__(self, "pnrs", Probability(self.pnrs))
+    def __init__(
+        self, mttres_h: float, mldt_h: float, madt_h: float, pnrs: float, tat_h: float
+    ) -> None:
+        _require("mttres_h", mttres_h)
+        _require("mldt_h", mldt_h)
+        _require("madt_h", madt_h)
+        _require("tat_h", tat_h)
+        setfield(self, "mttres_h", mttres_h)
+        setfield(self, "mldt_h", mldt_h)
+        setfield(self, "madt_h", madt_h)
+        setfield(self, "pnrs", Probability(pnrs))
+        setfield(self, "tat_h", tat_h)
 
 
 def mean_down_time(params: MaintainabilityParams) -> float:

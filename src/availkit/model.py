@@ -11,9 +11,9 @@ error at its first block too deep, below which nothing else is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Literal, Union
 
+from ._frozen import Frozen, setfield
 from .blocks import MAX_NESTING, NESTING_ERROR, Block, Bridge, KofN, Leaf, Parallel, Series
 from .components import Component
 from .network import Network, _bfs_order
@@ -21,20 +21,28 @@ from .network import Network, _bfs_order
 __all__ = ["Diagnostic", "Model", "validate"]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: Literal["error", "warning"]
-    path: str
-    message: str
+class Diagnostic(Frozen):
+    __slots__ = _fields = ("severity", "path", "message")
+
+    def __init__(self, severity: Literal["error", "warning"], path: str, message: str) -> None:
+        setfield(self, "severity", severity)
+        setfield(self, "path", path)
+        setfield(self, "message", message)
 
 
-@dataclass(frozen=True, eq=True)
-class Model:
+class Model(Frozen):
     """A component table (declaration order preserved) and the system it
-    feeds — either a block tree or a two-terminal network."""
+    feeds — either a block tree or a two-terminal network. Its hash is the
+    system's, since the table is a dict."""
 
-    components: dict[str, Component] = field(hash=False)
-    system: Union[Block, Network]
+    __slots__ = _fields = ("components", "system")
+
+    def __init__(self, components: dict[str, Component], system: Union[Block, Network]) -> None:
+        setfield(self, "components", components)
+        setfield(self, "system", system)
+
+    def __hash__(self) -> int:
+        return hash((self.system,))
 
 
 def _validate_block(

@@ -44,10 +44,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Literal
 
+from ._frozen import Frozen, setfield
 from .blocks import MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series, fold
 from .components import (
     Component,
@@ -62,19 +62,25 @@ from .network import Edge, Network
 __all__ = ["SourceSpan", "ParseDiagnostic", "parse_model", "format_model"]
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    start: int
-    end: int
-    line: int
-    column: int
+class SourceSpan(Frozen):
+    __slots__ = _fields = ("start", "end", "line", "column")
+
+    def __init__(self, start: int, end: int, line: int, column: int) -> None:
+        setfield(self, "start", start)
+        setfield(self, "end", end)
+        setfield(self, "line", line)
+        setfield(self, "column", column)
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    severity: Literal["error", "warning"]
-    message: str
-    span: SourceSpan
+class ParseDiagnostic(Frozen):
+    __slots__ = _fields = ("severity", "message", "span")
+
+    def __init__(
+        self, severity: Literal["error", "warning"], message: str, span: SourceSpan
+    ) -> None:
+        setfield(self, "severity", severity)
+        setfield(self, "message", message)
+        setfield(self, "span", span)
 
 
 _KEYWORDS = frozenset(

@@ -20,9 +20,9 @@ grows with the number of live states, which ``max_states`` bounds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ._frozen import Frozen, setfield
 from .evaluate import EvaluationError
 from .probability import Probability
 
@@ -38,39 +38,49 @@ class StateBudgetError(EvaluationError):
     """Raised when the frontier sweep holds more live states than its budget."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Frozen):
     """One undirected edge; parallel edges and shared components are fine."""
 
-    id: str
-    a: str
-    b: str
-    component_id: str
+    __slots__ = _fields = ("id", "a", "b", "component_id")
+
+    def __init__(self, id: str, a: str, b: str, component_id: str) -> None:
+        setfield(self, "id", id)
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "component_id", component_id)
 
 
-@dataclass(frozen=True)
-class Network:
+class Network(Frozen):
+    """Edges between a source and a terminal. ``nodes`` holds the given
+    nodes plus every node an edge, the source or the terminal touches."""
+
+    __slots__ = _fields = ("edges", "source", "terminal", "nodes")
     edges: tuple[Edge, ...]
-    source: str
-    terminal: str
-    nodes: frozenset[str] = frozenset()
+    nodes: frozenset[str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", tuple(self.edges))
-        touched = {self.source, self.terminal}
-        for e in self.edges:
+    def __init__(
+        self, edges: Iterable[Edge], source: str, terminal: str, nodes: Iterable[str] = frozenset()
+    ) -> None:
+        edges = tuple(edges)
+        touched = {source, terminal}
+        for e in edges:
             touched.add(e.a)
             touched.add(e.b)
-        object.__setattr__(self, "nodes", frozenset(self.nodes) | touched)
+        setfield(self, "edges", edges)
+        setfield(self, "source", source)
+        setfield(self, "terminal", terminal)
+        setfield(self, "nodes", frozenset(nodes) | touched)
 
 
-@dataclass(frozen=True)
-class ReducedNetwork:
+class ReducedNetwork(Frozen):
     """Result of reduce_network: the smaller graph plus the availabilities
     computed for its synthetic edges (original edges keep their components)."""
 
-    network: Network
-    synthetic: dict[str, float]
+    __slots__ = _fields = ("network", "synthetic")
+
+    def __init__(self, network: Network, synthetic: dict[str, float]) -> None:
+        setfield(self, "network", network)
+        setfield(self, "synthetic", synthetic)
 
 
 def _bfs_order(pairs: Iterable[tuple[str, str]], source: str) -> dict[str, int]:

@@ -150,9 +150,10 @@ def _up_rows(seed: int, start: int, count: int, avails: Sequence[float]) -> np.n
     return up
 
 
-def _evaluate(structure: Structure, columns: Sequence[int], rows: int) -> int:
+def _evaluate(structure: Structure, columns: Iterable[int], rows: int) -> int:
     """The rows, of ``rows``, in which the system is up, as a bitset.
-    Bit r of ``columns[i]`` is set when instance i is up in row r."""
+    Bit r of the i-th column is set when instance i is up in row r. A tree
+    takes one column per leaf from ``columns``, a network one per edge."""
     full = (1 << rows) - 1
     if not isinstance(structure, Network):
         leaf_columns = iter(columns)
@@ -209,10 +210,20 @@ def structure_function(structure: Structure, state: StateVector) -> bool:
     system down.
     """
     columns = [1 if s else 0 for s in state]
-    expected = len(instances(structure))
-    if len(columns) != expected:
+    if isinstance(structure, Network):
+        fits = len(columns) == len(structure.edges)
+        up = fits and _evaluate(structure, columns, 1)
+    else:  # the one walk checks the length: the leaves take every entry, and no more
+        unread = iter(columns)
+        try:
+            up = _evaluate(structure, unread, 1)
+            fits = next(unread, None) is None
+        except StopIteration:
+            fits = False
+    if not fits:
+        expected = len(instances(structure))
         raise ValueError(f"state has {len(columns)} entries, structure has {expected}")
-    return bool(_evaluate(structure, columns, 1))
+    return bool(up)
 
 
 def _products(prefixes: list[float], avails: Sequence[float]) -> list[float]:

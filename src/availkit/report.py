@@ -10,9 +10,9 @@ back to the exact double. Text mode shows the same values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 
+from ._frozen import Frozen, setfield
 from .evaluate import Environment
 from .model import Model
 from .probability import unavailability
@@ -44,20 +44,33 @@ def nines(availability: float) -> int | float:
     return math.floor(-math.log10(down))
 
 
-@dataclass(frozen=True)
-class ComponentLine:
-    id: str
-    availability: float
-    mdt_h: float | None
+class ComponentLine(Frozen):
+    __slots__ = _fields = ("id", "availability", "mdt_h")
+
+    def __init__(self, id: str, availability: float, mdt_h: float | None) -> None:
+        setfield(self, "id", id)
+        setfield(self, "availability", availability)
+        setfield(self, "mdt_h", mdt_h)
 
 
-@dataclass(frozen=True)
-class AvailabilityReport:
-    availability: float
-    unavailability: float
-    nines: int | float
-    downtime_minutes_per_year: float
-    per_component: tuple[ComponentLine, ...]
+class AvailabilityReport(Frozen):
+    __slots__ = _fields = (
+        "availability", "unavailability", "nines", "downtime_minutes_per_year", "per_component"
+    )
+
+    def __init__(
+        self,
+        availability: float,
+        unavailability: float,
+        nines: int | float,
+        downtime_minutes_per_year: float,
+        per_component: tuple[ComponentLine, ...],
+    ) -> None:
+        setfield(self, "availability", availability)
+        setfield(self, "unavailability", unavailability)
+        setfield(self, "nines", nines)
+        setfield(self, "downtime_minutes_per_year", downtime_minutes_per_year)
+        setfield(self, "per_component", per_component)
 
 
 def build_report(

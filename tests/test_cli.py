@@ -383,6 +383,23 @@ class TestSubprocess:
         )
         assert result.stdout == "False\n", result.stderr
 
+    def test_import_adds_no_dataclasses_inspect_or_numpy(self):
+        # the value types are plain slotted classes; modules that ``site``
+        # loads here are in both sets, so they do not count
+        def modules(code):
+            result = subprocess.run(
+                [sys.executable, "-c", code + "import sys; print(*sorted(sys.modules))"],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+            assert result.returncode == 0, result.stderr
+            return set(result.stdout.split())
+
+        added = modules("import availkit.cli; ") - modules("")
+        assert "availkit.cli" in added
+        assert not added & {"dataclasses", "inspect", "numpy"}
+
     def test_enumeration_oracle_does_not_load_numpy(self, tmp_path):
         # Monte Carlo alone needs numpy among the oracles
         net = tmp_path / "net.avail"

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from availkit import (
@@ -85,12 +83,12 @@ class TestStoredNumbers:
 
     def test_replace_derives_afresh(self):
         c = Component.from_mtbf_mdt("b", 1000.0, 10.0)
-        d = dataclasses.replace(c, spec=MtbfMdt(90.0, 10.0))
+        d = c.replace(spec=MtbfMdt(90.0, 10.0))
         assert float(d.availability) == 0.9 and d.mdt_h == 10.0
-        e = dataclasses.replace(c, spec=MtbfMaintainability(100000.0, MAINT))
+        e = c.replace(spec=MtbfMaintainability(100000.0, MAINT))
         assert e.mdt_h == mean_down_time(MAINT)
         assert float(e.availability).hex() == float(component_availability(e)).hex()
-        f = dataclasses.replace(e, spec=DirectAvailability(0.5))
+        f = e.replace(spec=DirectAvailability(0.5))
         assert float(f.availability) == 0.5 and f.mdt_h is None
 
 

@@ -198,6 +198,27 @@ class TestStructureFunction:
         with pytest.raises(ValueError, match="entries"):
             structure_function(BRIDGE, [True, True])
 
+    @pytest.mark.parametrize(
+        "structure,state,message",
+        [
+            (BRIDGE, [True] * 6, "state has 6 entries, structure has 5"),
+            (Series(()), [False], "state has 1 entries, structure has 0"),
+            (bridge_network(), [True] * 6, "state has 6 entries, structure has 5"),
+            (bridge_network(), [True] * 4, "state has 4 entries, structure has 5"),
+            (bridge_network(), [], "state has 0 entries, structure has 5"),
+        ],
+        ids=["long-tree", "long-empty-tree", "long-network", "short-network", "empty-network"],
+    )
+    def test_wrong_length_names_both_counts(self, structure, state, message):
+        with pytest.raises(ValueError) as info:
+            structure_function(structure, state)
+        assert str(info.value) == message
+
+    def test_short_state_on_a_broken_tree_names_the_broken_block(self):
+        # the count on the error path walks the tree, so a bad tree still says what is wrong
+        with pytest.raises(TypeError, match="not a block"):
+            structure_function(Series((Leaf("a"), Leaf("b"), "x")), [True])
+
     def test_monotone_under_repair(self):
         rng = random.Random(31)
         for _ in range(200):

@@ -1,0 +1,217 @@
+"""The value types: immutable slotted classes that compare, hash, print,
+pickle and copy by their constructor's fields."""
+
+import copy
+import pickle
+
+import pytest
+
+from availkit import (
+    AvailabilityReport,
+    Bridge,
+    Component,
+    ComponentLine,
+    Diagnostic,
+    DirectAvailability,
+    Edge,
+    KofN,
+    Leaf,
+    MaintainabilityParams,
+    Model,
+    MtbfMaintainability,
+    MtbfMdt,
+    Network,
+    Parallel,
+    ParseDiagnostic,
+    Probability,
+    Series,
+    SourceSpan,
+    component_availability,
+)
+from availkit.network import ReducedNetwork
+
+MAINT = MaintainabilityParams(3.0, 2.0, 1.0, 0.95, 72.0)
+MAINT_REPR = (
+    "MaintainabilityParams(mttres_h=3.0, mldt_h=2.0, madt_h=1.0, pnrs=Probability(0.95), tat_h=72.0)"
+)
+NET = Network([Edge("e1", "s", "t", "a")], "s", "t")
+
+# The repr of one instance of each type, as the frozen dataclasses wrote it.
+CASES = [
+    (Leaf("a"), "Leaf(component_id='a')"),
+    (
+        Series([Leaf("a"), Leaf("b")]),
+        "Series(children=(Leaf(component_id='a'), Leaf(component_id='b')))",
+    ),
+    (Parallel((Leaf("a"),)), "Parallel(children=(Leaf(component_id='a'),))"),
+    (
+        KofN(2, [Leaf("a"), Leaf("b"), Leaf("c")]),
+        "KofN(k=2, children=(Leaf(component_id='a'), Leaf(component_id='b'),"
+        " Leaf(component_id='c')))",
+    ),
+    (
+        Bridge(Leaf("a"), Leaf("b"), Leaf("c"), Leaf("d"), Leaf("e")),
+        "Bridge(b1=Leaf(component_id='a'), b2=Leaf(component_id='b'), b3=Leaf(component_id='c'),"
+        " b4=Leaf(component_id='d'), b5=Leaf(component_id='e'))",
+    ),
+    (DirectAvailability(0.99), "DirectAvailability(availability=0.99)"),
+    (MtbfMdt(1000.0, 10.0), "MtbfMdt(mtbf_h=1000.0, mdt_h=10.0)"),
+    (MtbfMaintainability(20000.0, MAINT), f"MtbfMaintainability(mtbf_h=20000.0, maint={MAINT_REPR})"),
+    (MAINT, MAINT_REPR),
+    (
+        Component.direct("a", 0.99),
+        "Component(id='a', spec=DirectAvailability(availability=0.99))",
+    ),
+    (
+        Component.from_mtbf_mdt("web", 5000.0, 2.0),
+        "Component(id='web', spec=MtbfMdt(mtbf_h=5000.0, mdt_h=2.0))",
+    ),
+    (
+        Component.from_maintainability("db", 20000.0, MAINT),
+        f"Component(id='db', spec=MtbfMaintainability(mtbf_h=20000.0, maint={MAINT_REPR}))",
+    ),
+    (
+        Diagnostic("warning", "components.x", "component 'x' is never used"),
+        "Diagnostic(severity='warning', path='components.x', message=\"component 'x' is never used\")",
+    ),
+    (SourceSpan(3, 7, 1, 4), "SourceSpan(start=3, end=7, line=1, column=4)"),
+    (
+        ParseDiagnostic("error", "bad", SourceSpan(3, 7, 1, 4)),
+        "ParseDiagnostic(severity='error', message='bad',"
+        " span=SourceSpan(start=3, end=7, line=1, column=4))",
+    ),
+    (Edge("e1", "s", "t", "a"), "Edge(id='e1', a='s', b='t', component_id='a')"),
+    (
+        Network([Edge("e1", "s", "s", "a")], "s", "s"),
+        "Network(edges=(Edge(id='e1', a='s', b='s', component_id='a'),), source='s', terminal='s',"
+        " nodes=frozenset({'s'}))",
+    ),
+    (
+        ReducedNetwork(Network([Edge("e1", "s", "s", "a")], "s", "s"), {"par(e1,e2)": 0.5}),
+        "ReducedNetwork(network=Network(edges=(Edge(id='e1', a='s', b='s', component_id='a'),),"
+        " source='s', terminal='s', nodes=frozenset({'s'})), synthetic={'par(e1,e2)': 0.5})",
+    ),
+    (ComponentLine("db", 0.999, 8.68), "ComponentLine(id='db', availability=0.999, mdt_h=8.68)"),
+    (
+        AvailabilityReport(0.99, 0.01, 2, 5256.0, (ComponentLine("a", 0.99, None),)),
+        "AvailabilityReport(availability=0.99, unavailability=0.01, nines=2,"
+        " downtime_minutes_per_year=5256.0,"
+        " per_component=(ComponentLine(id='a', availability=0.99, mdt_h=None),))",
+    ),
+    (
+        Model({"a": Component.direct("a", 0.99)}, Series((Leaf("a"),))),
+        "Model(components={'a': Component(id='a', spec=DirectAvailability(availability=0.99))},"
+        " system=Series(children=(Leaf(component_id='a'),)))",
+    ),
+    (
+        Model({"a": Component.direct("a", 0.99)}, NET),
+        # a frozenset of two strings prints in string-hash order
+        "Model(components={'a': Component(id='a', spec=DirectAvailability(availability=0.99))},"
+        " system=Network(edges=(Edge(id='e1', a='s', b='t', component_id='a'),),"
+        f" source='s', terminal='t', nodes={NET.nodes!r}))",
+    ),
+]
+VALUES = [value for value, _ in CASES]
+IDS = [f"{type(value).__name__}{i}" for i, value in enumerate(VALUES)]
+# ReducedNetwork holds a dict, and so cannot be hashed, as before.
+HASHABLE = [value for value in VALUES if not isinstance(value, ReducedNetwork)]
+
+
+def test_every_value_type_is_covered():
+    assert len({type(value) for value in VALUES}) == 19
+
+
+@pytest.mark.parametrize("value,expected", CASES, ids=IDS)
+def test_repr(value, expected):
+    assert repr(value) == expected
+
+
+def test_kinds_with_the_same_fields_differ():
+    kids = (Leaf("a"), Leaf("b"))
+    assert Series(kids) != Parallel(kids)
+    assert Series(kids) == Series(list(kids))
+    assert Leaf("a") != "a" and Leaf("a") != ("a",)
+
+
+@pytest.mark.parametrize("value", HASHABLE, ids=lambda v: type(v).__name__)
+def test_equal_values_hash_equal(value):
+    twin = copy.deepcopy(value)
+    assert twin == value and twin is not value
+    assert hash(twin) == hash(value)
+
+
+def test_model_hashes_by_its_system_only():
+    a = Model({"a": Component.direct("a", 0.9)}, Leaf("a"))
+    b = Model({"a": Component.direct("a", 0.5)}, Leaf("a"))
+    assert a != b and hash(a) == hash(b) == hash((Leaf("a"),))
+
+
+def test_component_equality_ignores_the_derived_numbers():
+    c = Component.from_mtbf_mdt("b", 1000.0, 10.0)
+    other = Component("b", MtbfMdt(1000.0, 10.0))
+    object.__setattr__(other, "availability", 0.5)
+    object.__setattr__(other, "mdt_h", None)
+    assert other == c and hash(other) == hash(c)
+    assert c != Component("b", MtbfMdt(1000.0, 11.0))
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(value):
+    name = value._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "__dict__")
+
+
+def test_derived_numbers_cannot_be_assigned():
+    c = Component.direct("a", 0.9)
+    with pytest.raises(AttributeError):
+        c.availability = 0.5
+    with pytest.raises(AttributeError):
+        del c.mdt_h
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_are_equal(value, clone):
+    twin = clone(value)
+    assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+
+
+def test_copied_component_keeps_its_numbers():
+    c = Component.from_maintainability("db", 20000.0, MAINT)
+    for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert float(twin.availability).hex() == float(c.availability).hex()
+        assert twin.mdt_h == c.mdt_h
+
+
+def test_replace_derives_the_numbers_afresh():
+    c = Component.from_mtbf_mdt("b", 1000.0, 10.0)
+    d = c.replace(spec=MtbfMdt(90.0, 10.0))
+    assert float(d.availability) == 0.9 and d.mdt_h == 10.0
+    assert float(d.availability).hex() == float(component_availability(d)).hex()
+    assert c.replace() == c and c.replace(id="z").id == "z"
+    assert NET.replace(source="t").nodes == NET.nodes
+
+
+def test_replace_runs_the_constructor_checks():
+    with pytest.raises(ValueError, match="tat_h"):
+        MAINT.replace(tat_h=-1.0)
+    pnrs = MAINT.replace(pnrs=1).pnrs
+    assert type(pnrs) is Probability and pnrs == 1.0
+    with pytest.raises(ValueError, match="non-empty"):
+        Component.direct("a", 0.9).replace(id="")
+
+
+@pytest.mark.parametrize("name", ["availability", "mdt_h", "children", "nope"])
+def test_replace_rejects_a_name_the_constructor_does_not_take(name):
+    with pytest.raises(TypeError):
+        Component.direct("a", 0.9).replace(**{name: 0.5})
