@@ -16,8 +16,6 @@ from .components import (
     DirectAvailability,
     MtbfMaintainability,
     MtbfMdt,
-    component_availability,
-    component_mdt,
     derive_environment,
 )
 from .evaluate import (
@@ -97,8 +95,6 @@ __all__ = [
     "StateBudgetError",
     "availability_from_times",
     "build_report",
-    "component_availability",
-    "component_mdt",
     "derive_environment",
     "enumerate_availability",
     "eval_block",

@@ -22,11 +22,14 @@ from pathlib import Path
 from typing import Sequence
 
 from .components import (
+    FORM_FIELDS,
     Component,
     DirectAvailability,
     MtbfMaintainability,
     MtbfMdt,
     derive_environment,
+    spec_fields,
+    spec_from_fields,
 )
 from .evaluate import EvaluationError, eval_block
 from .model import Diagnostic, Model, validate
@@ -52,9 +55,12 @@ EXIT_CAP = 4
 ENUMERATION_TOLERANCE = 1e-9
 MC_HALF_WIDTHS = 4.0
 
-_OVERRIDE_FIELDS = frozenset(
-    {"availability", "mtbf_h", "mdt_h", "mttres_h", "mldt_h", "madt_h", "pnrs", "tat_h"}
-)
+_OVERRIDE_FIELDS = frozenset().union(*FORM_FIELDS.values())
+_FORM_NAMES = {
+    DirectAvailability: "direct availability",
+    MtbfMdt: "mtbf/mdt",
+    MtbfMaintainability: "mtbf/maintainability",
+}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -237,25 +243,20 @@ def _parse_override(text: str) -> tuple[str, str, float]:
 
 
 def _apply_override(component: Component, field: str, value: float) -> Component:
-    spec = component.spec
-    if field == "availability":
-        return Component.direct(component.id, value)
-    if hasattr(spec, field):  # mtbf_h, and mdt_h of the mtbf/mdt form
-        return Component(component.id, spec.replace(**{field: value}))
-    if isinstance(spec, MtbfMaintainability) and hasattr(spec.maint, field):
-        try:
-            maint = spec.maint.replace(**{field: value})
-        except ValueError as exc:  # prefixed as Component prefixes its own errors
-            raise ValueError(f"component {component.id!r}: {exc}") from None
-        return Component(component.id, spec.replace(maint=maint))
-    form = {
-        DirectAvailability: "direct availability",
-        MtbfMdt: "mtbf/mdt",
-        MtbfMaintainability: "mtbf/maintainability",
-    }[type(spec)]
-    raise ValueError(
-        f"field {field!r} does not apply to component {component.id!r} ({form} form)"
-    )
+    """The component with one field changed within its form; a field that
+    makes a form on its own (availability) switches the component to it."""
+    fields = spec_fields(component.spec)
+    fields = {**fields, field: value} if field in fields else {field: value}
+    try:
+        spec = spec_from_fields(fields)
+    except ValueError as exc:  # prefixed as Component prefixes its own errors
+        raise ValueError(f"component {component.id!r}: {exc}") from None
+    if spec is None:
+        form = _FORM_NAMES[type(component.spec)]
+        raise ValueError(
+            f"field {field!r} does not apply to component {component.id!r} ({form} form)"
+        )
+    return Component(component.id, spec)
 
 
 def _cmd_whatif(args, model: Model, env) -> int:

@@ -7,6 +7,7 @@ from the maintainability pipeline.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 from ._frozen import Frozen, setfield
@@ -23,9 +24,10 @@ __all__ = [
     "MtbfMdt",
     "MtbfMaintainability",
     "ComponentSpec",
+    "FORM_FIELDS",
+    "spec_fields",
+    "spec_from_fields",
     "Component",
-    "component_availability",
-    "component_mdt",
     "derive_environment",
 ]
 
@@ -64,6 +66,40 @@ class MtbfMaintainability(Frozen):
 
 
 ComponentSpec = Union[DirectAvailability, MtbfMdt, MtbfMaintainability]
+
+# The model-file fields of each form, in file order.
+FORM_FIELDS = {
+    DirectAvailability: DirectAvailability._fields,
+    MtbfMdt: MtbfMdt._fields,
+    MtbfMaintainability: ("mtbf_h",) + MaintainabilityParams._fields,
+}
+_FORM_KEYS = [(frozenset(names), form) for form, names in FORM_FIELDS.items()]
+# Reads a spec's values in FORM_FIELDS order; the pipeline's sit on ``maint``.
+_READERS = {
+    form: attrgetter(*[name if name in form._fields else f"maint.{name}" for name in names])
+    for form, names in FORM_FIELDS.items()
+}
+
+
+def spec_fields(spec: ComponentSpec) -> dict[str, float]:
+    """The spec's model-file fields and their values, in file order."""
+    form = type(spec)
+    names, values = FORM_FIELDS[form], _READERS[form](spec)
+    # attrgetter of a single name returns the value itself, not a 1-tuple
+    return dict(zip(names, values)) if len(names) > 1 else {names[0]: values}
+
+
+def spec_from_fields(fields: Mapping[str, float]) -> ComponentSpec | None:
+    """The spec of the form made of exactly these fields, None if no form is.
+    A maintainability value out of range raises ValueError."""
+    keys = fields.keys()
+    for names, form in _FORM_KEYS:
+        if keys == names:
+            values = [fields[name] for name in FORM_FIELDS[form]]
+            if form is MtbfMaintainability:
+                return form(values[0], MaintainabilityParams(*values[1:]))
+            return form(*values)
+    return None
 
 
 class Component(Frozen):
@@ -126,16 +162,6 @@ def _derive(component: Component) -> tuple[Probability, float | None]:
     except ValueError as exc:
         raise ValueError(f"component {component.id!r}: {exc}") from None
     raise ValueError(f"component {component.id!r}: unrecognised spec {spec!r}")
-
-
-def component_availability(component: Component) -> Probability:
-    """Availability of one component, derived afresh from its spec."""
-    return _derive(component)[0]
-
-
-def component_mdt(component: Component) -> float | None:
-    """Mean down time in hours where the component defines one, else None."""
-    return component.mdt_h
 
 
 def derive_environment(

@@ -49,13 +49,8 @@ from typing import Literal
 
 from ._frozen import Frozen, setfield
 from .blocks import MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series, fold
-from .components import (
-    Component,
-    DirectAvailability,
-    MtbfMaintainability,
-    MtbfMdt,
-)
-from .maintainability import MaintainabilityParams, check_field
+from .components import FORM_FIELDS, Component, spec_fields, spec_from_fields
+from .maintainability import check_field
 from .model import Model
 from .network import Edge, Network
 
@@ -98,20 +93,7 @@ _KEYWORDS = frozenset(
     }
 )
 
-_FIELD_NAMES = (
-    "availability",
-    "mtbf_h",
-    "mdt_h",
-    "mttres_h",
-    "mldt_h",
-    "madt_h",
-    "pnrs",
-    "tat_h",
-)
-
-_DIRECT_FIELDS = frozenset({"availability"})
-_SIMPLE_FIELDS = frozenset({"mtbf_h", "mdt_h"})
-_PIPELINE_FIELDS = frozenset({"mtbf_h", "mttres_h", "mldt_h", "madt_h", "pnrs", "tat_h"})
+_FIELD_NAMES = frozenset().union(*FORM_FIELDS.values())
 
 _COMBINATION_HINT = (
     "component fields must be: availability alone; mtbf_h with mdt_h; "
@@ -429,33 +411,14 @@ class _Parser:
         self.declared.add(name)
         if not clean:
             return
-        spec = self._build_spec(name_i, fields)
+        spec = spec_from_fields(fields)
         if spec is None:
+            self._error(_COMBINATION_HINT, name_i)
             return
         try:
             self.components[name] = Component(name, spec)
         except ValueError as exc:  # a mean down time that overflows
             self._error(str(exc), name_i)
-
-    def _build_spec(self, name_i: int, values: dict[str, float]):
-        keys = values.keys()
-        if keys == _DIRECT_FIELDS:
-            return DirectAvailability(values["availability"])
-        if keys == _SIMPLE_FIELDS:
-            return MtbfMdt(values["mtbf_h"], values["mdt_h"])
-        if keys == _PIPELINE_FIELDS:
-            return MtbfMaintainability(
-                values["mtbf_h"],
-                MaintainabilityParams(
-                    mttres_h=values["mttres_h"],
-                    mldt_h=values["mldt_h"],
-                    madt_h=values["madt_h"],
-                    pnrs=values["pnrs"],
-                    tat_h=values["tat_h"],
-                ),
-            )
-        self._error(_COMBINATION_HINT, name_i)
-        return None
 
     def _system(self) -> None:
         i = self._next()  # 'system'
@@ -630,25 +593,6 @@ def parse_model(text: str) -> tuple[Model | None, list[ParseDiagnostic]]:
     return _Parser(text).parse()
 
 
-def _num_text(value: float) -> str:
-    return float.__repr__(float(value))
-
-
-def _spec_fields(spec) -> str:
-    if isinstance(spec, DirectAvailability):
-        return f"availability = {_num_text(spec.availability)}"
-    if isinstance(spec, MtbfMdt):
-        return f"mtbf_h = {_num_text(spec.mtbf_h)}, mdt_h = {_num_text(spec.mdt_h)}"
-    if isinstance(spec, MtbfMaintainability):
-        m = spec.maint
-        return (
-            f"mtbf_h = {_num_text(spec.mtbf_h)}, mttres_h = {_num_text(m.mttres_h)}, "
-            f"mldt_h = {_num_text(m.mldt_h)}, madt_h = {_num_text(m.madt_h)}, "
-            f"pnrs = {_num_text(m.pnrs)}, tat_h = {_num_text(m.tat_h)}"
-        )
-    raise TypeError(f"unrecognised component spec {spec!r}")
-
-
 def _block_text(block, texts: list[str]) -> str:
     inner = ", ".join(texts)
     if isinstance(block, KofN):
@@ -663,10 +607,10 @@ def format_model(model: Model) -> str:
     declaration order — so the round-trip is stable for parsed models.
     Blocks nested past MAX_NESTING are an EvaluationError (``blocks.fold``).
     """
-    lines = [
-        f"component {cid} {{ {_spec_fields(comp.spec)} }}"
-        for cid, comp in model.components.items()
-    ]
+    lines = []
+    for cid, comp in model.components.items():
+        fields = ", ".join([f"{k} = {float(v)!r}" for k, v in spec_fields(comp.spec).items()])
+        lines.append(f"component {cid} {{ {fields} }}")
     if isinstance(model.system, Network):
         net = model.system
         lines.append("network {")

@@ -66,10 +66,11 @@ class Network(Frozen):
         for e in edges:
             touched.add(e.a)
             touched.add(e.b)
+        touched.update(nodes)  # last, so a copy fills (and prints) its set as the original did
         setfield(self, "edges", edges)
         setfield(self, "source", source)
         setfield(self, "terminal", terminal)
-        setfield(self, "nodes", frozenset(nodes) | touched)
+        setfield(self, "nodes", frozenset(touched))
 
 
 class ReducedNetwork(Frozen):
@@ -100,7 +101,7 @@ def _bfs_order(pairs: Iterable[tuple[str, str]], source: str) -> dict[str, int]:
     return order
 
 
-def _reduce(edges: _EdgeTable, source: str, terminal: str, trace: dict[str, float] | None = None) -> _EdgeTable:
+def _reduce(edges: _EdgeTable, source: str, terminal: str) -> _EdgeTable:
     """Apply the reduction rules to a fixpoint.
 
     Self-loops go first. A worklist then holds the nodes whose incident
@@ -129,8 +130,6 @@ def _reduce(edges: _EdgeTable, source: str, terminal: str, trace: dict[str, floa
         edges[eid] = (u, v, a)
         incident[u].add(eid)
         incident[v].add(eid)
-        if trace is not None:
-            trace[eid] = a
 
     def touch(node: str) -> None:
         if node not in queued:
@@ -246,12 +245,12 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
 
 
 def _edge_table(net: Network, env: Mapping[str, float]) -> _EdgeTable:
-    seen: set[str] = set()
     table: _EdgeTable = {}
     for e in net.edges:
-        if e.id in seen:
+        if e.id in table:
             raise EvaluationError(f"duplicate edge id {e.id!r}")
-        seen.add(e.id)
+        if e.id.startswith(("par(", "ser(")):
+            raise EvaluationError(f"edge id {e.id!r} is reserved: par(...) and ser(...) are merges")
         try:
             a = Probability(env[e.component_id])
         except KeyError:
@@ -269,17 +268,16 @@ def reduce_network(net: Network, env: Mapping[str, float]) -> ReducedNetwork:
     ``par(e1,e2)``, ``ser(e1,e4)`` — and their computed availabilities are
     returned alongside the graph; surviving original edges keep their
     component ids. An irreducible core (such as a bridge mesh) comes back
-    unchanged.
+    unchanged. An edge id that starts ``par(`` or ``ser(`` is reserved for
+    merged edges: here and in eval_network it is an EvaluationError.
     """
-    trace: dict[str, float] = {}
-    table = _reduce(_edge_table(net, env), net.source, net.terminal, trace)
-    live = {e.id: e for e in net.edges if e.id in table}
+    table = sorted(_reduce(_edge_table(net, env), net.source, net.terminal).items())
+    original = {e.id: e for e in net.edges}
     edges = tuple(
-        live[eid] if eid in live else Edge(eid, u, v, eid)
-        for eid, (u, v, _) in sorted(table.items())
+        original[eid] if eid in original else Edge(eid, u, v, eid) for eid, (u, v, _) in table
     )
     reduced = Network(edges=edges, source=net.source, terminal=net.terminal)
-    synthetic = {eid: value for eid, value in sorted(trace.items()) if eid in table}
+    synthetic = {eid: a for eid, (_, _, a) in table if eid not in original}
     return ReducedNetwork(network=reduced, synthetic=synthetic)
 
 

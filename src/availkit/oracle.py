@@ -110,17 +110,6 @@ def _instance_availabilities(
     return out
 
 
-def _splitmix64(seed: int, index: int) -> int:
-    """Reference scalar form of the documented stream; draw ``index`` >= 0."""
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
-
-
 def _up_rows(seed: int, start: int, count: int, avails: Sequence[float]) -> np.ndarray:
     """Up states of samples start .. start+count-1, one row per instance.
 

@@ -34,10 +34,6 @@ class Probability(float):
             v = 1.0
         return super().__new__(cls, v)
 
-    @property
-    def value(self) -> float:
-        return float(self)
-
     def __repr__(self) -> str:
         return f"Probability({float.__repr__(self)})"
 

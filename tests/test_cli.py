@@ -332,6 +332,37 @@ class TestWhatif:
         assert out == ""
         assert err == f"error: component 'db': {message}\n"
 
+    # mixed.avail declares lb directly, web by mtbf/mdt and db by the
+    # maintainability pipeline; each row is exit code, stderr and the
+    # modified availability (None when the override is refused).
+    @pytest.mark.parametrize(
+        "override, code, err, modified",
+        [
+            ("web.mtbf_h=2500", 0, "", "0.9890302649674031"),
+            ("web.mdt_h=0.5", 0, "", "0.9890302654715847"),
+            ("db.mtbf_h=40000", 0, "", "0.9892675757185753"),
+            ("db.mttres_h=0", 0, "", "0.989178571008315"),
+            ("db.mdt_h=5", 1,
+             "error: field 'mdt_h' does not apply to component 'db' (mtbf/maintainability form)\n",
+             None),
+            ("web.pnrs=0.5", 1,
+             "error: field 'pnrs' does not apply to component 'web' (mtbf/mdt form)\n", None),
+            ("lb.mdt_h=1", 1,
+             "error: field 'mdt_h' does not apply to component 'lb' (direct availability form)\n",
+             None),
+            ("db.availability=0.9", 0, "", "0.8905544999430729"),
+            ("web.mdt_h=-1", 1,
+             "error: component 'web': mdt_h must be a finite value >= 0, got -1.0\n", None),
+        ],
+    )
+    def test_override_table(self, capsys, override, code, err, modified):
+        got_code, out, got_err = run(capsys, "whatif", MIXED, "--set", override)
+        assert (got_code, got_err) == (code, err)
+        if modified is None:
+            assert out == ""
+        else:
+            assert f"\nmodified availability    {modified}\n" in out
+
     def test_pnrs_override_reruns_down_time_pipeline(self, capsys, tmp_path):
         f = tmp_path / "srv.avail"
         f.write_text(

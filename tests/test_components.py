@@ -7,8 +7,6 @@ from availkit import (
     MtbfMaintainability,
     MtbfMdt,
     Probability,
-    component_availability,
-    component_mdt,
     derive_environment,
     mean_down_time,
 )
@@ -22,17 +20,17 @@ class TestConstruction:
     def test_direct(self):
         c = Component.direct("db", 0.995)
         assert isinstance(c.spec, DirectAvailability)
-        assert float(component_availability(c)) == 0.995
+        assert float(c.replace().availability) == 0.995
 
     def test_from_mtbf_mdt(self):
         c = Component.from_mtbf_mdt("srv", 1000.0, 10.0)
         assert isinstance(c.spec, MtbfMdt)
-        assert float(component_availability(c)) == 1000.0 / 1010.0
+        assert float(c.replace().availability) == 1000.0 / 1010.0
 
     def test_from_maintainability(self):
         c = Component.from_maintainability("srv", 100000.0, MAINT)
         assert isinstance(c.spec, MtbfMaintainability)
-        a = float(component_availability(c))
+        a = float(c.replace().availability)
         assert abs(a - 100000.0 / 100008.68) < 1e-16
 
     def test_rejects_empty_id(self):
@@ -70,7 +68,7 @@ class TestStoredNumbers:
     @pytest.mark.parametrize("c", CASES, ids=lambda c: c.id)
     def test_stored_availability_is_the_derived_one(self, c):
         assert type(c.availability) is Probability
-        assert float(c.availability).hex() == float(component_availability(c)).hex()
+        assert float(c.availability).hex() == float(c.replace().availability).hex()
         assert derive_environment([c])[c.id] is c.availability
 
     @pytest.mark.parametrize("c", CASES, ids=lambda c: c.id)
@@ -87,21 +85,21 @@ class TestStoredNumbers:
         assert float(d.availability) == 0.9 and d.mdt_h == 10.0
         e = c.replace(spec=MtbfMaintainability(100000.0, MAINT))
         assert e.mdt_h == mean_down_time(MAINT)
-        assert float(e.availability).hex() == float(component_availability(e)).hex()
+        assert float(e.availability).hex() == float(e.replace().availability).hex()
         f = e.replace(spec=DirectAvailability(0.5))
         assert float(f.availability) == 0.5 and f.mdt_h is None
 
 
 class TestMdt:
     def test_direct_has_none(self):
-        assert component_mdt(Component.direct("a", 0.9)) is None
+        assert Component.direct("a", 0.9).mdt_h is None
 
     def test_pair_reports_given_mdt(self):
-        assert component_mdt(Component.from_mtbf_mdt("a", 100.0, 3.5)) == 3.5
+        assert Component.from_mtbf_mdt("a", 100.0, 3.5).mdt_h == 3.5
 
     def test_pipeline_reports_derived_mdt(self):
         c = Component.from_maintainability("a", 100000.0, MAINT)
-        assert component_mdt(c) == 8.68
+        assert c.mdt_h == 8.68
 
 
 class TestDeriveEnvironment:

@@ -441,6 +441,26 @@ class TestFormatting:
             "component db { mtbf_h = 2000.0, mdt_h = 6.0 }\nsystem = db\n"
         )
 
+    @pytest.mark.parametrize(
+        "declared, line",
+        [
+            ("component lb { availability = 0.9995 }", "component lb { availability = 0.9995 }"),
+            # fields come out in file order whatever order they went in,
+            # and pnrs as a bare float
+            (
+                "component db { pnrs = 0.95, tat_h = 72, madt_h = 1, mldt_h = 2,\n"
+                "               mttres_h = 3, mtbf_h = 20000 }",
+                "component db { mtbf_h = 20000.0, mttres_h = 3.0, mldt_h = 2.0, madt_h = 1.0,"
+                " pnrs = 0.95, tat_h = 72.0 }",
+            ),
+        ],
+        ids=["direct", "maintainability"],
+    )
+    def test_canonical_line_of_each_form(self, declared, line):
+        model, diags = parse_model(f"{declared}\nsystem = {declared.split()[1]}\n")
+        assert diags == []
+        assert format_model(model) == f"{line}\nsystem = {declared.split()[1]}\n"
+
     def test_round_trip_block_model(self):
         text = (
             "component web { availability = 0.995 }\n"

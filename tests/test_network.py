@@ -173,6 +173,39 @@ class TestEvalNetwork:
         with pytest.raises(EvaluationError, match="duplicate"):
             eval_network(net, {"a": 0.9})
 
+    @pytest.mark.parametrize(
+        "edges, taken",
+        [
+            # a1 and b1 fuse into ser(a1,b1), the id of the third edge
+            ([("a1", "s", "m", "a"), ("b1", "m", "t", "b"), ("ser(a1,b1)", "s", "t", "c")],
+             "ser(a1,b1)"),
+            # e1 and e2 merge into par(e1,e2), the id of the third edge
+            ([("e1", "s", "m", "a"), ("e2", "s", "m", "b"), ("par(e1,e2)", "s", "m", "c"),
+              ("e3", "m", "t", "d")],
+             "par(e1,e2)"),
+            # ser(a1,b1) then fuses with c1 into the id of the fourth edge
+            ([("a1", "s", "m1", "a"), ("b1", "m1", "m2", "b"), ("c1", "m2", "t", "c"),
+              ("ser(c1,ser(a1,b1))", "s", "t", "d")],
+             "ser(c1,ser(a1,b1))"),
+        ],
+        ids=["ser", "par", "chained-ser"],
+    )
+    def test_edge_id_of_a_merged_edge_is_rejected_or_harmless(self, edges, taken):
+        net = Network([Edge(*e) for e in edges], "s", "t")
+        env = {"a": 0.5, "b": 0.6, "c": 0.7, "d": 0.8}
+        try:
+            got = eval_network(net, env)
+        except EvaluationError as exc:
+            assert repr(taken) in str(exc)
+        else:
+            assert abs(float(got) - float(enumerate_availability(net, env))) < 1e-12
+        try:
+            red = reduce_network(net, env)
+        except EvaluationError as exc:
+            assert repr(taken) in str(exc)
+        else:
+            assert taken not in red.synthetic
+
     def test_missing_component_rejected(self):
         net = Network(edges=(Edge("e0", "s", "t", "ghost"),), source="s", terminal="t")
         with pytest.raises(EvaluationError, match="ghost"):

@@ -24,7 +24,7 @@ from availkit import (
 )
 from availkit import oracle
 from availkit.blocks import MAX_NESTING
-from availkit.oracle import _splitmix64, _up_rows
+from availkit.oracle import _up_rows
 
 BRIDGE = Bridge(Leaf("c1"), Leaf("c2"), Leaf("c3"), Leaf("c4"), Leaf("c5"))
 UNIFORM = {f"c{i}": 0.9 for i in range(1, 6)}
@@ -345,6 +345,19 @@ class TestEnumeration:
         env = {f"c{i}": 0.5 for i in range(21)}
         with pytest.raises(EnumerationCapError):
             enumerate_availability(wide, env)
+
+
+def _splitmix64(seed: int, index: int) -> int:
+    """Scalar reference form of the documented stream; draw ``index`` >= 0.
+    It spells out its own constants, so it shares nothing with ``_up_rows``."""
+    mask = (1 << 64) - 1
+    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & mask
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    return z
 
 
 class TestSplitmix:

@@ -15,7 +15,7 @@ class TestProbability:
         p = Probability(0.25)
         assert isinstance(p, float)
         assert p * 4 == 1.0
-        assert p.value == 0.25
+        assert float(p) == 0.25 and type(float(p)) is float
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
