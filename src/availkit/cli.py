@@ -9,9 +9,10 @@ Subcommands::
     availkit whatif MODEL --set id.field=value [...]
                             compare the model before and after overrides
 
-Exit codes: 0 success, 1 validation or evaluation failure, 2 I/O
-failure, 3 oracle disagreement, 4 enumeration cap exceeded. Reports go
-to stdout; diagnostics go to stderr.
+Exit codes: 0 success, 1 validation or evaluation failure (or Monte
+Carlo without the ``[mc]`` extra), 2 I/O failure, 3 oracle disagreement,
+4 enumeration cap exceeded. Reports go to stdout; diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -327,7 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (EvaluationError, ValueError) as exc:
+    except (EvaluationError, ImportError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -44,29 +44,27 @@ def eval_parallel(avails: Sequence[float]) -> Probability:
 def eval_kofn(k: int, avails: Sequence[float]) -> Probability:
     """At least k of the listed parts up (Poisson-binomial tail).
 
-    The count distribution is folded in O(n^2); parts may have distinct
-    availabilities. The k == 1 tail is taken as 1 - P(none up) and the
-    k == n tail collapses to the bare product, so the degenerate cases
-    coincide bit-for-bit with eval_parallel and eval_series.
+    ``dist[j]`` is the probability that exactly j of the parts folded so
+    far are up. Each part, up with p, takes it to ``dist[j] * (1 - p) +
+    dist[j - 1] * p``, so the fold is O(n^2) and parts may have distinct
+    availabilities. The tail ``dist[k:]`` is summed left to right. k == 1
+    is eval_parallel, and the k == n tail is the bare product, so the
+    degenerate cases coincide bit-for-bit with eval_parallel and
+    eval_series.
     """
     n = len(avails)
     if n == 0:
         raise EvaluationError("kofn requires at least one availability")
     if not 1 <= k <= n:
         raise EvaluationError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    import numpy as np  # here, so that importing availkit does not load numpy
-
-    dist = np.zeros(n + 1)
-    dist[0] = 1.0
-    for p in avails:
-        p = float(p)
-        nxt = dist * (1.0 - p)
-        nxt[1:] += dist[:-1] * p
-        dist = nxt
     if k == 1:
-        return Probability(1.0 - float(dist[0]))
+        return eval_parallel(avails)
+    dist = [1.0]
+    for p in map(float, avails):
+        q = 1.0 - p
+        dist = [x * q + y * p for x, y in zip(dist + [0.0], [0.0] + dist)]
     tail = 0.0
-    for term in dist[k:].tolist():
+    for term in dist[k:]:
         tail += term
     return Probability(tail)
 

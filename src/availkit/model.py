@@ -108,11 +108,6 @@ def _validate_network(
         if edge.id in seen_ids:
             out.append(Diagnostic("error", epath, f"duplicate edge id {edge.id!r}"))
         seen_ids.add(edge.id)
-        for endpoint in (edge.a, edge.b):
-            if endpoint not in net.nodes:
-                out.append(
-                    Diagnostic("error", epath, f"endpoint {endpoint!r} not in node set")
-                )
         if edge.a == edge.b:
             out.append(
                 Diagnostic(

@@ -13,7 +13,7 @@ nothing changes. Enumeration feeds it the 2**n states in chunks of at
 most 2**16 rows and sums the up rows' probabilities with ``math.fsum``,
 so the result is correctly rounded and independent of summation order.
 Monte Carlo feeds it sampled states in chunks of the same size, and is
-the one user of numpy, to hash its draws.
+the one user of numpy, to hash its draws; numpy is the ``[mc]`` extra.
 
 Monte Carlo reproducibility
 ---------------------------
@@ -285,11 +285,14 @@ def monte_carlo_availability(
     Returns (estimate, half-width of the 95% normal-approximation
     confidence interval, 1.96 * sqrt(p(1-p)/n)). The draw stream is
     fixed by ``seed`` as documented in the module docstring, so repeat
-    calls are bit-identical.
+    calls are bit-identical. Without numpy it raises ImportError.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise ImportError("Monte Carlo needs numpy: pip install 'availkit[mc]'") from None
 
     avails = _instance_availabilities(structure, env)
     hits = 0

@@ -16,6 +16,7 @@ DEMOS = Path(__file__).parent.parent / "demos"
 SRC = Path(__file__).parent.parent / "src"
 BRIDGE = str(DATA / "bridge.avail")
 MIXED = str(DATA / "mixed.avail")
+KOFN = str(DATA / "kofn.avail")
 
 
 def run(capsys, *argv):
@@ -51,6 +52,7 @@ GOLDEN_RUNS = [
         ],
         0,
     ),
+    ("eval_kofn", ["eval", KOFN, "--format", "json"], 0),
 ]
 
 
@@ -405,7 +407,7 @@ class TestSubprocess:
         assert result.returncode == 0, result.stderr
 
     def test_import_does_not_load_numpy(self):
-        # numpy is loaded only when an oracle or a k-of-n block needs it
+        # numpy is loaded only when Monte Carlo needs it
         result = subprocess.run(
             [sys.executable, "-c", "import sys, availkit.cli; print('numpy' in sys.modules)"],
             capture_output=True,
@@ -432,7 +434,8 @@ class TestSubprocess:
         assert not added & {"dataclasses", "inspect", "numpy"}
 
     def test_enumeration_oracle_does_not_load_numpy(self, tmp_path):
-        # Monte Carlo alone needs numpy among the oracles
+        # Monte Carlo alone needs numpy: the enumeration oracle and a
+        # k-of-n eval do not load it
         net = tmp_path / "net.avail"
         net.write_text(
             "component link { availability = 0.9 }\n"
@@ -444,16 +447,49 @@ class TestSubprocess:
             "from availkit import KofN, Leaf, cli, structure_function\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    codes = [cli.main(['oracle', path]) for path in sys.argv[1:]]\n"
+            "    codes.append(cli.main(['eval', sys.argv[-1]]))\n"
             "up = structure_function(KofN(2, (Leaf('a'), Leaf('b'), Leaf('c'))), [1, 0, 1])\n"
             "print(codes, up, 'numpy' in sys.modules)\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", script, BRIDGE, str(net)],
+            [sys.executable, "-c", script, BRIDGE, str(net), KOFN],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
-        assert result.stdout == "[0, 0] True False\n", result.stderr
+        assert result.stdout == "[0, 0, 0, 0] True False\n", result.stderr
+
+    @staticmethod
+    def _main_without_numpy(*argv):
+        # an ImportError on ``import numpy``, as when it is not installed
+        script = "import sys\nsys.modules['numpy'] = None\nfrom availkit.cli import main\n"
+        return subprocess.run(
+            [sys.executable, "-c", script + "sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", KOFN],
+            ["check", KOFN],
+            ["whatif", KOFN, "--set", "n2.availability=0.5", "--format", "json"],
+            ["oracle", KOFN],
+        ],
+        ids=["eval", "check", "whatif", "oracle-enumerate"],
+    )
+    def test_command_without_numpy_matches_with_numpy(self, capsys, argv):
+        result = self._main_without_numpy(*argv)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == run(capsys, *argv)[1]
+
+    def test_monte_carlo_without_numpy_is_one_line(self):
+        result = self._main_without_numpy("oracle", KOFN, "--mode", "mc")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: Monte Carlo needs numpy: pip install 'availkit[mc]'\n"
 
     def test_module_entry_point(self):
         result = subprocess.run(

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -109,6 +110,47 @@ class TestKofN:
         avails = [0.8, 0.85, 0.9, 0.95]
         values = [float(eval_kofn(k, avails)) for k in range(1, 5)]
         assert values == sorted(values, reverse=True)
+
+    # Recorded while eval_kofn still folded the count distribution with
+    # numpy: the plain-Python fold must give the same bits.
+    SPECIAL = (0.0, 1.0, 1.0 - 2.0**-53, 2.0**-60, 5e-324)
+    PINNED = [
+        "0x1.0000000000000p+0",
+        "0x1.ffffffea86711p-1",
+        "0x1.feb84f7cbfef1p-1",
+        "0x1.d99988e81b87bp-1",
+        "0x1.b5c272abc4138p-2",
+        "0x1.b5c272abc4138p-62",
+        "0x0.0p+0",
+    ]
+    SWEEP_DIGEST = "7e698fcf4517dc4c2b14dab9c88f016f509ff2c9138c6f56a5a08dcfc3895351"
+
+    def test_pinned_bits(self):
+        avails = [0.9, 0.95, 2.0**-60, 1.0 - 2.0**-53, 0.5, 5e-324, 0.999999]
+        got = [float(eval_kofn(k, avails)).hex() for k in range(1, 8)]
+        assert got == self.PINNED
+
+    def test_pinned_bits_of_a_seeded_sweep(self):
+        # every n up to 60 with k in {1, 2, n/2, n-1, n}, four cases each;
+        # a fifth of the parts special, a fifth at high nines
+        rng = random.Random(1301)
+
+        def draw():
+            r = rng.random()
+            if r < 0.2:
+                return rng.choice(self.SPECIAL)
+            if r < 0.4:
+                return 1.0 - rng.random() * 1e-6
+            return rng.random()
+
+        lines = []
+        for n in range(1, 61):
+            for k in sorted({k for k in (1, 2, n // 2, n - 1, n) if 1 <= k <= n}):
+                for _ in range(4):
+                    avails = [draw() for _ in range(n)]
+                    lines.append(f"{k} {float(eval_kofn(k, avails)).hex()}")
+        assert len(lines) == 1156
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.SWEEP_DIGEST
 
     def test_bad_k(self):
         with pytest.raises(ValueError):

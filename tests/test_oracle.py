@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -508,6 +509,12 @@ class TestMonteCarlo:
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ValueError):
             monte_carlo_availability(BRIDGE, UNIFORM, 0, 1)
+
+    def test_without_numpy_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "numpy", None)  # as if not installed
+        message = r"^Monte Carlo needs numpy: pip install 'availkit\[mc\]'$"
+        with pytest.raises(ImportError, match=message):
+            monte_carlo_availability(BRIDGE, UNIFORM, 10, 1)
 
 
 class TestNesting:
