@@ -30,6 +30,8 @@ def check_field(name: str, value: float) -> str | None:
     and positive, and every other duration is finite and non-negative.
     """
     if name in ("availability", "pnrs"):
+        if 0.0 <= value <= 1.0:  # the common case, without a Probability
+            return None
         try:
             Probability(value)
         except ValueError:

@@ -33,11 +33,20 @@ the UTF-8 encoding, where a lone surrogate counts the 3 bytes of its
 count code points.
 
 Tokens are plain strings from one ``findall``, and a token's kind
-follows from its text. Offsets are found only when something is
-reported, by one more pass of the same pattern, so a well-formed file
-never builds a span. A text with a character that starts no token is
-lexed instead by a positioned walk, which reports the character and
-scans again after it.
+follows from its text. After whitespace and comments the pattern tries
+punctuation (about half the tokens of a typical file), an id, a number,
+any other character and the end of the text, in that order; no id or
+number starts with punctuation, so the order changes no token. Offsets
+are found only when something is reported, by one more pass of the same
+pattern, so a well-formed file never builds a span.
+
+A character that starts no token comes out as a lone "any other
+character" token, or starts a word when it is a word character that is
+neither a letter nor a digit, such as '²'. ASCII has no such word
+character, so in ASCII text one C-level ``isdisjoint`` with the set of
+those lone characters finds them; other text tests each distinct token.
+A text with one is lexed instead by a positioned walk, which reports the
+character and scans again after it.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ from typing import Literal
 
 from ._frozen import Frozen, setfield
 from .blocks import MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series, fold
-from .components import FORM_FIELDS, Component, spec_fields, spec_from_fields
+from .components import _READERS, FORM_FIELDS, Component, DirectAvailability, spec_from_fields
 from .maintainability import check_field
 from .model import Model
 from .network import Edge, Network
@@ -107,14 +116,14 @@ _TOP_WORDS = frozenset({"component", "system", "network"})
 _COMPOSITES = frozenset({"series", "parallel", "kofn", "bridge"})
 
 # Whitespace and comments, then one token, whose alternatives are tried in
-# this order: id, number, punctuation, any other character, end of text.
+# this order: punctuation, id, number, any other character, end of text.
 # ``[^\W\d]`` also admits word characters that are neither letters nor
 # digits, such as '²', which start no token (see ``_regular``).
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*"
-    r"([^\W\d]\w*"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    r"([{}()=,;]"
+    r"|[^\W\d]\w*"
     r"|-?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
-    r"|[{}()=,;]"
     r"|.|\Z)",
     re.DOTALL,
 )
@@ -139,6 +148,11 @@ def _regular(tok: str) -> bool:
     is neither a letter nor a digit, such as '²0' or 'Ⅳ½c'.
     """
     return _is_id(tok) or _is_num(tok) or tok in _PUNCT or not tok
+
+
+# The ASCII characters that start no token. An ASCII id starts with a
+# letter or '_', so in ASCII text only these, alone, are irregular tokens.
+_IRREGULAR_ASCII = frozenset(c for c in map(chr, range(128)) if not _regular(c))
 
 
 def _offsets(text: str) -> list[tuple[int, int]]:
@@ -222,6 +236,15 @@ class _Parser:
 
     Diagnostics and references name tokens by index. The hot loops,
     ``_component`` and ``_block_items``, read ``toks`` directly.
+
+    A component's field values are range-checked once. Building the
+    ``Component`` checks them, so ``_component`` only collects them in
+    ``fields`` and their value tokens in ``unchecked``. The positioned
+    ``check_field`` messages are needed only before something else is
+    decided or reported: any ``_error``, a repeated field, a build that
+    fails, or fields that make no form. There ``_check_fields`` runs the
+    deferred checks in field order and drops each field that fails, so
+    the diagnostics are those of checking each field as it is read.
     """
 
     def __init__(self, text: str) -> None:
@@ -230,7 +253,8 @@ class _Parser:
         # After text ending in whitespace or a comment, findall also yields
         # a second, empty match at the end; parsing stops at the first.
         toks = _TOKEN_RE.findall(text)
-        if not all(map(_regular, set(toks))):
+        if not (_IRREGULAR_ASCII.isdisjoint(toks) if self.spans.ascii
+                else all(map(_regular, set(toks)))):
             toks, self.spans.offsets, bad = _walk(text)
             for start in bad:
                 self.diagnostics.append(ParseDiagnostic(
@@ -240,6 +264,10 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.components: dict[str, Component] = {}
+        # the fields of the component being parsed, and the value tokens
+        # of those not range-checked yet
+        self.fields: dict[str, float] = {}
+        self.unchecked: list[int] = []
         self.declared: set[str] = set()
         self.refs: list[int] = []
         self.system: object | None = None
@@ -259,7 +287,22 @@ class _Parser:
         return i
 
     def _error(self, message: str, i: int) -> None:
+        if self.unchecked:
+            self._check_fields()
         self.diagnostics.append(ParseDiagnostic("error", message, self.spans(i)))
+
+    def _check_fields(self) -> None:
+        """Run the deferred range checks, in field order; each field that
+        fails is reported at its value and dropped from ``fields``."""
+        toks, fields = self.toks, self.fields
+        unchecked = self.unchecked[:]
+        self.unchecked.clear()
+        for value_i in unchecked:
+            name = toks[value_i - 2]  # name, '=', value
+            problem = check_field(name, fields[name])
+            if problem is not None:
+                del fields[name]
+                self._error(problem, value_i)
 
     def _expect_punct(self, text: str) -> int | None:
         i = self.i
@@ -355,8 +398,9 @@ class _Parser:
         if self._expect_punct("{") is None:
             self._sync_top()
             return
-        fields: dict[str, float] = {}
-        clean = True
+        self.fields = fields = {}
+        unchecked = self.unchecked  # empty between components
+        reported = len(self.diagnostics)
         i = self.i
         while True:
             field_i, fname = i, toks[i]
@@ -365,7 +409,6 @@ class _Parser:
                 self.i = i
                 self._sync_nested()
                 i = self.i
-                clean = False
                 break
             value_i = None
             i += 1
@@ -381,21 +424,16 @@ class _Parser:
                 self.i = i
                 self._sync_nested()
                 i = self.i
-                clean = False
             elif fname not in _FIELD_NAMES:
                 self._error(f"unknown field {fname!r}", field_i)
-                clean = False
-            elif fname in fields:
-                self._error(f"duplicate field {fname!r}", field_i)
-                clean = False
             else:
-                value = float(toks[value_i])
-                problem = check_field(fname, value)
-                if problem is not None:
-                    self._error(problem, value_i)
-                    clean = False
+                if fname in fields:
+                    self._check_fields()  # a value out of range declares nothing
+                if fname in fields:
+                    self._error(f"duplicate field {fname!r}", field_i)
                 else:
-                    fields[fname] = value
+                    fields[fname] = float(toks[value_i])
+                    unchecked.append(value_i)
             if toks[i] == ",":
                 i += 1
                 continue
@@ -403,22 +441,26 @@ class _Parser:
         self.i = i
         if self._expect_punct("}") is None:
             self._sync_top()
-            clean = False
         name = toks[name_i]
         if name in self.declared:
             self._error(f"duplicate component id {name!r}", name_i)
             return
         self.declared.add(name)
-        if not clean:
-            return
-        spec = spec_from_fields(fields)
-        if spec is None:
-            self._error(_COMBINATION_HINT, name_i)
+        if len(self.diagnostics) > reported:
+            self._check_fields()  # the fields read after the last report
             return
         try:
-            self.components[name] = Component(name, spec)
-        except ValueError as exc:  # a mean down time that overflows
-            self._error(str(exc), name_i)
+            spec = spec_from_fields(fields)
+            if spec is not None:
+                self.components[name] = Component(name, spec)
+                unchecked.clear()  # the build checked every field
+                return
+            problem = _COMBINATION_HINT
+        except ValueError as exc:  # a field out of range, or a mean down time that overflows
+            problem = str(exc)
+        self._check_fields()
+        if len(self.diagnostics) == reported:
+            self._error(problem, name_i)
 
     def _system(self) -> None:
         i = self._next()  # 'system'
@@ -593,6 +635,13 @@ def parse_model(text: str) -> tuple[Model | None, list[ParseDiagnostic]]:
     return _Parser(text).parse()
 
 
+# "component ID { name = value, ... }" per form, in FORM_FIELDS order.
+_COMPONENT_LINES = {
+    form: "component %s { " + ", ".join([f"{name} = %r" for name in names]) + " }"
+    for form, names in FORM_FIELDS.items()
+}
+
+
 def _block_text(block, texts: list[str]) -> str:
     inner = ", ".join(texts)
     if isinstance(block, KofN):
@@ -609,8 +658,15 @@ def format_model(model: Model) -> str:
     """
     lines = []
     for cid, comp in model.components.items():
-        fields = ", ".join([f"{k} = {float(v)!r}" for k, v in spec_fields(comp.spec).items()])
-        lines.append(f"component {cid} {{ {fields} }}")
+        spec = comp.spec
+        form = type(spec)
+        values = _READERS[form](spec)
+        # float() prints a pnrs Probability, or an int, as a bare float;
+        # the reader of the one-field form returns its value, not a tuple
+        if form is DirectAvailability:
+            lines.append(_COMPONENT_LINES[form] % (cid, float(values)))
+        else:
+            lines.append(_COMPONENT_LINES[form] % (cid, *map(float, values)))
     if isinstance(model.system, Network):
         net = model.system
         lines.append("network {")

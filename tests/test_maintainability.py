@@ -8,6 +8,7 @@ from availkit import (
     availability_from_times,
     mean_down_time,
 )
+from availkit.components import FORM_FIELDS
 from availkit.maintainability import check_field
 
 
@@ -72,6 +73,32 @@ class TestAvailabilityFromTimes:
             availability_from_times(10.0, -1.0)
 
 
+# check_field at the edges of its rules: (value, the message for availability
+# and pnrs, for mtbf_h, for the other durations); "{}" is the field's name.
+_BOUNDARIES = [
+    (-2e-12, "{} -2e-12 out of [0, 1]", "mtbf_h must be a finite value > 0, got -2e-12",
+     "{} must be a finite value >= 0, got -2e-12"),
+    (-1e-12, None, "mtbf_h must be a finite value > 0, got -1e-12",
+     "{} must be a finite value >= 0, got -1e-12"),
+    (-0.0, None, "mtbf_h must be a finite value > 0, got -0.0", None),
+    (0.0, None, "mtbf_h must be a finite value > 0, got 0.0", None),
+    (5e-324, None, None, None),
+    (1.0, None, None, None),
+    (1 + 1e-12, None, None, None),
+    (1 + 2e-12, "{} 1.000000000002 out of [0, 1]", None, None),
+    (1e308, "{} 1e+308 out of [0, 1]", None, None),
+    (math.inf, "{} inf out of [0, 1]", "mtbf_h must be a finite value > 0, got inf",
+     "{} must be a finite value >= 0, got inf"),
+    (-math.inf, "{} -inf out of [0, 1]", "mtbf_h must be a finite value > 0, got -inf",
+     "{} must be a finite value >= 0, got -inf"),
+    (math.nan, "{} nan out of [0, 1]", "mtbf_h must be a finite value > 0, got nan",
+     "{} must be a finite value >= 0, got nan"),
+]
+# The column of _BOUNDARIES that holds each field's messages.
+_RULE_OF = {"availability": 1, "pnrs": 1, "mtbf_h": 2,
+            "mdt_h": 3, "mttres_h": 3, "mldt_h": 3, "madt_h": 3, "tat_h": 3}
+
+
 class TestCheckField:
     @pytest.mark.parametrize(
         "name, value, message",
@@ -90,6 +117,13 @@ class TestCheckField:
     )
     def test_rules(self, name, value, message):
         assert check_field(name, value) == message
+
+    @pytest.mark.parametrize("name", sorted(_RULE_OF))
+    def test_boundaries(self, name):
+        assert set(_RULE_OF) == set().union(*FORM_FIELDS.values())
+        rule = _RULE_OF[name]
+        want = [None if row[rule] is None else row[rule].format(name) for row in _BOUNDARIES]
+        assert [check_field(name, row[0]) for row in _BOUNDARIES] == want
 
     def test_constructors_raise_its_messages(self):
         cases = [

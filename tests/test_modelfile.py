@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import time
@@ -142,6 +143,21 @@ _LEXER_EDGES = [
     ("component é { availability = 2 }\nsystem = é @",
      [("unexpected character '@'", 46, 47, 2, 12),
       ("availability 2.0 out of [0, 1]", 30, 31, 1, 30)]),
+    # lone ASCII characters that start no token
+    ("component c { availability = 0.9 }\nsystem = c\x00",
+     [("unexpected character '\\x00'", 45, 46, 2, 11)]),
+    ("component c { availability = 0.9 }\x7f\nsystem = c",
+     [("unexpected character '\\x7f'", 34, 35, 1, 35)]),
+    ("component c { availability = 0.9 }\nsystem = !c",
+     [("unexpected character '!'", 44, 45, 2, 10)]),
+    ("component c {\favailability = 0.9 }\nsystem = c",
+     [("unexpected character '\\x0c'", 13, 14, 1, 14)]),
+    ("component c { availability = -x }\nsystem = c",
+     [("unexpected character '-'", 29, 30, 1, 30), ("expected a number", 30, 31, 1, 31)]),
+    ("component c { availability = .e1 }\nsystem = series(c, -.)",
+     [("unexpected character '.'", 29, 30, 1, 30), ("unexpected character '-'", 54, 55, 2, 20),
+      ("unexpected character '.'", 55, 56, 2, 21), ("expected a number", 30, 32, 1, 31),
+      ("expected a block", 56, 57, 2, 22)]),
 ]
 
 
@@ -371,7 +387,8 @@ def kind_of(tok):
 
 class TestLexing:
     @given(st.text() | st.lists(_FRAGMENTS | _SURROGATES | st.sampled_from(
-        ["²", "½", "Ⅳ", "\u0663", "五", "𝔘", "\xa0", "\r\n", "# tail", "\t", "-", "."]
+        ["²", "½", "Ⅳ", "\u0663", "五", "𝔘", "\xa0", "\r\n", "# tail", "\t", "-", ".",
+         "\x00", "\x7f", "!", "\f", "@", "-x", ".e"]
     )).map("".join))
     @example("component c { availability = 0.9 } # tail")
     @example("system = c \n")
@@ -386,6 +403,9 @@ class TestLexing:
         # after trailing space or a trailing comment; so does _offsets
         toks = modelfile._TOKEN_RE.findall(text)
         assert all(map(modelfile._regular, set(toks))) == (not bad)
+        if text.isascii():
+            # in ASCII text only a lone character can start no token
+            assert modelfile._IRREGULAR_ASCII.isdisjoint(toks) == (not bad)
         if not bad:
             trailing = text[spans[-2][1] if len(spans) > 1 else 0:]  # after the last token
             assert toks == walked + ([""] if trailing else [])
@@ -430,6 +450,82 @@ class TestLexing:
         assert positioned(diags) == [
             ("component 'a': mean down time must be a finite value >= 0, got inf", 10, 11, 1, 11),
         ]
+
+
+# Mutations of the files in tests/data for the parse digest: values out of
+# range or on a boundary, repeated and renamed fields, component bodies (an
+# overflowing mean down time, a bad combination), stray characters, and
+# truncation.
+_MUTANT_VALUES = ["2", "-1", "1.5", "-0", "0", "0.5", "7", "1e308", "1e999", ".5",
+                  "-1e-12", "-2e-12", "1.000000000001", "1.000000000002", "5e-324"]
+_MUTANT_FIELDS = sorted(modelfile._FIELD_NAMES) + ["bogus"]
+_MUTANT_BODIES = [
+    "mtbf_h = 10, mttres_h = 1e308, mldt_h = 1e308, madt_h = 0, pnrs = 0.5, tat_h = 1",
+    "mtbf_h = 10, mttres_h = 1, mldt_h = 2, madt_h = 3, pnrs = 0.9, tat_h = 4",
+    "mtbf_h = 10, mdt_h = 1e308",
+    "availability = 0.9, mtbf_h = 10",
+    "mtbf_h = 10",
+    "",
+]
+_MUTANT_CHARS = ["@", "!", "$", ":", "-", ".", "\x00", "\x7f", "\f", "\x0b",
+                 "{", "}", "=", ",", ")", "é", "²", "½", "Ⅳ", "\xa0", "五", "\u0663"]
+
+
+def mutate(rng, text):
+    """One to three random edits of ``text``; picks use only rng.random(),
+    whose stream is the same in every Python version."""
+    def pick(seq):
+        return seq[int(rng.random() * len(seq))]
+
+    for _ in range(1 + int(rng.random() * 3)):
+        kind = rng.random()
+        fields = list(re.finditer(r"(\w+) = ([^,}\s]+)", text))
+        bodies = list(re.finditer(r"component \w+ +\{([^{}]*)\}", text))
+        if kind < 0.25 and fields:
+            m = pick(fields)
+            text = text[:m.start(2)] + pick(_MUTANT_VALUES) + text[m.end(2):]
+        elif kind < 0.45 and fields:  # the same field again, before or after
+            m = pick(fields)
+            extra = f"{m[1]} = {pick(_MUTANT_VALUES)}"
+            if rng.random() < 0.5:
+                text = text[:m.start()] + extra + ", " + text[m.start():]
+            else:
+                text = text[:m.end()] + ", " + extra + text[m.end():]
+        elif kind < 0.55 and fields:
+            m = pick(fields)
+            text = text[:m.start(1)] + pick(_MUTANT_FIELDS) + text[m.end(1):]
+        elif kind < 0.7 and bodies:
+            m = pick(bodies)
+            text = text[:m.start(1)] + pick(_MUTANT_BODIES) + text[m.end(1):]
+        elif kind < 0.95:
+            at = int(rng.random() * (len(text) + 1))
+            text = text[:at] + pick(_MUTANT_CHARS) + text[at:]
+        else:
+            text = text[:int(rng.random() * (len(text) + 1))]
+    return text
+
+
+# The digest of parse_model over 2,400 mutated texts. Any change to the
+# models or diagnostics it gives (severity, message, byte span, line,
+# column, and their order) changes it.
+_PARSE_DIGEST = "e7a0994e196e4a98272ad78b237f0503d887c964af15863d03054867363b5fb4"
+
+
+class TestParseDigest:
+    def test_mutated_texts(self):
+        rng = random.Random(14)
+        bases = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.avail"))]
+        digest = hashlib.sha256()
+        for i in range(2400):
+            model, diags = parse_model(mutate(rng, bases[i % len(bases)]))
+            if model is not None and isinstance(model.system, Network):
+                # the node set's order follows the string hash seed
+                net = model.system
+                model = (model.components, net.edges, net.source, net.terminal, sorted(net.nodes))
+            seen = (repr(model), [(d.severity, d.message, d.span.start, d.span.end,
+                                   d.span.line, d.span.column) for d in diags])
+            digest.update(repr(seen).encode("utf-8", "surrogatepass"))
+        assert digest.hexdigest() == _PARSE_DIGEST
 
 
 class TestFormatting:
