@@ -53,6 +53,7 @@ GOLDEN_RUNS = [
         0,
     ),
     ("eval_kofn", ["eval", KOFN, "--format", "json"], 0),
+    ("check_malformed", ["check", str(DATA / "malformed.avail"), "--format", "json"], 1),
 ]
 
 

@@ -505,27 +505,73 @@ def mutate(rng, text):
     return text
 
 
-# The digest of parse_model over 2,400 mutated texts. Any change to the
-# models or diagnostics it gives (severity, message, byte span, line,
-# column, and their order) changes it.
+# Token-level edits of the files in tests/data for the second digest: a
+# token deleted, duplicated, or inserted from punctuation, the structural
+# words and a few ids and numbers; and truncation at a token. These reach
+# the block, k-of-n and network recovery paths that the edits above reach
+# only by chance.
+_MUTANT_TOKENS = ["{", "}", "(", ")", "=", ",", ";", "component", "system", "network",
+                  "source", "terminal", "edge", "series", "parallel", "kofn", "bridge",
+                  "a", "c1", "lb", "availability", "mtbf_h", "2", "0.9", "0", "-1"]
+
+
+def mutate_tokens(rng, text):
+    """One to three token-level edits of ``text``, picked as ``mutate`` picks."""
+    def pick(seq):
+        return seq[int(rng.random() * len(seq))]
+
+    for _ in range(1 + int(rng.random() * 3)):
+        kind = rng.random()
+        spans = [(start, end) for _, _, start, end in reference_lex(text)[0][:-1]]
+        if kind < 0.3 and spans:
+            start, end = pick(spans)
+            text = text[:start] + " " + text[end:]
+        elif kind < 0.55 and spans:
+            start, end = pick(spans)
+            text = text[:end] + " " + text[start:end] + text[end:]
+        elif kind < 0.9:
+            at = pick([0] + [end for _, end in spans])
+            text = text[:at] + " " + pick(_MUTANT_TOKENS) + " " + text[at:]
+        elif spans:
+            text = text[:pick(spans)[0]]
+    return text
+
+
+def parse_digest(texts):
+    """The digest of parse_model over ``texts``. Any change to the models
+    or diagnostics it gives (severity, message, byte span, line, column,
+    and their order) changes it."""
+    digest = hashlib.sha256()
+    for text in texts:
+        model, diags = parse_model(text)
+        if model is not None and isinstance(model.system, Network):
+            # the node set's order follows the string hash seed
+            net = model.system
+            model = (model.components, net.edges, net.source, net.terminal, sorted(net.nodes))
+        seen = (repr(model), [(d.severity, d.message, d.span.start, d.span.end,
+                               d.span.line, d.span.column) for d in diags])
+        digest.update(repr(seen).encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
+
+
 _PARSE_DIGEST = "e7a0994e196e4a98272ad78b237f0503d887c964af15863d03054867363b5fb4"
+_TOKEN_DIGEST = "d37d710a5c7c055800987e771e1b8bdc0c5356f3a129b3a553d06c19ee09c9de"
 
 
 class TestParseDigest:
     def test_mutated_texts(self):
+        # 2,400 texts from the four files the digest was first taken over
         rng = random.Random(14)
+        names = ["bridge", "broken", "kofn", "mixed"]
+        bases = [(DATA / f"{name}.avail").read_text(encoding="utf-8") for name in names]
+        texts = [mutate(rng, bases[i % len(bases)]) for i in range(2400)]
+        assert parse_digest(texts) == _PARSE_DIGEST
+
+    def test_token_edits(self):
+        rng = random.Random(15)
         bases = [path.read_text(encoding="utf-8") for path in sorted(DATA.glob("*.avail"))]
-        digest = hashlib.sha256()
-        for i in range(2400):
-            model, diags = parse_model(mutate(rng, bases[i % len(bases)]))
-            if model is not None and isinstance(model.system, Network):
-                # the node set's order follows the string hash seed
-                net = model.system
-                model = (model.components, net.edges, net.source, net.terminal, sorted(net.nodes))
-            seen = (repr(model), [(d.severity, d.message, d.span.start, d.span.end,
-                                   d.span.line, d.span.column) for d in diags])
-            digest.update(repr(seen).encode("utf-8", "surrogatepass"))
-        assert digest.hexdigest() == _PARSE_DIGEST
+        texts = [mutate_tokens(rng, bases[i % len(bases)]) for i in range(3000)]
+        assert parse_digest(texts) == _TOKEN_DIGEST
 
 
 class TestFormatting:
