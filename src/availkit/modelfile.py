@@ -54,7 +54,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from operator import attrgetter
-from typing import Literal
+from typing import Literal, NoReturn
 
 from ._frozen import Frozen, setfield
 from .blocks import MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series, fold
@@ -231,11 +231,27 @@ class _Spans:
         return self.at(*self.offsets[i])
 
 
+class _Recover(Exception):
+    """Unwinds a construct that failed to its recovery point."""
+
+
 class _Parser:
     """Recursive descent over token texts; ``i`` is the next token's index.
 
     Diagnostics and references name tokens by index. The hot loops,
     ``_component`` and ``_block_items``, read ``toks`` directly.
+
+    Recovery: a construct that fails reports its error and raises
+    ``_Recover``, which is caught in three places. A failed declaration
+    resumes at the next 'component', 'system' or 'network' (``parse``).
+    A failed block item skips to the end of its item, eats a closing ')'
+    if one is there, and fails its enclosing block (``_block_items``).
+    A failed system block ends its declaration where that skip stopped
+    (``_system``). The errors that stop before the end of an item (no
+    block, or a bad '(', k or ';') skip to its end themselves, so a
+    system block fails there too. Inside a component body a bad field
+    skips to the end of the field, and a missing '}' to the next
+    declaration; neither unwinds, so the component is still declared.
 
     A component's field values are range-checked once. Building the
     ``Component`` checks them, so ``_component`` only collects them in
@@ -276,20 +292,21 @@ class _Parser:
         # parse — a broken system line is not a missing one
         self.system_tok: int | None = None
         self.network_tok: int | None = None
-        self.depth = 0  # enclosing composite blocks of the block being parsed
 
     # -- token plumbing ------------------------------------------------
-
-    def _next(self) -> int:
-        i = self.i
-        if self.toks[i]:
-            self.i = i + 1
-        return i
 
     def _error(self, message: str, i: int) -> None:
         if self.unchecked:
             self._check_fields()
         self.diagnostics.append(ParseDiagnostic("error", message, self.spans(i)))
+
+    def _fail(self, message: str, i: int, nested: bool = False) -> NoReturn:
+        """Report ``message`` at token ``i`` and unwind; ``nested`` first
+        skips to the end of the block item."""
+        self._error(message, i)
+        if nested:
+            self._sync_nested()
+        raise _Recover
 
     def _check_fields(self) -> None:
         """Run the deferred range checks, in field order; each field that
@@ -304,28 +321,22 @@ class _Parser:
                 del fields[name]
                 self._error(problem, value_i)
 
-    def _expect_punct(self, text: str) -> int | None:
+    def _expect(self, text: str, nested: bool = False) -> int:
         i = self.i
-        if self.toks[i] == text:
-            self.i = i + 1
-            return i
-        self._error(f"expected {text!r}", i)
-        return None
+        if self.toks[i] != text:
+            self._fail(f"expected {text!r}", i, nested)
+        self.i = i + 1
+        return i
 
-    def _expect_id(self, what: str) -> int | None:
-        i = self.i
-        if _is_id(self.toks[i]):
-            self.i = i + 1
-            return i
-        self._error(f"expected {what}", i)
-        return None
-
-    def _expect_name(self, what: str) -> int | None:
+    def _expect_name(self, what: str) -> int:
         """An identifier that is not a reserved structural word."""
-        i = self._expect_id(what)
-        if i is not None and self.toks[i] in _KEYWORDS:
-            self._error(f"{self.toks[i]!r} is a reserved word and cannot be used as {what}", i)
-            return None
+        i = self.i
+        tok = self.toks[i]
+        if not _is_id(tok):
+            self._fail(f"expected {what}", i)
+        self.i = i + 1
+        if tok in _KEYWORDS:
+            self._fail(f"{tok!r} is a reserved word and cannot be used as {what}", i)
         return i
 
     def _sync_top(self) -> None:
@@ -355,21 +366,25 @@ class _Parser:
     # -- declarations --------------------------------------------------
 
     def parse(self) -> tuple[Model | None, list[ParseDiagnostic]]:
+        toks = self.toks
         while True:
-            tok = self.toks[self.i]
+            tok = toks[self.i]
             if not tok:
                 break
-            if tok == "component":
-                self._component()
-            elif tok == "system":
-                self._system()
-            elif tok == "network":
-                self._network_decl()
-            else:
-                self._error("expected 'component', 'system' or 'network'", self.i)
-                self._next()
+            try:
+                if tok == "component":
+                    self._component()
+                elif tok == "system":
+                    self._system()
+                elif tok == "network":
+                    self._network()
+                else:
+                    self._fail("expected 'component', 'system' or 'network'", self.i)
+            except _Recover:
                 self._sync_top()
-        self._finish_refs()
+        for i in self.refs:
+            if toks[i] not in self.declared:
+                self._error(f"unknown component {toks[i]!r}", i)
         if self.system_tok is None and self.network_tok is None:
             self._error("missing system declaration", self.i)
         elif self.system_tok is not None and self.network_tok is not None:
@@ -382,29 +397,19 @@ class _Parser:
         system = self.network if self.network is not None else self.system
         return Model(components=self.components, system=system), self.diagnostics
 
-    def _finish_refs(self) -> None:
-        toks = self.toks
-        for i in self.refs:
-            if toks[i] not in self.declared:
-                self._error(f"unknown component {toks[i]!r}", i)
-
     def _component(self) -> None:
         toks = self.toks
         self.i += 1  # 'component'
         name_i = self._expect_name("a component id")
-        if name_i is None:
-            self._sync_top()
-            return
-        if self._expect_punct("{") is None:
-            self._sync_top()
-            return
+        self._expect("{")
         self.fields = fields = {}
         unchecked = self.unchecked  # empty between components
         reported = len(self.diagnostics)
         i = self.i
         while True:
             field_i, fname = i, toks[i]
-            if not _is_id(fname):
+            known = fname in _FIELD_NAMES  # and so an id
+            if not known and not _is_id(fname):
                 self._error("expected a field name", i)
                 self.i = i
                 self._sync_nested()
@@ -424,7 +429,7 @@ class _Parser:
                 self.i = i
                 self._sync_nested()
                 i = self.i
-            elif fname not in _FIELD_NAMES:
+            elif not known:
                 self._error(f"unknown field {fname!r}", field_i)
             else:
                 if fname in fields:
@@ -438,8 +443,11 @@ class _Parser:
                 i += 1
                 continue
             break
-        self.i = i
-        if self._expect_punct("}") is None:
+        if toks[i] == "}":
+            self.i = i + 1
+        else:
+            self._error("expected '}'", i)
+            self.i = i
             self._sync_top()
         name = toks[name_i]
         if name in self.declared:
@@ -463,170 +471,115 @@ class _Parser:
             self._error(problem, name_i)
 
     def _system(self) -> None:
-        i = self._next()  # 'system'
+        i = self.i  # 'system'
+        self.i = i + 1
         if self.system_tok is not None:
             self._error("duplicate system declaration", i)
         else:
             self.system_tok = i
-        if self._expect_punct("=") is None:
-            self._sync_top()
+        self._expect("=")
+        try:
+            block = self._block(0)
+        except _Recover:
             return
-        block = self._block()
-        if block is not None and self.system is None:
+        if self.system is None:
             self.system = block
 
-    def _block(self):
+    def _block(self, depth: int):
+        """The block at the next token, inside ``depth`` composites."""
+        toks = self.toks
         i = self.i
-        tok = self.toks[i]
+        tok = toks[i]
         if not _is_id(tok):
-            self._error("expected a block", i)
-            self._sync_nested()
-            return None
+            self._fail("expected a block", i, nested=True)
         self.i = i + 1
-        if tok in _COMPOSITES:
-            if self.depth == MAX_NESTING:
-                self._error(NESTING_ERROR, i)
-                return None
-            if tok == "kofn":
-                return self._kofn(i)
-            if self._expect_punct("(") is None:
-                self._sync_nested()
-                return None
-            children = self._block_items()
-            if children is None:
-                return None
-            if tok == "bridge":
-                if len(children) != 5:
-                    self._error(
-                        f"bridge requires exactly five sub-blocks, got {len(children)}", i
-                    )
-                    return None
-                return Bridge(*children)
-            if len(children) < 2:
-                self._error(f"{tok} requires at least two sub-blocks", i)
-                return None
-            return Series(tuple(children)) if tok == "series" else Parallel(tuple(children))
-        if tok in _KEYWORDS:
-            self._error(f"{tok!r} is a reserved word and cannot name a component", i)
-            return None
-        self.refs.append(i)
-        return Leaf(tok)
-
-    def _kofn(self, head: int):
-        if self._expect_punct("(") is None:
-            self._sync_nested()
-            return None
-        k_i = self.i
-        if not _INT_RE.match(self.toks[k_i]):
-            self._error("expected an integer k", k_i)
-            self._sync_nested()
-            return None
-        self.i += 1
-        if self._expect_punct(";") is None:
-            self._sync_nested()
-            return None
-        children = self._block_items()
-        if children is None:
-            return None
-        if len(children) < 2:
-            self._error("kofn requires at least two sub-blocks", head)
-            return None
-        k = int(self.toks[k_i])
+        if tok not in _COMPOSITES:
+            if tok in _KEYWORDS:
+                self._fail(f"{tok!r} is a reserved word and cannot name a component", i)
+            self.refs.append(i)
+            return Leaf(tok)
+        if depth == MAX_NESTING:
+            self._fail(NESTING_ERROR, i)
+        self._expect("(", nested=True)
+        if tok == "kofn":
+            k_i = self.i
+            if not _INT_RE.match(toks[k_i]):
+                self._fail("expected an integer k", k_i, nested=True)
+            self.i = k_i + 1
+            self._expect(";", nested=True)
+        children = self._block_items(depth + 1)
+        n = len(children)
+        if tok == "bridge":
+            if n != 5:
+                self._fail(f"bridge requires exactly five sub-blocks, got {n}", i)
+            return Bridge(*children)
+        if n < 2:
+            self._fail(f"{tok} requires at least two sub-blocks", i)
+        if tok == "series":
+            return Series(tuple(children))
+        if tok == "parallel":
+            return Parallel(tuple(children))
+        k = int(toks[k_i])
         if k < 1:
-            self._error(f"k must be >= 1, got {k}", k_i)
-            return None
-        if k > len(children):
-            self._error(f"k={k} exceeds the {len(children)} sub-blocks", k_i)
-            return None
+            self._fail(f"k must be >= 1, got {k}", k_i)
+        if k > n:
+            self._fail(f"k={k} exceeds the {n} sub-blocks", k_i)
         return KofN(k, tuple(children))
 
-    def _block_items(self):
+    def _block_items(self, depth: int) -> list:
+        """The blocks up to and with the closing ')'."""
         toks = self.toks
         children = []
-        while True:
-            self.depth += 1
-            child = self._block()
-            self.depth -= 1
-            if child is None:
-                self._sync_nested()
-                if toks[self.i] == ")":
-                    self.i += 1
-                return None
-            children.append(child)
-            tok = toks[self.i]
-            if tok == ",":
+        try:
+            while True:
+                children.append(self._block(depth))
+                if toks[self.i] != ",":
+                    break
                 self.i += 1
-                continue
-            if tok == ")":
-                self.i += 1
-                return children
-            self._error("expected ',' or ')'", self.i)
+        except _Recover:
             self._sync_nested()
-            return None
+            if toks[self.i] == ")":
+                self.i += 1
+            raise
+        if toks[self.i] != ")":
+            self._fail("expected ',' or ')'", self.i, nested=True)
+        self.i += 1
+        return children
 
-    def _network_decl(self) -> None:
-        head = self._next()  # 'network'
+    def _network(self) -> None:
+        toks = self.toks
+        head = self.i  # 'network'
+        self.i = head + 1
         if self.network_tok is not None:
             self._error("duplicate network declaration", head)
         else:
             self.network_tok = head
-        if self._expect_punct("{") is None:
-            self._sync_top()
-            return
-        source = self._keyed_node("source")
-        if source is None or self._expect_punct(",") is None:
-            self._sync_top()
-            return
-        terminal = self._keyed_node("terminal")
-        if terminal is None:
-            self._sync_top()
-            return
+        self._expect("{")
+        self._expect("source")
+        self._expect("=")
+        source = toks[self._expect_name("a node id")]
+        self._expect(",")
+        self._expect("terminal")
+        self._expect("=")
+        terminal = toks[self._expect_name("a node id")]
         edges: list[Edge] = []
-        while self.toks[self.i] == ",":
+        while toks[self.i] == ",":
             self.i += 1
-            edge = self._edge(len(edges))
-            if edge is None:
-                self._sync_top()
-                return
-            edges.append(edge)
-        if self._expect_punct("}") is None:
-            self._sync_top()
-            return
+            self._expect("edge")
+            self._expect("(")
+            a = self._expect_name("a node id")
+            self._expect(",")
+            b = self._expect_name("a node id")
+            self._expect(",")
+            comp = self._expect_name("a component id")
+            self._expect(")")
+            self.refs.append(comp)
+            edges.append(Edge(f"e{len(edges)}", toks[a], toks[b], toks[comp]))
+        self._expect("}")
         if not edges:
             self._error("network requires at least one edge", head)
-            return
-        if self.network is None:
+        elif self.network is None:
             self.network = Network(edges=tuple(edges), source=source, terminal=terminal)
-
-    def _keyed_node(self, key: str) -> str | None:
-        if self.toks[self.i] != key:
-            self._error(f"expected {key!r}", self.i)
-            return None
-        self.i += 1
-        if self._expect_punct("=") is None:
-            return None
-        node = self._expect_name("a node id")
-        return None if node is None else self.toks[node]
-
-    def _edge(self, index: int) -> Edge | None:
-        if self.toks[self.i] != "edge":
-            self._error("expected 'edge'", self.i)
-            return None
-        self.i += 1
-        if self._expect_punct("(") is None:
-            return None
-        a = self._expect_name("a node id")
-        if a is None or self._expect_punct(",") is None:
-            return None
-        b = self._expect_name("a node id")
-        if b is None or self._expect_punct(",") is None:
-            return None
-        comp = self._expect_name("a component id")
-        if comp is None or self._expect_punct(")") is None:
-            return None
-        self.refs.append(comp)
-        toks = self.toks
-        return Edge(f"e{index}", toks[a], toks[b], toks[comp])
 
 
 def parse_model(text: str) -> tuple[Model | None, list[ParseDiagnostic]]:
