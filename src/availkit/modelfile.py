@@ -232,7 +232,7 @@ class _Spans:
 
 
 class _Recover(Exception):
-    """Unwinds a construct that failed to its recovery point."""
+    """Raised by a construct that failed, once its error is reported."""
 
 
 class _Parser:
@@ -241,17 +241,18 @@ class _Parser:
     Diagnostics and references name tokens by index. The hot loops,
     ``_component`` and ``_block_items``, read ``toks`` directly.
 
-    Recovery: a construct that fails reports its error and raises
-    ``_Recover``, which is caught in three places. A failed declaration
-    resumes at the next 'component', 'system' or 'network' (``parse``).
-    A failed block item skips to the end of its item, eats a closing ')'
-    if one is there, and fails its enclosing block (``_block_items``).
-    A failed system block ends its declaration where that skip stopped
-    (``_system``). The errors that stop before the end of an item (no
-    block, or a bad '(', k or ';') skip to its end themselves, so a
-    system block fails there too. Inside a component body a bad field
-    skips to the end of the field, and a missing '}' to the next
-    declaration; neither unwinds, so the component is still declared.
+    Recovery is panic mode through one exception: a construct that cannot
+    go on reports its error and raises ``_Recover`` (``_fail``), which is
+    caught in three places. ``parse`` resumes a failed declaration at the
+    next 'component', 'system' or 'network'. ``_block_items`` skips a
+    failed item to its end (a ',', a '}', an unmatched ')' or a
+    declaration word), eats a ')' there, and fails its own block in turn.
+    ``_system`` ends the declaration where that skip stopped. A block that
+    fails before its end (no block, or a bad '(', k or ';') skips to it
+    itself, as the top-level block has no ``_block_items`` to. An error
+    that leaves the parse on track, such as a duplicate, only reports; so
+    do those in a component body, where a bad field skips to its end and
+    a missing '}' to the next declaration, and the component is declared.
 
     A component's field values are range-checked once. Building the
     ``Component`` checks them, so ``_component`` only collects them in
@@ -515,10 +516,8 @@ class _Parser:
             return Bridge(*children)
         if n < 2:
             self._fail(f"{tok} requires at least two sub-blocks", i)
-        if tok == "series":
-            return Series(tuple(children))
-        if tok == "parallel":
-            return Parallel(tuple(children))
+        if tok != "kofn":
+            return (Series if tok == "series" else Parallel)(tuple(children))
         k = int(toks[k_i])
         if k < 1:
             self._fail(f"k must be >= 1, got {k}", k_i)
@@ -554,13 +553,11 @@ class _Parser:
             self._error("duplicate network declaration", head)
         else:
             self.network_tok = head
-        self._expect("{")
-        self._expect("source")
-        self._expect("=")
+        for text in ("{", "source", "="):
+            self._expect(text)
         source = toks[self._expect_name("a node id")]
-        self._expect(",")
-        self._expect("terminal")
-        self._expect("=")
+        for text in (",", "terminal", "="):
+            self._expect(text)
         terminal = toks[self._expect_name("a node id")]
         edges: list[Edge] = []
         while toks[self.i] == ",":
