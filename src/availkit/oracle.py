@@ -45,7 +45,7 @@ from itertools import chain, compress, repeat
 from operator import and_, mul, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .blocks import Block, Bridge, Parallel, Series, fold, leaves
+from .blocks import Block, Bridge, EvaluationError, Parallel, Series, fold, leaves
 from .network import Network
 from .probability import Probability
 
@@ -106,7 +106,7 @@ def _instance_availabilities(
         try:
             out.append(float(Probability(env[cid])))
         except KeyError:
-            raise KeyError(f"no availability for component {cid!r}") from None
+            raise EvaluationError(f"no availability for component {cid!r}") from None
     return out
 
 

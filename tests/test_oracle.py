@@ -10,6 +10,7 @@ from availkit import (
     Bridge,
     Edge,
     EnumerationCapError,
+    EvaluationError,
     KofN,
     Leaf,
     Network,
@@ -251,6 +252,20 @@ class TestEnumeration:
             brute = float(enumerate_availability(tree, env))
             closed = float(eval_block(tree, env))
             assert abs(brute - closed) < 1e-12
+
+    @pytest.mark.parametrize(
+        "oracle_of",
+        [enumerate_availability, lambda tree, env: monte_carlo_availability(tree, env, 10, 1)],
+        ids=["enumerate", "monte_carlo"],
+    )
+    def test_missing_component_is_the_evaluators_error(self, oracle_of):
+        tree = Series((Leaf("a"), Leaf("x")))
+        with pytest.raises(Exception) as closed:
+            eval_block(tree, {"a": 0.9})
+        with pytest.raises(Exception) as brute:
+            oracle_of(tree, {"a": 0.9})
+        assert type(brute.value) is type(closed.value) is EvaluationError
+        assert str(brute.value) == str(closed.value) == "no availability for component 'x'"
 
     def test_repeated_ids_are_independent(self):
         tree = Series((Leaf("a"), Leaf("a")))
