@@ -3,8 +3,10 @@ validation.
 
 Validation never raises: it returns a list of diagnostics, each carrying
 a severity, a dotted path into the structure, and a message. Errors make
-a model unevaluable; warnings flag suspect but legal constructions (an
-unused component, a network that cannot connect even with every edge up).
+a model unevaluable, or one that no model file can state (a series,
+parallel or k-of-n block of one child); warnings flag suspect but legal
+constructions (an unused component, a network that cannot connect even
+with every edge up).
 A block tree nested deeper than ``blocks.MAX_NESTING`` levels is an
 error at its first block too deep, below which nothing else is checked.
 """
@@ -75,10 +77,12 @@ def _validate_block(
         return
     if isinstance(block, (Series, Parallel, KofN)):
         kind = type(block).__name__.lower()
-        if not block.children:
+        n = len(block.children)
+        if not n:
             out.append(Diagnostic("error", path, f"{kind} has no children"))
+        elif n == 1:
+            out.append(Diagnostic("error", path, f"{kind} requires at least two sub-blocks"))
         if isinstance(block, KofN):
-            n = len(block.children)
             if block.k < 1:
                 out.append(Diagnostic("error", path, f"k must be >= 1, got {block.k}"))
             elif block.k > n:

@@ -18,6 +18,7 @@ from availkit import (
     instances,
     leaves,
     monte_carlo_availability,
+    parse_model,
     structure_function,
     validate,
 )
@@ -191,6 +192,22 @@ class TestValidateBlocks:
     def test_empty_children(self):
         m = Model(comps(), Series(()))
         assert any("no children" in d.message for d in validate(m))
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (Series((Leaf("a"),)), "series requires at least two sub-blocks"),
+            (Parallel((Leaf("a"),)), "parallel requires at least two sub-blocks"),
+            (KofN(1, (Leaf("a"),)), "kofn requires at least two sub-blocks"),
+        ],
+        ids=["series", "parallel", "kofn"],
+    )
+    def test_one_child_is_the_parsers_error(self, block, message):
+        # format_model writes it, and the parser rejects what it wrote
+        m = Model(comps("a"), Series((Leaf("a"), block)))
+        assert validate(m) == [Diagnostic("error", "system.children[1]", message)]
+        _, diags = parse_model(format_model(m))
+        assert [d.message for d in diags] == [message]
 
     def test_bridge_paths(self):
         m = Model(

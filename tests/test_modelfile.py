@@ -11,6 +11,7 @@ from availkit import (
     Bridge,
     Component,
     KofN,
+    Leaf,
     Model,
     MtbfMaintainability,
     MtbfMdt,
@@ -638,3 +639,34 @@ class TestFormatting:
             back, diags = parse_model(text)
             assert diags == []
             assert back == model
+
+    def test_round_trip_validate_clean_trees(self):
+        # composites of zero to four children and k from -1 to n + 1: a
+        # model validate passes formats to text that parses back to it,
+        # and one it rejects to text the parser rejects
+        rng = random.Random(15)
+
+        def tree(depth):
+            kind = rng.random()
+            if depth == 0 or kind < 0.3:
+                return Leaf(f"c{int(rng.random() * 4)}")
+            if kind < 0.4:
+                return Bridge(*(tree(depth - 1) for _ in range(5)))
+            children = tuple(tree(depth - 1) for _ in range(int(rng.random() * 5)))
+            if kind < 0.6:
+                return Series(children)
+            if kind < 0.8:
+                return Parallel(children)
+            return KofN(int(rng.random() * (len(children) + 3)) - 1, children)
+
+        components = {f"c{i}": Component.direct(f"c{i}", 0.9) for i in range(4)}
+        clean = 0
+        for _ in range(400):
+            model = Model(components=components, system=tree(3))
+            valid = not errors(validate(model))
+            back, diags = parse_model(format_model(model))
+            assert (back is not None) == valid
+            if valid:
+                assert back == model and not errors(diags)
+                clean += 1
+        assert 50 < clean < 350
