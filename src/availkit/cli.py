@@ -91,46 +91,51 @@ def _int_at_least(low: int, convert=int):
     return parse
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# The numeric options, each registered only on the subcommands that read it.
+_OPTIONS = {
+    "--minutes-per-year": dict(
+        type=_int_at_least(1, float),
+        default=MINUTES_PER_YEAR,
+        help="calendar used for downtime minutes (default 525600)",
+    ),
+    "--enum-cap": dict(
+        type=_int_at_least(0),
+        default=DEFAULT_ENUMERATION_CAP,
+        help="largest instance count the enumeration oracle will accept",
+    ),
+    "--max-states": dict(
+        type=_int_at_least(1),
+        default=DEFAULT_MAX_STATES,
+        help="live-state budget of the network sweep",
+    ),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
     parser.add_argument("model", help="path to a model file")
     parser.add_argument(
         "--format", choices=("text", "json"), default="text", help="report format"
     )
-    parser.add_argument(
-        "--minutes-per-year",
-        type=_int_at_least(1, float),
-        default=MINUTES_PER_YEAR,
-        help="calendar used for downtime minutes (default 525600)",
-    )
-    parser.add_argument(
-        "--enum-cap",
-        type=_int_at_least(0),
-        default=DEFAULT_ENUMERATION_CAP,
-        help="largest instance count the enumeration oracle will accept",
-    )
-    parser.add_argument(
-        "--max-states",
-        type=_int_at_least(1),
-        default=DEFAULT_MAX_STATES,
-        help="live-state budget of the network sweep",
-    )
+    for option in options:
+        parser.add_argument(option, **_OPTIONS[option])
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="availkit", description="steady-state availability models")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
 
-    _add_common(sub.add_parser("eval", help="evaluate a model"))
+    evaluate = sub.add_parser("eval", help="evaluate a model")
+    _add_common(evaluate, "--minutes-per-year", "--max-states")
     _add_common(sub.add_parser("check", help="parse a model, and validate it if it parses"))
 
     oracle = sub.add_parser("oracle", help="cross-check the evaluation")
-    _add_common(oracle)
+    _add_common(oracle, "--enum-cap", "--max-states")
     oracle.add_argument("--mode", choices=("enumerate", "mc"), default="enumerate")
     oracle.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
     oracle.add_argument("--seed", type=int, default=1)
 
     whatif = sub.add_parser("whatif", help="compare against overridden parameters")
-    _add_common(whatif)
+    _add_common(whatif, "--minutes-per-year", "--max-states")
     whatif.add_argument(
         "--set",
         dest="overrides",

@@ -177,10 +177,29 @@ class TestExitCodes:
         ],
     )
     def test_numeric_flag_below_its_floor_is_validation(self, capsys, flag, value):
+        command = "eval" if flag == "--minutes-per-year" else "oracle"
         with pytest.raises(SystemExit) as exc:
-            main(["oracle", BRIDGE, flag, value])
+            main([command, BRIDGE, flag, value])
         assert exc.value.code == 1
         assert f"argument {flag}: must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("check", "--minutes-per-year"),
+            ("check", "--enum-cap"),
+            ("check", "--max-states"),
+            ("eval", "--enum-cap"),
+            ("whatif", "--enum-cap"),
+            ("oracle", "--minutes-per-year"),
+        ],
+    )
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, capsys, command, flag):
+        extra = ["--set", "c1.availability=0.9"] if command == "whatif" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, BRIDGE, *extra, flag, "5"])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
     def test_minutes_per_year_past_float_range_is_validation(self, capsys):
         with pytest.raises(SystemExit) as exc:
