@@ -664,9 +664,9 @@ class TestFormatting:
         for _ in range(400):
             model = Model(components=components, system=tree(3))
             valid = not errors(validate(model))
-            back, diags = parse_model(format_model(model))
+            back, _ = parse_model(format_model(model))
             assert (back is not None) == valid
             if valid:
-                assert back == model and not errors(diags)
+                assert back == model
                 clean += 1
         assert 50 < clean < 350
