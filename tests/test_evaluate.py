@@ -217,3 +217,70 @@ class TestEvalBlock:
 
     def test_single_leaf(self):
         assert float(eval_block(Leaf("a"), self.ENV)) == 0.9
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            (Series(()), "series requires at least one availability"),
+            (Parallel(()), "parallel requires at least one availability"),
+            (KofN(1, ()), "kofn requires at least one availability"),
+            (KofN(0, (Leaf("a"), Leaf("a"))), "k must satisfy 1 <= k <= 2, got 0"),
+            (KofN(3, (Leaf("a"), Leaf("a"))), "k must satisfy 1 <= k <= 2, got 3"),
+        ],
+        ids=["series", "parallel", "kofn", "k0", "k3"],
+    )
+    def test_pinned_errors_of_code_built_trees(self, tree, message):
+        # validate rejects these shapes; eval_block still names what is wrong
+        with pytest.raises(EvaluationError) as err:
+            eval_block(Parallel((Leaf("a"), tree)), self.ENV)
+        assert str(err.value) == message
+
+
+class TestEvalBlockBits:
+    """eval_block's bits where leaves sit at or near 0 and 1. Every
+    composite's result passes the probability rule before its parent reads
+    it: a k-of-n tail can sum to an ulp past 1.0, and the clamp takes it
+    back to 1.0. These values were recorded while every leaf and composite
+    was still a Probability."""
+
+    SPECIAL = (0.0, 1.0, 1.0 - 2.0**-53, 2.0**-60, 0.5, 0.9999, 0.999999999)
+    DIGEST = "2e2cca32b955e9ee2f52f4361ad25ab8d8adfdb2965ff342fb0d87194bbbba03"
+
+    def test_pinned_clamp_of_a_kofn_tail(self):
+        env = {"a": 0.5899835549489496, "b": 0.999999999, "c": 1.0, "x": 0.9}
+        tree = Series((KofN(2, (Leaf("a"), Leaf("b"), Leaf("c"), Leaf("b"))), Leaf("x")))
+        # unclamped, the tail is 1.0000000000000002 and the series 0.9000000000000002
+        assert float(eval_block(tree, env)).hex() == "0x1.ccccccccccccdp-1"
+
+    def test_pinned_digest_of_seeded_trees(self):
+        # 3,000 trees up to three levels deep, most composites k-of-n with
+        # 2 <= k, over two to five component ids, so leaves repeat
+        rng = random.Random(1601)
+
+        def draw():
+            r = rng.random()
+            if r < 0.4:
+                return rng.choice(self.SPECIAL)
+            if r < 0.7:
+                return 1.0 - rng.random() * 10.0 ** -rng.randint(1, 12)
+            return rng.random()
+
+        def build(ids, depth):
+            if depth == 0 or rng.random() < 0.2:
+                return Leaf(rng.choice(ids))
+            kind = rng.random()
+            if kind < 0.05:
+                return Bridge(*(build(ids, depth - 1) for _ in range(5)))
+            children = tuple(build(ids, depth - 1) for _ in range(rng.randint(2, 5)))
+            if kind < 0.3:
+                return Series(children)
+            if kind < 0.45:
+                return Parallel(children)
+            return KofN(rng.randint(2, len(children)), children)
+
+        lines = []
+        for _ in range(3000):
+            ids = [f"c{j}" for j in range(rng.randint(2, 5))]
+            env = {cid: draw() for cid in ids}
+            lines.append(float(eval_block(build(ids, 3), env)).hex())
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST

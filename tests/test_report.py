@@ -59,6 +59,11 @@ class TestBuildReport:
         assert rep.nines == 4
         assert rep.downtime_minutes_per_year == 52.56
 
+    def test_nines_is_the_nines_of_the_availability(self):
+        for a in (0.0, 1.0, 0.9999, 1.0 - 2.0**-53):
+            assert report_for(a).nines == nines(a)
+        assert math.isinf(report_for(1.0).nines)
+
     def test_custom_calendar(self):
         rep = report_for(0.9999, minutes_per_year=527040.0)  # 366 days
         assert rep.downtime_minutes_per_year == 527040.0 * 1e-4
