@@ -3,6 +3,10 @@
 All operations assume independent components and fold strictly left to
 right over the given order, so results are bit-reproducible. No
 compensated summation is used — plain IEEE double arithmetic throughout.
+
+``eval_block`` folds leaves as plain floats, and each composite's result
+passes the probability rule before its parent reads it. The bits depend
+on that: a k-of-n tail can sum to 1.0000000000000002, clamped to 1.0.
 """
 
 from __future__ import annotations
@@ -10,8 +14,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .blocks import Block, EvaluationError, KofN, Leaf, Parallel, Series, fold
-from .probability import Probability
+from .blocks import Block, Bridge, EvaluationError, KofN, Parallel, Series, fold
+from .probability import Probability, _unit
 
 __all__ = [
     "Environment",
@@ -90,19 +94,23 @@ def eval_block(block: Block, env: Environment) -> Probability:
     independently. A leaf missing from ``env`` and nesting past
     MAX_NESTING are EvaluationErrors; a non-block is a TypeError (``fold``).
     """
-    def leaf(block: Leaf) -> Probability:
-        try:
-            return Probability(env[block.component_id])
-        except KeyError:
-            raise EvaluationError(f"no availability for component {block.component_id!r}") from None
-    return fold(block, leaf, _combine)
+    return Probability(fold(block, lambda leaf: _availability(env, leaf.component_id),
+                            lambda block, avails: _RULES[type(block)](block, avails)))
 
 
-def _combine(block: Block, avails: Sequence[Probability]) -> Probability:
-    if isinstance(block, Series):
-        return eval_series(avails)
-    if isinstance(block, Parallel):
-        return eval_parallel(avails)
-    if isinstance(block, KofN):
-        return eval_kofn(block.k, avails)
-    return eval_bridge(*avails)
+_RULES = {
+    Series: lambda block, avails: eval_series(avails),
+    Parallel: lambda block, avails: eval_parallel(avails),
+    KofN: lambda block, avails: eval_kofn(block.k, avails),
+    Bridge: lambda block, avails: eval_bridge(*avails),
+}
+
+
+def _availability(env: Environment, component_id: str, edge_id: str | None = None) -> float:
+    """``env[component_id]`` under the probability rule; a missing one names the edge if given."""
+    try:
+        value = env[component_id]
+    except KeyError:
+        edge = "" if edge_id is None else f" (edge {edge_id!r})"
+        raise EvaluationError(f"no availability for component {component_id!r}{edge}") from None
+    return _unit(value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen, setfield
-from .probability import Probability, unavailability
+from .probability import Probability, _unit, unavailability
 
 __all__ = [
     "check_field",
@@ -30,10 +30,8 @@ def check_field(name: str, value: float) -> str | None:
     and positive, and every other duration is finite and non-negative.
     """
     if name in ("availability", "pnrs"):
-        if 0.0 <= value <= 1.0:  # the common case, without a Probability
-            return None
         try:
-            Probability(value)
+            _unit(value)
         except ValueError:
             return f"{name} {value!r} out of [0, 1]"
         return None

@@ -23,7 +23,7 @@ from collections import deque
 from typing import Iterable, Mapping
 
 from ._frozen import Frozen, setfield
-from .evaluate import EvaluationError
+from .evaluate import EvaluationError, _availability
 from .probability import Probability
 
 __all__ = ["Edge", "Network", "ReducedNetwork", "StateBudgetError", "reduce_network", "eval_network"]
@@ -251,13 +251,7 @@ def _edge_table(net: Network, env: Mapping[str, float]) -> _EdgeTable:
             raise EvaluationError(f"duplicate edge id {e.id!r}")
         if e.id.startswith(("par(", "ser(")):
             raise EvaluationError(f"edge id {e.id!r} is reserved: par(...) and ser(...) are merges")
-        try:
-            a = Probability(env[e.component_id])
-        except KeyError:
-            raise EvaluationError(
-                f"no availability for component {e.component_id!r} (edge {e.id!r})"
-            ) from None
-        table[e.id] = (e.a, e.b, float(a))
+        table[e.id] = (e.a, e.b, _availability(env, e.component_id, e.id))
     return table
 
 

@@ -45,7 +45,8 @@ from itertools import chain, compress, repeat
 from operator import and_, mul, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .blocks import Block, Bridge, EvaluationError, Parallel, Series, fold, leaves
+from .blocks import Block, Bridge, Parallel, Series, fold, leaves
+from .evaluate import _availability
 from .network import Network
 from .probability import Probability
 
@@ -101,13 +102,9 @@ def instances(structure: Structure) -> tuple[str, ...]:
 def _instance_availabilities(
     structure: Structure, env: Mapping[str, float]
 ) -> list[float]:
-    out = []
-    for cid in instances(structure):
-        try:
-            out.append(float(Probability(env[cid])))
-        except KeyError:
-            raise EvaluationError(f"no availability for component {cid!r}") from None
-    return out
+    if isinstance(structure, Network):
+        return [_availability(env, e.component_id, e.id) for e in structure.edges]
+    return [_availability(env, cid) for cid in leaves(structure)]
 
 
 def _up_rows(seed: int, start: int, count: int, avails: Sequence[float]) -> np.ndarray:

@@ -23,16 +23,7 @@ class Probability(float):
     __slots__ = ()
 
     def __new__(cls, value: float) -> "Probability":
-        v = float(value)
-        if v != v:
-            raise ValueError("probability must not be NaN")
-        if v < -PROBABILITY_TOLERANCE or v > 1.0 + PROBABILITY_TOLERANCE:
-            raise ValueError(f"probability {v!r} outside [0, 1]")
-        if v < 0.0:
-            v = 0.0
-        elif v > 1.0:
-            v = 1.0
-        return super().__new__(cls, v)
+        return super().__new__(cls, _unit(value))
 
     def __repr__(self) -> str:
         return f"Probability({float.__repr__(self)})"
@@ -48,5 +39,16 @@ def unavailability(p: float) -> Probability:
     The result never differs from the raw IEEE ``1 - p`` by more than
     one unit in the last place.
     """
-    a = Probability(p)
-    return Probability(float(Decimal(1) - Decimal(float.__repr__(float(a)))))
+    return Probability(float(Decimal(1) - Decimal(repr(_unit(p)))))
+
+
+def _unit(value: float) -> float:
+    """``value`` under the probability rule (see ``Probability``), as a plain float."""
+    v = float(value)
+    if 0.0 <= v <= 1.0:
+        return v
+    if v != v:
+        raise ValueError("probability must not be NaN")
+    if v < -PROBABILITY_TOLERANCE or v > 1.0 + PROBABILITY_TOLERANCE:
+        raise ValueError(f"probability {v!r} outside [0, 1]")
+    return 0.0 if v < 0.0 else 1.0

@@ -38,10 +38,11 @@ def nines(availability: float) -> int | float:
     0.999 has three, 0.97848 has one. Exactly 1.0 returns math.inf —
     rendered as the sentinel "inf" — and 0.0 returns 0.
     """
-    down = float(unavailability(availability))
-    if down == 0.0:
-        return math.inf
-    return math.floor(-math.log10(down))
+    return _nines(float(unavailability(availability)))
+
+
+def _nines(down: float) -> int | float:
+    return math.inf if down == 0.0 else math.floor(-math.log10(down))
 
 
 class ComponentLine(Frozen):
@@ -93,7 +94,7 @@ def build_report(
     return AvailabilityReport(
         availability=float(availability),
         unavailability=down,
-        nines=nines(availability),
+        nines=_nines(down),
         downtime_minutes_per_year=down * minutes_per_year,
         per_component=per_component,
     )

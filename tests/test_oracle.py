@@ -260,12 +260,17 @@ class TestEnumeration:
     )
     def test_missing_component_is_the_evaluators_error(self, oracle_of):
         tree = Series((Leaf("a"), Leaf("x")))
-        with pytest.raises(Exception) as closed:
-            eval_block(tree, {"a": 0.9})
-        with pytest.raises(Exception) as brute:
-            oracle_of(tree, {"a": 0.9})
-        assert type(brute.value) is type(closed.value) is EvaluationError
-        assert str(brute.value) == str(closed.value) == "no availability for component 'x'"
+        net = Network([Edge("e0", "s", "t", "x")], "s", "t")
+        for structure, closed_form, message in [
+            (tree, eval_block, "no availability for component 'x'"),
+            (net, eval_network, "no availability for component 'x' (edge 'e0')"),
+        ]:
+            with pytest.raises(Exception) as closed:
+                closed_form(structure, {"a": 0.9})
+            with pytest.raises(Exception) as brute:
+                oracle_of(structure, {"a": 0.9})
+            assert type(brute.value) is type(closed.value) is EvaluationError
+            assert str(brute.value) == str(closed.value) == message
 
     def test_repeated_ids_are_independent(self):
         tree = Series((Leaf("a"), Leaf("a")))
