@@ -3,7 +3,6 @@
 All operations assume independent components and fold strictly left to
 right over the given order, so results are bit-reproducible. No
 compensated summation is used — plain IEEE double arithmetic throughout.
-
 ``eval_block`` folds leaves as plain floats, and each composite's result
 passes the probability rule before its parent reads it. The bits depend
 on that: a k-of-n tail can sum to 1.0000000000000002, clamped to 1.0.
@@ -98,12 +97,17 @@ def eval_block(block: Block, env: Environment) -> Probability:
                             lambda block, avails: _RULES[type(block)](block, avails)))
 
 
-_RULES = {
+class _Rules(dict):
+    def __missing__(self, kind: type):  # a subclass of a composite takes its base's rule
+        return next(rule for base, rule in self.items() if issubclass(kind, base))
+
+
+_RULES = _Rules({
     Series: lambda block, avails: eval_series(avails),
     Parallel: lambda block, avails: eval_parallel(avails),
     KofN: lambda block, avails: eval_kofn(block.k, avails),
     Bridge: lambda block, avails: eval_bridge(*avails),
-}
+})
 
 
 def _availability(env: Environment, component_id: str, edge_id: str | None = None) -> float:

@@ -34,12 +34,10 @@ def check_field(name: str, value: float) -> str | None:
             _unit(value)
         except ValueError:
             return f"{name} {value!r} out of [0, 1]"
-        return None
-    if name == "mtbf_h":
+    elif name == "mtbf_h":
         if not (math.isfinite(value) and value > 0.0):
             return f"mtbf_h must be a finite value > 0, got {value!r}"
-        return None
-    if not (math.isfinite(value) and value >= 0.0):
+    elif not (math.isfinite(value) and value >= 0.0):
         return f"{name} must be a finite value >= 0, got {value!r}"
     return None
 

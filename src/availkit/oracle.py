@@ -99,9 +99,7 @@ def instances(structure: Structure) -> tuple[str, ...]:
     return tuple(leaves(structure))
 
 
-def _instance_availabilities(
-    structure: Structure, env: Mapping[str, float]
-) -> list[float]:
+def _instance_availabilities(structure: Structure, env: Mapping[str, float]) -> list[float]:
     if isinstance(structure, Network):
         return [_availability(env, e.component_id, e.id) for e in structure.edges]
     return [_availability(env, cid) for cid in leaves(structure)]

@@ -218,6 +218,14 @@ class TestEvalBlock:
     def test_single_leaf(self):
         assert float(eval_block(Leaf("a"), self.ENV)) == 0.9
 
+    def test_a_subclass_of_a_composite_takes_its_base_rule(self):
+        class Redundant(KofN):
+            pass
+
+        tree = Series((Leaf("a"), Redundant(2, (Leaf("b"), Leaf("c"), Leaf("d")))))
+        plain = Series((Leaf("a"), KofN(2, (Leaf("b"), Leaf("c"), Leaf("d")))))
+        assert float(eval_block(tree, self.ENV)) == float(eval_block(plain, self.ENV))
+
     @pytest.mark.parametrize(
         "tree, message",
         [
