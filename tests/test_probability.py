@@ -1,4 +1,5 @@
 import math
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,7 +40,50 @@ class TestProbability:
         assert repr(Probability(0.5)) == "Probability(0.5)"
 
 
+def decimal_complement(p):
+    """1 - repr(p) at 28 significant digits, half to even, whatever the caller's context."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 28, ROUND_HALF_EVEN
+        return float(Decimal(1) - Decimal(repr(p)))
+
+
 class TestUnavailability:
+    # float.hex in and out; the first three need the 28-digit rounding of
+    # 1 - repr(p): the exact decimal complement rounds differently.
+    PINNED = [
+        ("0x1.fffffffffffffp-55", "0x1.fffffffffffffp-1"),
+        ("0x1.8p-53", "0x1.ffffffffffffep-1"),
+        ("0x1.3ffffffffffffp-52", "0x1.ffffffffffffdp-1"),
+        ("0x0.0000000000001p-1022", "0x1.0000000000000p+0"),  # 5e-324
+        ("0x0.0p+0", "0x1.0000000000000p+0"),
+        ("0x1.0000000000000p+0", "0x0.0p+0"),
+        ("0x1.fff2e48e8a71ep-1", "0x1.a36e2eb1c432dp-14"),  # 0.9999 -> 1e-4
+        ("0x1.fffffffffffffp-1", "0x1.cd2b297d889bcp-54"),  # 1 - 2**-53 -> 1e-16
+        ("0x1.f9add3739635fp-4", "0x1.c0ca45918d394p-1"),  # 0.123456789 -> 0.876543211
+        ("0x1.999999999999ap-4", "0x1.ccccccccccccdp-1"),  # 0.1 -> 0.9
+        ("0x1.0000000000000p-60", "0x1.0000000000000p+0"),
+    ]
+
+    @pytest.mark.parametrize("p, expected", PINNED)
+    def test_pinned_float_hex(self, p, expected):
+        assert float(unavailability(float.fromhex(p))).hex() == expected
+
+    def test_pinned_named_values(self):
+        assert float(unavailability(5e-324)) == 1.0
+        assert float(unavailability(0.9999)) == 1e-4
+        assert float(unavailability(1.0 - 2.0**-53)) == 1e-16
+
+    @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+    def test_pinned_to_the_28_digit_decimal_complement(self, p):
+        assert float(unavailability(p)).hex() == decimal_complement(p).hex()
+
+    @given(st.integers(min_value=0, max_value=8 * 10**5), st.integers(min_value=-1, max_value=1))
+    def test_pinned_on_odd_multiples_of_2_to_the_minus_54(self, m, step):
+        # 28 digits is where 1 - repr(p) stops being exact for these
+        p = (2 * m + 1) * 2.0**-54
+        p = math.nextafter(p, step * math.inf) if step else p
+        assert float(unavailability(p)).hex() == decimal_complement(p).hex()
+
     def test_four_nines_is_exactly_1e4(self):
         # Plain float subtraction gives 9.999999999998899e-05 here; the
         # decimal-precision complement restores the quoted figure.

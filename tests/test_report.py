@@ -1,5 +1,8 @@
 import json
+import json.encoder
 import math
+
+from hypothesis import given, strategies as st
 
 from availkit import (
     Component,
@@ -14,6 +17,7 @@ from availkit import (
     render_json,
     render_text,
 )
+from availkit import report
 from availkit.report import to_json
 
 
@@ -173,6 +177,17 @@ class TestToJson:
             "}\n"
         )
         assert json.loads(to_json(obj)) == obj
+
+    @given(st.lists(st.one_of(
+        st.characters(), st.integers(0, 0x1F).map(chr), st.integers(0xD800, 0xDFFF).map(chr),
+        st.integers(0x10000, 0x10FFFF).map(chr)), max_size=40).map("".join))
+    def test_pinned_quote_is_jsons_ascii_quoter(self, text):
+        # control characters, lone surrogates and non-BMP characters included
+        assert report._quote(text) == json.encoder.encode_basestring_ascii(text)
+
+    def test_pinned_quote_of_named_strings(self):
+        for text in ("", "caf\u00e9", "\x00\x1f\x7f", "\ud800", "\udfff x", "\U0001f600", '"\\\n\t'):
+            assert report._quote(text) == json.encoder.encode_basestring_ascii(text)
 
 
 class TestRenderText:
