@@ -97,6 +97,18 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read" in err
 
+    def test_pinned_read_failures_keep_their_messages(self, capsys, tmp_path):
+        missing = str(tmp_path / "nope.avail")
+        assert run(capsys, "check", missing) == (
+            2, "", f"error: cannot read {missing!r}: [Errno 2] No such file or directory: {missing!r}\n")
+        assert run(capsys, "check", str(tmp_path)) == (
+            2, "", f"error: cannot read {str(tmp_path)!r}: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+        latin = tmp_path / "latin.avail"
+        latin.write_bytes(b"component caf\xe9 { availability = 0.9 }\n")
+        assert run(capsys, "eval", str(latin)) == (
+            2, "", f"error: {str(latin)!r} is not UTF-8: 'utf-8' codec can't decode byte 0xe9 "
+            "in position 13: invalid continuation byte\n")
+
     def test_enum_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "oracle", BRIDGE, "--enum-cap", "3")
         assert code == 4
