@@ -99,6 +99,8 @@ def fold(
     if type(block) is Leaf:
         return leaf(block)
     if not isinstance(block, (Series, Parallel, KofN, Bridge)):
+        if isinstance(block, Leaf):  # a subclass of Leaf is a leaf, as validate reads it
+            return leaf(block)
         raise TypeError(f"not a block: {block!r}")
     if _depth == MAX_NESTING:
         raise EvaluationError(NESTING_ERROR)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .components import (
@@ -306,7 +305,8 @@ def _cmd_whatif(args, model: Model, env) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.model).read_text(encoding="utf-8")
+        with open(args.model, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         print(f"error: cannot read {args.model!r}: {exc}", file=sys.stderr)
         return EXIT_IO

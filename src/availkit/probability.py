@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from decimal import Decimal
-
 __all__ = ["PROBABILITY_TOLERANCE", "Probability", "unavailability"]
 
 # Slack accepted on construction before a value is considered out of range.
@@ -36,10 +34,22 @@ def unavailability(p: float) -> Probability:
     round-trips to ``p``, so an availability that prints as 0.9999
     complements to exactly 0.0001 — the way the figures are quoted on
     data sheets — instead of picking up binary representation noise.
-    The result never differs from the raw IEEE ``1 - p`` by more than
-    one unit in the last place.
+    The decimal difference is rounded to 28 significant digits, half to
+    even, then correctly to a double; no decimal context is read, so the
+    bits are the same in every caller. The result never differs from
+    the raw IEEE ``1 - p`` by more than one unit in the last place.
     """
-    return Probability(float(Decimal(1) - Decimal(repr(_unit(p)))))
+    digits, _, exp = repr(_unit(p)).partition("e")
+    whole, _, frac = digits.partition(".")
+    scale = 10 ** (len(frac) - int(exp or 0))  # p == int(whole + frac) / scale
+    n = scale - int(whole + frac)
+    if n >= 10**28:  # keep 28 significant digits, half to even
+        cut = 10 ** (len(str(n)) - 28)
+        n, rest = divmod(n, cut)
+        if 2 * rest > cut or 2 * rest == cut and n & 1:
+            n += 1
+        scale //= cut
+    return Probability(n / scale)  # int true division is correctly rounded
 
 
 def _unit(value: float) -> float:

@@ -143,6 +143,27 @@ class TestFold:
             with pytest.raises(TypeError, match="^not a block: 'x'$"):
                 walk()
 
+    def test_a_subclass_of_leaf_is_a_leaf_in_every_walker(self):
+        class Named(Leaf):
+            pass
+
+        env = {"a": 0.9, "b": 0.8}
+        for tree, plain in [
+            (Series((Named("a"), Leaf("a"))), Series((Leaf("a"), Leaf("a")))),
+            (KofN(2, (Named("a"), Parallel((Named("b"), Leaf("a"))), Leaf("b"))),
+             KofN(2, (Leaf("a"), Parallel((Leaf("b"), Leaf("a"))), Leaf("b")))),
+            (Named("b"), Leaf("b")),
+        ]:
+            assert validate(Model(comps("a", "b"), tree)) == validate(Model(comps("a", "b"), plain))
+            assert float(eval_block(tree, env)) == float(eval_block(plain, env))
+            assert leaves(tree) == leaves(plain)
+            assert instances(tree) == instances(plain)
+            assert enumerate_availability(tree, env) == enumerate_availability(plain, env)
+            assert format_model(Model(comps("a", "b"), tree)) == format_model(
+                Model(comps("a", "b"), plain))
+            states = [i % 2 == 0 for i in range(len(leaves(plain)))]
+            assert structure_function(tree, states) == structure_function(plain, states)
+
     @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 3000])
     def test_nesting_past_the_cap_is_one_error_in_every_walker(self, levels):
         tree = Leaf("a")

@@ -465,6 +465,21 @@ class TestSubprocess:
         assert "availkit.cli" in added
         assert not added & {"dataclasses", "inspect", "numpy"}
 
+    @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+    def test_import_adds_no_decimal_json_or_pathlib(self, flags):
+        # the complement is integer arithmetic and the quoter is _json's;
+        # under -S, site has not loaded pathlib on its own
+        code = "import sys; before = set(sys.modules); import availkit.cli; "
+        result = subprocess.run(
+            [sys.executable, *flags, "-c", code + "print(*sorted(set(sys.modules) - before))"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        added = set(result.stdout.split())
+        assert "availkit.cli" in added, result.stderr
+        assert not added & {"decimal", "numbers", "json", "pathlib"}, sorted(added)
+
     def test_enumeration_oracle_does_not_load_numpy(self, tmp_path):
         # Monte Carlo alone needs numpy: the enumeration oracle and a
         # k-of-n eval do not load it

@@ -68,6 +68,13 @@ class TestUnavailability:
     def test_pinned_float_hex(self, p, expected):
         assert float(unavailability(float.fromhex(p))).hex() == expected
 
+    def test_pinned_bits_under_a_caller_decimal_context(self):
+        # a caller's decimal context must not reach the complement
+        with localcontext() as ctx:
+            ctx.prec = 6
+            assert float(unavailability(0.123456789)) == 0.876543211
+            assert float(unavailability(0.9999)) == 1e-4
+
     def test_pinned_named_values(self):
         assert float(unavailability(5e-324)) == 1.0
         assert float(unavailability(0.9999)) == 1e-4

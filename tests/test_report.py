@@ -1,3 +1,4 @@
+import decimal
 import json
 import json.encoder
 import math
@@ -67,6 +68,15 @@ class TestBuildReport:
         for a in (0.0, 1.0, 0.9999, 1.0 - 2.0**-53):
             assert report_for(a).nines == nines(a)
         assert math.isinf(report_for(1.0).nines)
+
+    def test_pinned_bits_under_a_caller_decimal_context(self):
+        tiny = float.fromhex("0x1.fffffffffffffp-55")
+        for a in (0.123456789, 0.9999, 0.97848, 1.0 - 2.0**-53, tiny):
+            outside = render_json(report_for(a))
+            with decimal.localcontext() as ctx:
+                ctx.prec, ctx.rounding = 6, decimal.ROUND_DOWN
+                assert render_json(report_for(a)) == outside
+        assert report_for(0.123456789).unavailability == 0.876543211
 
     def test_custom_calendar(self):
         rep = report_for(0.9999, minutes_per_year=527040.0)  # 366 days
