@@ -41,7 +41,8 @@ def unavailability(p: float) -> Probability:
     """
     digits, _, exp = repr(_unit(p)).partition("e")
     whole, _, frac = digits.partition(".")
-    scale = 10 ** (len(frac) - int(exp or 0))  # p == int(whole + frac) / scale
+    # p == int(whole + frac) / scale, exactly
+    scale = 10 ** (len(frac) - int(exp)) if exp else 10 ** len(frac)
     n = scale - int(whole + frac)
     if n >= 10**28:  # keep 28 significant digits, half to even
         cut = 10 ** (len(str(n)) - 28)

@@ -10,7 +10,7 @@ back to the exact double. Text mode shows the same values.
 from __future__ import annotations
 
 import math
-from _json import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote  # what json.encoder re-exports
 
 from ._frozen import Frozen, setfield
 from .evaluate import Environment
