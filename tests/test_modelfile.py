@@ -162,6 +162,41 @@ _LEXER_EDGES = [
 ]
 
 
+_HINT = modelfile._COMBINATION_HINT
+
+# Component bodies with a value out of range and something else wrong after
+# it: (text, [(message, byte start, byte end, line, column)]). A value out
+# of range is reported at its token as it is read, before anything later,
+# and declares nothing, so its field may come again.
+_COMPONENT_BODIES = [
+    ("component c { availability = 2, availability = 0.5 }\nsystem = c",
+     [("availability 2.0 out of [0, 1]", 29, 30, 1, 30)]),
+    ("component c { availability = 0.5, availability = 2 }\nsystem = c",
+     [("duplicate field 'availability'", 34, 46, 1, 35)]),
+    ("component c { mtbf_h = 0, mdt_h 1 }\nsystem = c",
+     [("mtbf_h must be a finite value > 0, got 0.0", 23, 24, 1, 24),
+      ("expected '='", 32, 33, 1, 33)]),
+    ("component c { availability = 2\nsystem = c",
+     [("availability 2.0 out of [0, 1]", 29, 30, 1, 30), ("expected '}'", 31, 37, 2, 1)]),
+    ("component c { availability = 0.9 }\ncomponent c { availability = -1 }\nsystem = c",
+     [("availability -1.0 out of [0, 1]", 64, 66, 2, 30),
+      ("duplicate component id 'c'", 45, 46, 2, 11)]),
+    ("component c { availability = 2, mtbf_h = 5 }\nsystem = c",
+     [("availability 2.0 out of [0, 1]", 29, 30, 1, 30)]),
+    ("component c { availability = 0.9, mtbf_h = 5 }\nsystem = c",
+     [(_HINT, 10, 11, 1, 11)]),
+    ("component c { mtbf_h = -1 }\nsystem = c",
+     [("mtbf_h must be a finite value > 0, got -1.0", 23, 25, 1, 24)]),
+    ("component c { pnrs = 1.5, bogus = 1, tat_h = -2, = 3 }\nsystem = c",
+     [("pnrs 1.5 out of [0, 1]", 21, 24, 1, 22), ("unknown field 'bogus'", 26, 31, 1, 27),
+      ("tat_h must be a finite value >= 0, got -2.0", 45, 47, 1, 46),
+      ("expected a field name", 49, 50, 1, 50)]),
+    ("component c { mtbf_h = 1e999, mdt_h = -0.5 }\nsystem = c",
+     [("mtbf_h must be a finite value > 0, got inf", 23, 28, 1, 24),
+      ("mdt_h must be a finite value >= 0, got -0.5", 38, 42, 1, 39)]),
+]
+
+
 def positioned(diags):
     return [(d.message, d.span.start, d.span.end, d.span.line, d.span.column) for d in diags]
 
@@ -174,6 +209,11 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("text, expected", _LEXER_EDGES)
     def test_lexer_edge_cases(self, text, expected):
+        _, diags = parse_model(text)
+        assert positioned(diags) == expected
+
+    @pytest.mark.parametrize("text, expected", _COMPONENT_BODIES)
+    def test_component_bodies(self, text, expected):
         _, diags = parse_model(text)
         assert positioned(diags) == expected
 
