@@ -254,14 +254,8 @@ class _Parser:
     do those in a component body, where a bad field skips to its end and
     a missing '}' to the next declaration, and the component is declared.
 
-    A component's field values are range-checked once. Building the
-    ``Component`` checks them, so ``_component`` only collects them in
-    ``fields`` and their value tokens in ``unchecked``. The positioned
-    ``check_field`` messages are needed only before something else is
-    decided or reported: any ``_error``, a repeated field, a build that
-    fails, or fields that make no form. There ``_check_fields`` runs the
-    deferred checks in field order and drops each field that fails, so
-    the diagnostics are those of checking each field as it is read.
+    Each field value is range-checked as it is read, and building the
+    ``Component`` checks it again.
     """
 
     def __init__(self, text: str) -> None:
@@ -281,10 +275,6 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.components: dict[str, Component] = {}
-        # the fields of the component being parsed, and the value tokens
-        # of those not range-checked yet
-        self.fields: dict[str, float] = {}
-        self.unchecked: list[int] = []
         self.declared: set[str] = set()
         self.refs: list[int] = []
         self.system: object | None = None
@@ -297,8 +287,6 @@ class _Parser:
     # -- token plumbing ------------------------------------------------
 
     def _error(self, message: str, i: int) -> None:
-        if self.unchecked:
-            self._check_fields()
         self.diagnostics.append(ParseDiagnostic("error", message, self.spans(i)))
 
     def _fail(self, message: str, i: int, nested: bool = False) -> NoReturn:
@@ -308,19 +296,6 @@ class _Parser:
         if nested:
             self._sync_nested()
         raise _Recover
-
-    def _check_fields(self) -> None:
-        """Run the deferred range checks, in field order; each field that
-        fails is reported at its value and dropped from ``fields``."""
-        toks, fields = self.toks, self.fields
-        unchecked = self.unchecked[:]
-        self.unchecked.clear()
-        for value_i in unchecked:
-            name = toks[value_i - 2]  # name, '=', value
-            problem = check_field(name, fields[name])
-            if problem is not None:
-                del fields[name]
-                self._error(problem, value_i)
 
     def _expect(self, text: str, nested: bool = False) -> int:
         i = self.i
@@ -403,8 +378,7 @@ class _Parser:
         self.i += 1  # 'component'
         name_i = self._expect_name("a component id")
         self._expect("{")
-        self.fields = fields = {}
-        unchecked = self.unchecked  # empty between components
+        fields: dict[str, float] = {}
         reported = len(self.diagnostics)
         i = self.i
         while True:
@@ -432,14 +406,15 @@ class _Parser:
                 i = self.i
             elif not known:
                 self._error(f"unknown field {fname!r}", field_i)
-            else:
-                if fname in fields:
-                    self._check_fields()  # a value out of range declares nothing
-                if fname in fields:
-                    self._error(f"duplicate field {fname!r}", field_i)
+            elif fname in fields:
+                self._error(f"duplicate field {fname!r}", field_i)
+            else:  # a value out of range declares nothing
+                value = float(toks[value_i])
+                problem = check_field(fname, value)
+                if problem is None:
+                    fields[fname] = value
                 else:
-                    fields[fname] = float(toks[value_i])
-                    unchecked.append(value_i)
+                    self._error(problem, value_i)
             if toks[i] == ",":
                 i += 1
                 continue
@@ -456,20 +431,15 @@ class _Parser:
             return
         self.declared.add(name)
         if len(self.diagnostics) > reported:
-            self._check_fields()  # the fields read after the last report
+            return
+        spec = spec_from_fields(fields)
+        if spec is None:
+            self._error(_COMBINATION_HINT, name_i)
             return
         try:
-            spec = spec_from_fields(fields)
-            if spec is not None:
-                self.components[name] = Component(name, spec)
-                unchecked.clear()  # the build checked every field
-                return
-            problem = _COMBINATION_HINT
-        except ValueError as exc:  # a field out of range, or a mean down time that overflows
-            problem = str(exc)
-        self._check_fields()
-        if len(self.diagnostics) == reported:
-            self._error(problem, name_i)
+            self.components[name] = Component(name, spec)
+        except ValueError as exc:  # a mean down time that overflows
+            self._error(str(exc), name_i)
 
     def _system(self) -> None:
         i = self.i  # 'system'
