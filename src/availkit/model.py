@@ -83,7 +83,9 @@ def _validate_block(
         elif n == 1:
             out.append(Diagnostic("error", path, f"{kind} requires at least two sub-blocks"))
         if isinstance(block, KofN):
-            if block.k < 1:
+            if not isinstance(block.k, int) or isinstance(block.k, bool):
+                out.append(Diagnostic("error", path, "expected an integer k"))
+            elif block.k < 1:
                 out.append(Diagnostic("error", path, f"k must be >= 1, got {block.k}"))
             elif block.k > n:
                 out.append(

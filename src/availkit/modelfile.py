@@ -565,7 +565,7 @@ _COMPONENT_LINES = {
 def _block_text(block, texts: list[str]) -> str:
     inner = ", ".join(texts)
     if isinstance(block, KofN):
-        inner = f"{block.k}; {inner}"
+        inner = f"{block.k!r}; {inner}"
     return f"{type(block).__name__.lower()}({inner})"
 
 

@@ -210,6 +210,14 @@ class TestValidateBlocks:
         [diag] = validate(m)
         assert "k must be >= 1" in diag.message
 
+    @pytest.mark.parametrize("k", ["2", None, 2.0, True, False], ids=repr)
+    def test_a_k_that_is_not_an_int_is_the_parsers_error(self, k):
+        # format_model writes it, and the parser rejects what it wrote
+        m = Model(comps("a", "b"), KofN(k, (Leaf("a"), Leaf("b"))))
+        assert validate(m) == [Diagnostic("error", "system", "expected an integer k")]
+        back, _ = parse_model(format_model(m))
+        assert back is None
+
     def test_empty_children(self):
         m = Model(comps(), Series(()))
         assert any("no children" in d.message for d in validate(m))

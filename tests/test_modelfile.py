@@ -681,9 +681,10 @@ class TestFormatting:
             assert back == model
 
     def test_round_trip_validate_clean_trees(self):
-        # composites of zero to four children and k from -1 to n + 1: a
-        # model validate passes formats to text that parses back to it,
-        # and one it rejects to text the parser rejects
+        # composites of zero to four children and k from -1 to n + 1, or
+        # a k that is not an int: a model validate passes formats to text
+        # that parses back to it, and one it rejects to text the parser
+        # rejects
         rng = random.Random(15)
 
         def tree(depth):
@@ -697,7 +698,8 @@ class TestFormatting:
                 return Series(children)
             if kind < 0.8:
                 return Parallel(children)
-            return KofN(int(rng.random() * (len(children) + 3)) - 1, children)
+            k = int(rng.random() * (len(children) + 3)) - 1
+            return KofN(rng.choice([k, k, k, k, str(k), float(k), k > 0, None]), children)
 
         components = {f"c{i}": Component.direct(f"c{i}", 0.9) for i in range(4)}
         clean = 0
