@@ -194,20 +194,10 @@ def structure_function(structure: Structure, state: StateVector) -> bool:
     system down.
     """
     columns = [1 if s else 0 for s in state]
-    if isinstance(structure, Network):
-        fits = len(columns) == len(structure.edges)
-        up = fits and _evaluate(structure, columns, 1)
-    else:  # the one walk checks the length: the leaves take every entry, and no more
-        unread = iter(columns)
-        try:
-            up = _evaluate(structure, unread, 1)
-            fits = next(unread, None) is None
-        except StopIteration:
-            fits = False
-    if not fits:
-        expected = len(instances(structure))
+    expected = len(instances(structure))
+    if len(columns) != expected:
         raise ValueError(f"state has {len(columns)} entries, structure has {expected}")
-    return bool(up)
+    return bool(_evaluate(structure, columns, 1))
 
 
 def _products(prefixes: list[float], avails: Sequence[float]) -> list[float]:
