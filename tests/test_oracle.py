@@ -217,7 +217,7 @@ class TestStructureFunction:
         assert str(info.value) == message
 
     def test_short_state_on_a_broken_tree_names_the_broken_block(self):
-        # the count on the error path walks the tree, so a bad tree still says what is wrong
+        # the instance count walks the tree first, so a bad tree says what is wrong
         with pytest.raises(TypeError, match="not a block"):
             structure_function(Series((Leaf("a"), Leaf("b"), "x")), [True])
 
