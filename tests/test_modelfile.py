@@ -196,6 +196,18 @@ _COMPONENT_BODIES = [
       ("mdt_h must be a finite value >= 0, got -0.5", 38, 42, 1, 39)]),
 ]
 
+# System lines with a mistake, each followed by what comes after it, as
+# (text, [(message, byte start, byte end, line, column)]). A failed block
+# is reported once, and parsing resumes at the next declaration; text after
+# a complete block is stray top-level text.
+_A = "component a { availability = 0.9 }\n"
+_SYSTEM_LINES = [
+    (_A + "system = series(b, )\ncomponent b { availability = 0.9 }",
+     [("expected a block", 54, 55, 2, 20)]),
+    (_A + "system = a a",
+     [("expected 'component', 'system' or 'network'", 46, 47, 2, 12)]),
+]
+
 
 def positioned(diags):
     return [(d.message, d.span.start, d.span.end, d.span.line, d.span.column) for d in diags]
@@ -214,6 +226,11 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("text, expected", _COMPONENT_BODIES)
     def test_component_bodies(self, text, expected):
+        _, diags = parse_model(text)
+        assert positioned(diags) == expected
+
+    @pytest.mark.parametrize("text, expected", _SYSTEM_LINES)
+    def test_system_lines(self, text, expected):
         _, diags = parse_model(text)
         assert positioned(diags) == expected
 
