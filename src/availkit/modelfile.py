@@ -241,18 +241,13 @@ class _Parser:
     Diagnostics and references name tokens by index. The hot loops,
     ``_component`` and ``_block_items``, read ``toks`` directly.
 
-    Recovery is panic mode through one exception: a construct that cannot
-    go on reports its error and raises ``_Recover`` (``_fail``), which is
-    caught in three places. ``parse`` resumes a failed declaration at the
-    next 'component', 'system' or 'network'. ``_block_items`` skips a
-    failed item to its end (a ',', a '}', an unmatched ')' or a
-    declaration word), eats a ')' there, and fails its own block in turn.
-    ``_system`` ends the declaration where that skip stopped. A block that
-    fails before its end (no block, or a bad '(', k or ';') skips to it
-    itself, as the top-level block has no ``_block_items`` to. An error
-    that leaves the parse on track, such as a duplicate, only reports; so
-    do those in a component body, where a bad field skips to its end and
-    a missing '}' to the next declaration, and the component is declared.
+    Recovery has two rules. A construct that cannot go on reports its
+    error and raises ``_Recover`` (``_fail``), which only ``parse``
+    catches: a failed declaration resumes at the next 'component', 'system'
+    or 'network'. A bad field in a component body reports and skips to the
+    end of that field (``_sync_nested``), and the component is declared.
+    Any other error that leaves the parse on track, such as a duplicate,
+    only reports.
 
     Each field value is range-checked as it is read, and building the
     ``Component`` checks it again.
@@ -289,18 +284,15 @@ class _Parser:
     def _error(self, message: str, i: int) -> None:
         self.diagnostics.append(ParseDiagnostic("error", message, self.spans(i)))
 
-    def _fail(self, message: str, i: int, nested: bool = False) -> NoReturn:
-        """Report ``message`` at token ``i`` and unwind; ``nested`` first
-        skips to the end of the block item."""
+    def _fail(self, message: str, i: int) -> NoReturn:
+        """Report ``message`` at token ``i`` and unwind to ``parse``."""
         self._error(message, i)
-        if nested:
-            self._sync_nested()
         raise _Recover
 
-    def _expect(self, text: str, nested: bool = False) -> int:
+    def _expect(self, text: str) -> int:
         i = self.i
         if self.toks[i] != text:
-            self._fail(f"expected {text!r}", i, nested)
+            self._fail(f"expected {text!r}", i)
         self.i = i + 1
         return i
 
@@ -322,6 +314,9 @@ class _Parser:
         self.i = i
 
     def _sync_nested(self) -> None:
+        """Skip to the end of a bad component field: a ',' or '}' outside
+        parentheses, an unmatched ')' or a declaration word. Only component
+        bodies skip this way; a failed block fails its whole declaration."""
         toks, i = self.toks, self.i
         depth = 0
         while True:
@@ -449,10 +444,7 @@ class _Parser:
         else:
             self.system_tok = i
         self._expect("=")
-        try:
-            block = self._block(0)
-        except _Recover:
-            return
+        block = self._block(0)
         if self.system is None:
             self.system = block
 
@@ -462,7 +454,7 @@ class _Parser:
         i = self.i
         tok = toks[i]
         if not _is_id(tok):
-            self._fail("expected a block", i, nested=True)
+            self._fail("expected a block", i)
         self.i = i + 1
         if tok not in _COMPOSITES:
             if tok in _KEYWORDS:
@@ -471,13 +463,13 @@ class _Parser:
             return Leaf(tok)
         if depth == MAX_NESTING:
             self._fail(NESTING_ERROR, i)
-        self._expect("(", nested=True)
+        self._expect("(")
         if tok == "kofn":
             k_i = self.i
             if not _INT_RE.match(toks[k_i]):
-                self._fail("expected an integer k", k_i, nested=True)
+                self._fail("expected an integer k", k_i)
             self.i = k_i + 1
-            self._expect(";", nested=True)
+            self._expect(";")
         children = self._block_items(depth + 1)
         n = len(children)
         if tok == "bridge":
@@ -499,19 +491,13 @@ class _Parser:
         """The blocks up to and with the closing ')'."""
         toks = self.toks
         children = []
-        try:
-            while True:
-                children.append(self._block(depth))
-                if toks[self.i] != ",":
-                    break
-                self.i += 1
-        except _Recover:
-            self._sync_nested()
-            if toks[self.i] == ")":
-                self.i += 1
-            raise
+        while True:
+            children.append(self._block(depth))
+            if toks[self.i] != ",":
+                break
+            self.i += 1
         if toks[self.i] != ")":
-            self._fail("expected ',' or ')'", self.i, nested=True)
+            self._fail("expected ',' or ')'", self.i)
         self.i += 1
         return children
 

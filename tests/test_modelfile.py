@@ -206,6 +206,10 @@ _SYSTEM_LINES = [
      [("expected a block", 54, 55, 2, 20)]),
     (_A + "system = a a",
      [("expected 'component', 'system' or 'network'", 46, 47, 2, 12)]),
+    (_A + "system = kofn(2 a, a)",
+     [("expected ';'", 51, 52, 2, 17)]),
+    (_A + "system = (a\ncomponent b { availability = 2 }",
+     [("expected a block", 44, 45, 2, 10), ("availability 2.0 out of [0, 1]", 76, 77, 3, 30)]),
 ]
 
 
@@ -612,8 +616,8 @@ def parse_digest(texts):
     return digest.hexdigest()
 
 
-_PARSE_DIGEST = "e7a0994e196e4a98272ad78b237f0503d887c964af15863d03054867363b5fb4"
-_TOKEN_DIGEST = "d37d710a5c7c055800987e771e1b8bdc0c5356f3a129b3a553d06c19ee09c9de"
+_PARSE_DIGEST = "2c6b92a411cb57fff41ebcc63749cdbf1560c5a0dd2c372f22c7660c0aa51b13"
+_TOKEN_DIGEST = "3250914457b8a519867040cb9cd9296e953b9b1d17be4b38003b14a4bd6a5dcd"
 
 
 class TestParseDigest:
