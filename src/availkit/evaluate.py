@@ -55,6 +55,8 @@ def eval_kofn(k: int, avails: Sequence[float]) -> Probability:
     degenerate cases coincide bit-for-bit with eval_parallel and
     eval_series.
     """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise EvaluationError("expected an integer k")
     n = len(avails)
     if n == 0:
         raise EvaluationError("kofn requires at least one availability")
