@@ -218,19 +218,15 @@ class TestValidateBlocks:
         back, _ = parse_model(format_model(m))
         assert back is None
 
-    @pytest.mark.parametrize("caller", ["eval_block", "enumerate_availability",
-                                        "structure_function"])
+    @pytest.mark.parametrize("run", [
+        lambda tree: eval_block(tree, {"a": 0.9}),
+        lambda tree: enumerate_availability(tree, {"a": 0.9}),
+        lambda tree: structure_function(tree, [True, False, True]),
+    ], ids=["eval_block", "enumerate_availability", "structure_function"])
     @pytest.mark.parametrize("k", ["2", None, 2.0, True, False], ids=repr)
-    def test_a_k_that_is_not_an_int_is_validates_error_when_evaluated(self, k, caller):
-        tree = KofN(k, (Leaf("a"), Leaf("a"), Leaf("a")))
-        env = {"a": 0.9}
-        run = {
-            "eval_block": lambda: eval_block(tree, env),
-            "enumerate_availability": lambda: enumerate_availability(tree, env),
-            "structure_function": lambda: structure_function(tree, [True, False, True]),
-        }[caller]
+    def test_a_k_that_is_not_an_int_is_validates_error_when_evaluated(self, k, run):
         with pytest.raises(EvaluationError) as err:
-            run()
+            run(KofN(k, (Leaf("a"), Leaf("a"), Leaf("a"))))
         assert str(err.value) == "expected an integer k"
 
     def test_empty_children(self):
