@@ -54,6 +54,16 @@ GOLDEN_RUNS = [
     ),
     ("eval_kofn", ["eval", KOFN, "--format", "json"], 0),
     ("check_malformed", ["check", str(DATA / "malformed.avail"), "--format", "json"], 1),
+    # text mode: the same figures through render_text and the CLI's own rows
+    ("eval_text", ["eval", BRIDGE], 0),
+    ("eval_mixed_text", ["eval", MIXED], 0),
+    ("oracle_text", ["oracle", BRIDGE], 0),
+    ("oracle_mc_text", ["oracle", BRIDGE, "--mode", "mc", "--samples", "100000", "--seed", "7"], 0),
+    (
+        "whatif_two_text",
+        ["whatif", MIXED, "--set", "db.pnrs=0.5", "--set", "café.availability=0.999"],
+        0,
+    ),
 ]
 
 
@@ -69,7 +79,7 @@ class TestGoldens:
         assert code == exit_code
         # diagnostics go to stderr, so only a clean run leaves it empty
         assert (err == "") == (exit_code == 0)
-        assert out == (GOLDEN / f"{name}.golden").read_text()
+        assert out == (GOLDEN / f"{name}.golden").read_text(encoding="utf-8")
 
     def test_goldens_again_byte_for_byte(self, capsys):
         # same invocation twice: byte-identical output
@@ -545,5 +555,5 @@ class TestSubprocess:
             text=True,
         )
         assert result.returncode == 0
-        assert result.stdout == (GOLDEN / "eval.golden").read_text()
+        assert result.stdout == (GOLDEN / "eval.golden").read_text(encoding="utf-8")
         assert result.stderr == ""
