@@ -41,7 +41,6 @@ from .oracle import (
     enumerate_availability,
     monte_carlo_availability,
 )
-from .probability import Probability
 from .report import MINUTES_PER_YEAR, build_report, headline, render_json, render_text, to_json
 
 __all__ = ["main"]
@@ -169,7 +168,7 @@ def _diag_rows(
     return rows
 
 
-def _evaluate(model: Model, env, max_states: int) -> Probability:
+def _evaluate(model: Model, env, max_states: int) -> float:
     if isinstance(model.system, Network):
         return eval_network(model.system, env, max_states=max_states)
     return eval_block(model.system, env)
@@ -211,21 +210,21 @@ def _cmd_oracle(args, model: Model, env) -> int:
         )
         # At an estimate of exactly 0 or 1 the normal half-width is 0, so
         # use the rule of three's 3/samples in its place.
-        certain = float(estimate) in (0.0, 1.0)
+        certain = estimate in (0.0, 1.0)
         tolerance = MC_HALF_WIDTHS * (3 / args.samples if certain else half_width)
-        extra = {"samples": args.samples, "seed": args.seed, "half_width_95": float(half_width)}
-    difference = abs(float(exact) - float(estimate))
+        extra = {"samples": args.samples, "seed": args.seed, "half_width_95": half_width}
+    difference = abs(exact - estimate)
     within = difference <= tolerance
     if args.format == "json":
-        fields = {"mode": args.mode, "exact": float(exact), "oracle": float(estimate)}
+        fields = {"mode": args.mode, "exact": exact, "oracle": estimate}
         fields.update(abs_difference=difference, **extra)
         fields.update(tolerance=tolerance, within_tolerance=within)
         sys.stdout.write(to_json(fields))
     else:
         rows = [f"mode        {args.mode}"]
-        rows.append(f"exact       {float.__repr__(float(exact))}")
-        rows.append(f"oracle      {float.__repr__(float(estimate))}")
-        rows.append(f"difference  {float.__repr__(difference)}")
+        rows.append(f"exact       {exact!r}")
+        rows.append(f"oracle      {estimate!r}")
+        rows.append(f"difference  {difference!r}")
         for key, value in extra.items():
             rows.append(f"{key.ljust(11)} {value!r}")
         rows.append(f"within tolerance: {'yes' if within else 'no'}")
@@ -294,9 +293,9 @@ def _cmd_whatif(args, model: Model, env) -> int:
     else:
         rows = [
             f"overrides                {'; '.join(args.overrides)}",
-            f"baseline availability    {float.__repr__(base.availability)}",
-            f"modified availability    {float.__repr__(after.availability)}",
-            f"downtime delta (min/yr)  {float.__repr__(delta)}",
+            f"baseline availability    {base.availability!r}",
+            f"modified availability    {after.availability!r}",
+            f"downtime delta (min/yr)  {delta!r}",
         ]
         sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK

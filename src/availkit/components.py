@@ -113,7 +113,7 @@ class Component(Frozen):
 
     _fields = ("id", "spec")
     __slots__ = _fields + ("availability", "mdt_h")
-    availability: Probability
+    availability: float
     mdt_h: float | None
 
     def __init__(self, id: str, spec: ComponentSpec) -> None:
@@ -140,7 +140,7 @@ class Component(Frozen):
         return cls(id, MtbfMaintainability(mtbf_h, maint))
 
 
-def _derive(component: Component) -> tuple[Probability, float | None]:
+def _derive(component: Component) -> tuple[float, float | None]:
     """Availability and mean down time of one component, per its spec.
 
     Validation failures carry the component id so a bad figure in a large
@@ -166,7 +166,7 @@ def _derive(component: Component) -> tuple[Probability, float | None]:
 
 def derive_environment(
     components: Mapping[str, Component] | Iterable[Component],
-) -> dict[str, Probability]:
+) -> dict[str, float]:
     """Availability per component id, ready for evaluation."""
     if isinstance(components, Mapping):
         components = components.values()

@@ -14,7 +14,7 @@ import math
 from typing import Mapping, Sequence
 
 from .blocks import Block, Bridge, EvaluationError, KofN, Parallel, Series, fold
-from .probability import Probability, _unit
+from .probability import Probability
 
 __all__ = [
     "Environment",
@@ -30,21 +30,21 @@ __all__ = [
 Environment = Mapping[str, float]
 
 
-def eval_series(avails: Sequence[float]) -> Probability:
+def eval_series(avails: Sequence[float]) -> float:
     """All parts must be up: the product of availabilities."""
     if not avails:
         raise EvaluationError("series requires at least one availability")
     return Probability(math.prod(avails))
 
 
-def eval_parallel(avails: Sequence[float]) -> Probability:
+def eval_parallel(avails: Sequence[float]) -> float:
     """At least one part up: one minus the product of the complements."""
     if not avails:
         raise EvaluationError("parallel requires at least one availability")
     return Probability(1.0 - math.prod(1.0 - a for a in avails))
 
 
-def eval_kofn(k: int, avails: Sequence[float]) -> Probability:
+def eval_kofn(k: int, avails: Sequence[float]) -> float:
     """At least k of the listed parts up (Poisson-binomial tail).
 
     ``dist[j]`` is the probability that exactly j of the parts folded so
@@ -74,7 +74,7 @@ def eval_kofn(k: int, avails: Sequence[float]) -> Probability:
     return Probability(tail)
 
 
-def eval_bridge(a1: float, a2: float, a3: float, a4: float, a5: float) -> Probability:
+def eval_bridge(a1: float, a2: float, a3: float, a4: float, a5: float) -> float:
     """Five-slot bridge: two columns (a1/a2 left, a4/a5 right) with a
     cross-link a3, conditioned on the state of the cross-link.
 
@@ -87,7 +87,7 @@ def eval_bridge(a1: float, a2: float, a3: float, a4: float, a5: float) -> Probab
     return Probability(a3 * columns + (1.0 - a3) * paths)
 
 
-def eval_block(block: Block, env: Environment) -> Probability:
+def eval_block(block: Block, env: Environment) -> float:
     """Evaluate a block tree against per-component availabilities.
 
     Duplicate leaf ids refer to independent replicas of the same
@@ -95,8 +95,8 @@ def eval_block(block: Block, env: Environment) -> Probability:
     independently. A leaf missing from ``env`` and nesting past
     MAX_NESTING are EvaluationErrors; a non-block is a TypeError (``fold``).
     """
-    return Probability(fold(block, lambda leaf: _availability(env, leaf.component_id),
-                            lambda block, avails: _RULES[type(block)](block, avails)))
+    return fold(block, lambda leaf: _availability(env, leaf.component_id),
+                lambda block, avails: _RULES[type(block)](block, avails))
 
 
 class _Rules(dict):
@@ -119,4 +119,4 @@ def _availability(env: Environment, component_id: str, edge_id: str | None = Non
     except KeyError:
         edge = "" if edge_id is None else f" (edge {edge_id!r})"
         raise EvaluationError(f"no availability for component {component_id!r}{edge}") from None
-    return _unit(value)
+    return Probability(value)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from ._frozen import Frozen, setfield
-from .probability import Probability, _unit, unavailability
+from .probability import Probability, unavailability
 
 __all__ = [
     "check_field",
@@ -31,7 +31,7 @@ def check_field(name: str, value: float) -> str | None:
     """
     if name in ("availability", "pnrs"):
         try:
-            _unit(value)
+            Probability(value)
         except ValueError:
             return f"{name} {value!r} out of [0, 1]"
     elif name == "mtbf_h":
@@ -59,7 +59,7 @@ class MaintainabilityParams(Frozen):
     """
 
     __slots__ = _fields = ("mttres_h", "mldt_h", "madt_h", "pnrs", "tat_h")
-    pnrs: Probability
+    pnrs: float
 
     def __init__(
         self, mttres_h: float, mldt_h: float, madt_h: float, pnrs: float, tat_h: float
@@ -86,7 +86,7 @@ def mean_down_time(params: MaintainabilityParams) -> float:
     return params.mttres_h + params.mldt_h + params.madt_h + spare_missing * params.tat_h
 
 
-def availability_from_times(mtbf_h: float, mdt_h: float) -> Probability:
+def availability_from_times(mtbf_h: float, mdt_h: float) -> float:
     """Steady-state availability MTBF / (MTBF + MDT).
 
     When the sum overflows to inf, the equal quotient 1 / (1 + MDT/MTBF)

@@ -567,7 +567,7 @@ def format_model(model: Model) -> str:
         spec = comp.spec
         form = type(spec)
         values = _READERS[form](spec)
-        # float() prints a pnrs Probability, or an int, as a bare float;
+        # float() prints an int as a bare float;
         # the reader of the one-field form returns its value, not a tuple
         if form is DirectAvailability:
             lines.append(_COMPONENT_LINES[form] % (cid, float(values)))

@@ -280,7 +280,7 @@ def eval_network(
     env: Mapping[str, float],
     *,
     max_states: int = DEFAULT_MAX_STATES,
-) -> Probability:
+) -> float:
     """Availability of the source-terminal connection.
 
     ``max_states`` bounds the live states of the frontier sweep over the

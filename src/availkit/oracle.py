@@ -240,7 +240,7 @@ def enumerate_availability(
     env: Mapping[str, float],
     *,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> Probability:
+) -> float:
     """Exact availability by summing the probability of every up-state.
 
     Walks all 2**n joint states, so n is limited by ``cap``. States are
@@ -266,7 +266,7 @@ def monte_carlo_availability(
     env: Mapping[str, float],
     samples: int,
     seed: int,
-) -> tuple[Probability, float]:
+) -> tuple[float, float]:
     """Estimate availability by sampling joint states.
 
     Returns (estimate, half-width of the 95% normal-approximation

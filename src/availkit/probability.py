@@ -1,4 +1,4 @@
-"""Probability values and their complements."""
+"""The probability rule and the complement of a probability."""
 
 from __future__ import annotations
 
@@ -10,24 +10,24 @@ __all__ = ["PROBABILITY_TOLERANCE", "Probability", "unavailability"]
 PROBABILITY_TOLERANCE = 1e-12
 
 
-class Probability(float):
-    """A float constrained to the closed interval [0, 1].
+def Probability(value: float) -> float:
+    """``value`` as a plain float in the closed interval [0, 1].
 
     Values outside the interval by more than ``PROBABILITY_TOLERANCE`` are
     rejected outright; values within the band are clamped to the nearest
     boundary so rounding dust never escapes the valid range.
     """
+    v = float(value)
+    if 0.0 <= v <= 1.0:
+        return v
+    if v != v:
+        raise ValueError("probability must not be NaN")
+    if v < -PROBABILITY_TOLERANCE or v > 1.0 + PROBABILITY_TOLERANCE:
+        raise ValueError(f"probability {v!r} outside [0, 1]")
+    return 0.0 if v < 0.0 else 1.0
 
-    __slots__ = ()
 
-    def __new__(cls, value: float) -> "Probability":
-        return super().__new__(cls, _unit(value))
-
-    def __repr__(self) -> str:
-        return f"Probability({float.__repr__(self)})"
-
-
-def unavailability(p: float) -> Probability:
+def unavailability(p: float) -> float:
     """Complement of a probability, read at decimal precision.
 
     The subtraction is carried out against the shortest decimal that
@@ -39,7 +39,7 @@ def unavailability(p: float) -> Probability:
     bits are the same in every caller. The result never differs from
     the raw IEEE ``1 - p`` by more than one unit in the last place.
     """
-    digits, _, exp = repr(_unit(p)).partition("e")
+    digits, _, exp = repr(Probability(p)).partition("e")
     whole, _, frac = digits.partition(".")
     # p == int(whole + frac) / scale, exactly
     scale = 10 ** (len(frac) - int(exp)) if exp else 10 ** len(frac)
@@ -50,16 +50,5 @@ def unavailability(p: float) -> Probability:
         if 2 * rest > cut or 2 * rest == cut and n & 1:
             n += 1
         scale //= cut
-    return Probability(n / scale)  # int true division is correctly rounded
+    return n / scale  # in [0, 1]; int true division is correctly rounded
 
-
-def _unit(value: float) -> float:
-    """``value`` under the probability rule (see ``Probability``), as a plain float."""
-    v = float(value)
-    if 0.0 <= v <= 1.0:
-        return v
-    if v != v:
-        raise ValueError("probability must not be NaN")
-    if v < -PROBABILITY_TOLERANCE or v > 1.0 + PROBABILITY_TOLERANCE:
-        raise ValueError(f"probability {v!r} outside [0, 1]")
-    return 0.0 if v < 0.0 else 1.0

@@ -38,7 +38,7 @@ def nines(availability: float) -> int | float:
     0.999 has three, 0.97848 has one. Exactly 1.0 returns math.inf —
     rendered as the sentinel "inf" — and 0.0 returns 0.
     """
-    return _nines(float(unavailability(availability)))
+    return _nines(unavailability(availability))
 
 
 def _nines(down: float) -> int | float:
@@ -86,7 +86,7 @@ def build_report(
     ``availkit.probability.unavailability``), so a 0.9999 system reports
     exactly 1e-4 down and 52.56 minutes a year at the default calendar.
     """
-    down = float(unavailability(availability))
+    down = unavailability(availability)
     per_component = tuple(
         ComponentLine(cid, float(env[cid]), None if comp.mdt_h is None else float(comp.mdt_h))
         for cid, comp in model.components.items()
@@ -167,17 +167,17 @@ def render_json(report: AvailabilityReport) -> str:
 def render_text(report: AvailabilityReport) -> str:
     nines_text = "inf" if math.isinf(report.nines) else str(int(report.nines))
     lines = [
-        f"availability             {float.__repr__(report.availability)}",
-        f"unavailability           {float.__repr__(report.unavailability)}",
+        f"availability             {report.availability!r}",
+        f"unavailability           {report.unavailability!r}",
         f"nines                    {nines_text}",
-        f"downtime (minutes/year)  {float.__repr__(report.downtime_minutes_per_year)}",
+        f"downtime (minutes/year)  {report.downtime_minutes_per_year!r}",
     ]
     if report.per_component:
         lines.append("components:")
         width = max(len(line.id) for line in report.per_component)
         for line in report.per_component:
-            row = f"  {line.id.ljust(width)}  availability {float.__repr__(line.availability)}"
+            row = f"  {line.id.ljust(width)}  availability {line.availability!r}"
             if line.mdt_h is not None:
-                row += f"  mdt {float.__repr__(line.mdt_h)} h"
+                row += f"  mdt {line.mdt_h!r} h"
             lines.append(row)
     return "\n".join(lines) + "\n"

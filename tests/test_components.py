@@ -67,7 +67,7 @@ class TestStoredNumbers:
 
     @pytest.mark.parametrize("c", CASES, ids=lambda c: c.id)
     def test_stored_availability_is_the_derived_one(self, c):
-        assert type(c.availability) is Probability
+        assert type(c.availability) is float
         assert float(c.availability).hex() == float(c.replace().availability).hex()
         assert derive_environment([c])[c.id] is c.availability
 

@@ -616,8 +616,8 @@ def parse_digest(texts):
     return digest.hexdigest()
 
 
-_PARSE_DIGEST = "2c6b92a411cb57fff41ebcc63749cdbf1560c5a0dd2c372f22c7660c0aa51b13"
-_TOKEN_DIGEST = "3250914457b8a519867040cb9cd9296e953b9b1d17be4b38003b14a4bd6a5dcd"
+_PARSE_DIGEST = "82a98480fd5c64aa1fc072ff2c3326bbe7fbd34cfe7133ce23227542156dbd9b"
+_TOKEN_DIGEST = "376623a0ef36c876512e7a3b54bae2f6ff0ef3ae7d3d981065f3e25eefa86a43"
 
 
 class TestParseDigest:

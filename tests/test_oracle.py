@@ -8,11 +8,13 @@ from hypothesis import given, strategies as st
 
 from availkit import (
     Bridge,
+    Component,
     Edge,
     EnumerationCapError,
     EvaluationError,
     KofN,
     Leaf,
+    MaintainabilityParams,
     Network,
     Parallel,
     Series,
@@ -23,6 +25,7 @@ from availkit import (
     instances,
     monte_carlo_availability,
     structure_function,
+    unavailability,
 )
 from availkit import oracle
 from availkit.blocks import MAX_NESTING
@@ -125,6 +128,23 @@ def pinned_enumeration_case(name):
         "special_near_one_series": (Series((s2, s2, s1, s2)), senv),
         "special_kofn_mixed": (KofN(2, (s3, s2, s3, s0, s1)), senv),
     }[name]
+
+
+def test_every_figure_is_a_plain_float():
+    # leaves, the rule's results and the oracles' figures are all bare floats
+    maint = MaintainabilityParams(3.0, 2.0, 1.0, 1, 72.0)
+    figures = [
+        eval_block(BRIDGE, UNIFORM),
+        eval_block(Leaf("c1"), {"c1": 1}),
+        eval_network(bridge_network(), UNIFORM),
+        enumerate_availability(BRIDGE, UNIFORM),
+        monte_carlo_availability(BRIDGE, UNIFORM, 1000, 7)[0],
+        unavailability(1),
+        Component.direct("a", 1).availability,
+        Component.from_maintainability("b", 1000.0, maint).availability,
+        maint.pnrs,
+    ]
+    assert [type(figure) for figure in figures] == [float] * len(figures)
 
 
 class TestInstances:

@@ -37,7 +37,8 @@ class TestProbability:
             Probability(1.0 + PROBABILITY_TOLERANCE * 10)
 
     def test_repr(self):
-        assert repr(Probability(0.5)) == "Probability(0.5)"
+        # the rule returns a plain float, which prints bare
+        assert type(Probability(0.5)) is float and repr(Probability(0.5)) == "0.5"
 
 
 def decimal_complement(p):
@@ -119,5 +120,5 @@ class TestUnavailability:
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_result_is_a_probability(self, p):
         u = unavailability(p)
-        assert isinstance(u, Probability)
-        assert 0.0 <= float(u) <= 1.0
+        assert type(u) is float
+        assert 0.0 <= u <= 1.0

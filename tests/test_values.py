@@ -35,7 +35,7 @@ from availkit.network import ReducedNetwork
 
 MAINT = MaintainabilityParams(3.0, 2.0, 1.0, 0.95, 72.0)
 MAINT_REPR = (
-    "MaintainabilityParams(mttres_h=3.0, mldt_h=2.0, madt_h=1.0, pnrs=Probability(0.95), tat_h=72.0)"
+    "MaintainabilityParams(mttres_h=3.0, mldt_h=2.0, madt_h=1.0, pnrs=0.95, tat_h=72.0)"
 )
 NET = Network([Edge("e1", "s", "t", "a")], "s", "t")
 
@@ -227,7 +227,7 @@ def test_replace_runs_the_constructor_checks():
     with pytest.raises(ValueError, match="tat_h"):
         MAINT.replace(tat_h=-1.0)
     pnrs = MAINT.replace(pnrs=1).pnrs
-    assert type(pnrs) is Probability and pnrs == 1.0
+    assert type(pnrs) is float and pnrs == 1.0
     with pytest.raises(ValueError, match="non-empty"):
         Component.direct("a", 0.9).replace(id="")
 
