@@ -51,26 +51,15 @@ class Edge(Frozen):
 
 
 class Network(Frozen):
-    """Edges between a source and a terminal. ``nodes`` holds the given
-    nodes plus every node an edge, the source or the terminal touches."""
+    """Edges between a source and a terminal; the nodes are those they touch."""
 
-    __slots__ = _fields = ("edges", "source", "terminal", "nodes")
+    __slots__ = _fields = ("edges", "source", "terminal")
     edges: tuple[Edge, ...]
-    nodes: frozenset[str]
 
-    def __init__(
-        self, edges: Iterable[Edge], source: str, terminal: str, nodes: Iterable[str] = frozenset()
-    ) -> None:
-        edges = tuple(edges)
-        touched = {source, terminal}
-        for e in edges:
-            touched.add(e.a)
-            touched.add(e.b)
-        touched.update(nodes)  # last, so a copy fills (and prints) its set as the original did
-        setfield(self, "edges", edges)
+    def __init__(self, edges: Iterable[Edge], source: str, terminal: str) -> None:
+        setfield(self, "edges", tuple(edges))
         setfield(self, "source", source)
         setfield(self, "terminal", terminal)
-        setfield(self, "nodes", frozenset(touched))
 
 
 class ReducedNetwork(Frozen):

@@ -327,7 +327,6 @@ class TestValidateNetworks:
             edges=(Edge("e0", "a", "b", "c1"),),
             source="a",
             terminal="t",
-            nodes=frozenset({"a", "b", "t"}),
         )
         m = Model(comps("c1"), net)
         [diag] = validate(m)

@@ -607,9 +607,10 @@ def parse_digest(texts):
     for text in texts:
         model, diags = parse_model(text)
         if model is not None and isinstance(model.system, Network):
-            # the node set's order follows the string hash seed
+            # the shape these digests were first taken over, with the node list
             net = model.system
-            model = (model.components, net.edges, net.source, net.terminal, sorted(net.nodes))
+            nodes = {net.source, net.terminal, *(n for e in net.edges for n in (e.a, e.b))}
+            model = (model.components, net.edges, net.source, net.terminal, sorted(nodes))
         seen = (repr(model), [(d.severity, d.message, d.span.start, d.span.end,
                                d.span.line, d.span.column) for d in diags])
         digest.update(repr(seen).encode("utf-8", "surrogatepass"))
@@ -676,6 +677,17 @@ class TestFormatting:
         second, diags2 = parse_model(format_model(first))
         assert diags2 == []
         assert first == second
+
+    def test_pinned_repr_of_a_parsed_network(self):
+        # the same bytes under every string hash seed
+        model, _ = parse_model(
+            "component link { availability = 0.99 }\n"
+            "network { source = s, terminal = t, edge(s, m, link), edge(m, t, link) }\n"
+        )
+        assert repr(model.system) == (
+            "Network(edges=(Edge(id='e0', a='s', b='m', component_id='link'),"
+            " Edge(id='e1', a='m', b='t', component_id='link')), source='s', terminal='t')"
+        )
 
     def test_round_trip_network_model(self):
         text = (

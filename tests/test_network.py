@@ -231,7 +231,8 @@ class TestEvalNetwork:
             if net.source == net.terminal:
                 continue
             # reversed names reverse every sorted order the engine uses
-            rename = {n: f"z{99 - int(n[1:])}" for n in net.nodes}
+            nodes = {net.source, net.terminal, *(n for e in net.edges for n in (e.a, e.b))}
+            rename = {n: f"z{99 - int(n[1:])}" for n in nodes}
             edges = [Edge(e.id, rename[e.a], rename[e.b], e.component_id) for e in net.edges]
             rng.shuffle(edges)
             other = Network(

@@ -2,11 +2,7 @@
 pickle and copy by their constructor's fields."""
 
 import copy
-import os
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -86,13 +82,12 @@ CASES = [
     (Edge("e1", "s", "t", "a"), "Edge(id='e1', a='s', b='t', component_id='a')"),
     (
         Network([Edge("e1", "s", "s", "a")], "s", "s"),
-        "Network(edges=(Edge(id='e1', a='s', b='s', component_id='a'),), source='s', terminal='s',"
-        " nodes=frozenset({'s'}))",
+        "Network(edges=(Edge(id='e1', a='s', b='s', component_id='a'),), source='s', terminal='s')",
     ),
     (
         ReducedNetwork(Network([Edge("e1", "s", "s", "a")], "s", "s"), {"par(e1,e2)": 0.5}),
         "ReducedNetwork(network=Network(edges=(Edge(id='e1', a='s', b='s', component_id='a'),),"
-        " source='s', terminal='s', nodes=frozenset({'s'})), synthetic={'par(e1,e2)': 0.5})",
+        " source='s', terminal='s'), synthetic={'par(e1,e2)': 0.5})",
     ),
     (ComponentLine("db", 0.999, 8.68), "ComponentLine(id='db', availability=0.999, mdt_h=8.68)"),
     (
@@ -108,10 +103,9 @@ CASES = [
     ),
     (
         Model({"a": Component.direct("a", 0.99)}, NET),
-        # a frozenset of two strings prints in string-hash order
         "Model(components={'a': Component(id='a', spec=DirectAvailability(availability=0.99))},"
         " system=Network(edges=(Edge(id='e1', a='s', b='t', component_id='a'),),"
-        f" source='s', terminal='t', nodes={NET.nodes!r}))",
+        " source='s', terminal='t'))",
     ),
 ]
 VALUES = [value for value, _ in CASES]
@@ -189,24 +183,6 @@ def test_copies_are_equal(value, clone):
     assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
 
 
-@pytest.mark.parametrize("hash_seed", ["2", "36", "38"])
-def test_copied_network_prints_its_nodes_in_the_same_order(hash_seed):
-    # Under these string-hash seeds 's' and 't' collide in a small set, so
-    # the order the set was filled in shows in its repr.
-    code = (
-        "import copy, pickle\n"
-        "from availkit import Edge, Network\n"
-        "net = Network([Edge('e1', 's', 't', 'a')], 's', 't')\n"
-        "for twin in (copy.deepcopy(net), pickle.loads(pickle.dumps(net))):\n"
-        "    assert repr(twin) == repr(net), (repr(twin), repr(net))\n"
-    )
-    src = str(Path(__file__).parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-
-
 def test_copied_component_keeps_its_numbers():
     c = Component.from_maintainability("db", 20000.0, MAINT)
     for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
@@ -220,7 +196,6 @@ def test_replace_derives_the_numbers_afresh():
     assert float(d.availability) == 0.9 and d.mdt_h == 10.0
     assert float(d.availability).hex() == float(d.replace().availability).hex()
     assert c.replace() == c and c.replace(id="z").id == "z"
-    assert NET.replace(source="t").nodes == NET.nodes
 
 
 def test_replace_runs_the_constructor_checks():
