@@ -87,6 +87,12 @@ class Bridge(Frozen):
 
 Block = Union[Leaf, Series, Parallel, KofN, Bridge]
 _T = TypeVar("_T")
+_KINDS = {Series: "series", Parallel: "parallel", KofN: "kofn", Bridge: "bridge"}
+
+
+def _kind(block: Block) -> str:
+    """A composite's keyword in model files; a subclass of one takes its base's."""
+    return next(name for base, name in _KINDS.items() if isinstance(block, base))
 
 
 def fold(

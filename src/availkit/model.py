@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Literal, Union
 
 from ._frozen import Frozen, setfield
-from .blocks import MAX_NESTING, NESTING_ERROR, Block, Bridge, KofN, Leaf, Parallel, Series
+from .blocks import MAX_NESTING, NESTING_ERROR, Block, Bridge, KofN, Leaf, Parallel, Series, _kind
 from .components import Component
 from .network import Network, _bfs_order
 
@@ -76,7 +76,7 @@ def _validate_block(
                 below.extend(node.children)
         return
     if isinstance(block, (Series, Parallel, KofN)):
-        kind = type(block).__name__.lower()
+        kind = _kind(block)
         n = len(block.children)
         if not n:
             out.append(Diagnostic("error", path, f"{kind} has no children"))

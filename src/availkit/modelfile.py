@@ -57,7 +57,7 @@ from operator import attrgetter
 from typing import Literal, NoReturn
 
 from ._frozen import Frozen, setfield
-from .blocks import MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series, fold
+from .blocks import MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series, _kind, fold
 from .components import _READERS, FORM_FIELDS, Component, DirectAvailability, spec_from_fields
 from .maintainability import check_field
 from .model import Model
@@ -552,7 +552,7 @@ def _block_text(block, texts: list[str]) -> str:
     inner = ", ".join(texts)
     if isinstance(block, KofN):
         inner = f"{block.k!r}; {inner}"
-    return f"{type(block).__name__.lower()}({inner})"
+    return f"{_kind(block)}({inner})"
 
 
 def format_model(model: Model) -> str:

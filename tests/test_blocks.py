@@ -164,6 +164,20 @@ class TestFold:
             states = [i % 2 == 0 for i in range(len(leaves(plain)))]
             assert structure_function(tree, states) == structure_function(plain, states)
 
+    def test_a_subclass_of_a_composite_formats_and_validates_as_its_base(self):
+        class Redundant(Parallel):
+            pass
+
+        env = {"a": 0.9}
+        tree = Redundant((Leaf("a"), Leaf("a")))
+        text = format_model(Model(comps("a"), tree))
+        assert text.endswith("system = parallel(a, a)\n")
+        back, diags = parse_model(text)
+        assert diags == [] and back.system == Parallel((Leaf("a"), Leaf("a")))
+        assert eval_block(back.system, env).hex() == eval_block(tree, env).hex()
+        [diag] = validate(Model(comps("a"), Redundant((Leaf("a"),))))
+        assert diag.message == "parallel requires at least two sub-blocks"
+
     @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 3000])
     def test_nesting_past_the_cap_is_one_error_in_every_walker(self, levels):
         tree = Leaf("a")
