@@ -17,6 +17,7 @@ SRC = Path(__file__).parent.parent / "src"
 BRIDGE = str(DATA / "bridge.avail")
 MIXED = str(DATA / "mixed.avail")
 KOFN = str(DATA / "kofn.avail")
+MESH = str(DATA / "mesh.avail")
 
 
 def run(capsys, *argv):
@@ -54,9 +55,11 @@ GOLDEN_RUNS = [
     ),
     ("eval_kofn", ["eval", KOFN, "--format", "json"], 0),
     ("check_malformed", ["check", str(DATA / "malformed.avail"), "--format", "json"], 1),
+    ("eval_mesh", ["eval", MESH, "--format", "json"], 0),
     # text mode: the same figures through render_text and the CLI's own rows
     ("eval_text", ["eval", BRIDGE], 0),
     ("eval_mixed_text", ["eval", MIXED], 0),
+    ("eval_mesh_text", ["eval", MESH], 0),
     ("oracle_text", ["oracle", BRIDGE], 0),
     ("oracle_mc_text", ["oracle", BRIDGE, "--mode", "mc", "--samples", "100000", "--seed", "7"], 0),
     (

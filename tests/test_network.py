@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -298,3 +299,70 @@ class TestEvalNetwork:
             exact = float(eval_network(net, env))
             brute = float(enumerate_availability(net, env))
             assert abs(exact - brute) < 1e-10
+
+
+class TestPinnedSweep:
+    """The engine's bits and live-state counts, recorded before its labels
+    changed; an engine that sums in another order or keeps more states
+    fails here."""
+
+    SPECIAL = (0.0, -0.0, 1.0, 1.0 - 2.0**-53)
+    MULTIGRAPH_DIGEST = "df1eeab4658a4c6d6705fceb5556336b12fbc53d9d28991704e92f2cf69a536e"
+    GRID_DIGEST = "32a85d00100e60646d0287908e8ece5f1c648fe4ed5128e65d02ce74bbe1b298"
+
+    def draw(self, rng):
+        r = rng.random()
+        if r < 0.2:
+            return rng.choice(self.SPECIAL)
+        if r < 0.35:
+            return 1.0 - rng.random() * 1e-6
+        return rng.random()
+
+    def test_pinned_digest_of_seeded_multigraphs(self):
+        # 4,000 multigraphs on two to eight nodes: self-loops, parallel
+        # edges (some reversed), and terminals that are unreachable or
+        # touch no edge at all
+        rng = random.Random(2101)
+        lines = []
+        for _ in range(4000):
+            nodes = [f"n{i}" for i in range(rng.randint(2, 8))]
+            pairs = []
+            for _ in range(rng.randint(1, 16)):
+                r = rng.random()
+                if r < 0.08:
+                    pairs.append((rng.choice(nodes),) * 2)
+                elif r < 0.25 and pairs:
+                    a, b = rng.choice(pairs)
+                    pairs.append((b, a) if rng.random() < 0.5 else (a, b))
+                else:
+                    pairs.append(tuple(rng.sample(nodes, 2)))
+            terminal = "t" if rng.random() < 0.05 else nodes[-1]
+            net = Network(
+                edges=tuple(Edge(f"e{i}", a, b, f"x{i}") for i, (a, b) in enumerate(pairs)),
+                source=nodes[0],
+                terminal=terminal,
+            )
+            env = {f"x{i}": self.draw(rng) for i in range(len(pairs))}
+            lines.append(float(eval_network(net, env)).hex())
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.MULTIGRAPH_DIGEST
+
+    def test_pinned_digest_of_grids(self):
+        # every grid from 3x3 to 6x6, each under two environments
+        rng = random.Random(2102)
+        lines = []
+        for rows in range(3, 7):
+            for cols in range(3, 7):
+                net = grid_network(rows, cols)
+                for _ in range(2):
+                    env = {e.component_id: self.draw(rng) for e in net.edges}
+                    lines.append(float(eval_network(net, env)).hex())
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.GRID_DIGEST
+
+    @pytest.mark.parametrize("n,budget", [(4, 28), (5, 90), (6, 297)])
+    def test_pinned_state_budget_of_square_grids(self, n, budget):
+        # the peak live states of an n x n grid: the budget passes, one less fails
+        net = grid_network(n, n)
+        env = {e.component_id: 0.9 for e in net.edges}
+        eval_network(net, env, max_states=budget)
+        with pytest.raises(StateBudgetError):
+            eval_network(net, env, max_states=budget - 1)
