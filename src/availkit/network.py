@@ -11,10 +11,11 @@ nodes. An edge-ordered frontier sweep (Hardy, Lucet & Limnios, IEEE
 Trans. Reliability 56(3), 2007) then evaluates the irreducible core that
 remains. It takes the core's edges in breadth-first order from the
 source and carries, for each partition of the frontier vertices into
-connected blocks, the probability mass of reaching it. Mass is banked
-when a working edge joins the source's block to the terminal's, and a
-state is dropped once it can no longer connect them. The sweep's cost
-grows with the number of live states, which ``max_states`` bounds.
+connected blocks, each labelled by its least frontier vertex, the
+probability mass of reaching it. Mass is banked when a working edge
+joins the source's block to the terminal's, and a state is dropped once
+it can no longer connect them. The sweep's cost grows with the number of
+live states, which ``max_states`` bounds.
 """
 
 from __future__ import annotations
@@ -160,21 +161,19 @@ def _reduce(edges: _EdgeTable, source: str, terminal: str) -> _EdgeTable:
     return edges
 
 
-def _canonical(state: tuple[int, ...]) -> tuple[int, ...]:
-    """Renumber the block labels other than 0 and 1 in order of appearance."""
-    names = {0: 0, 1: 1}
-    return tuple([names.setdefault(x, len(names)) for x in state])
-
-
 def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> float:
     """Source-terminal availability of a core by an edge-ordered frontier sweep.
 
     A state labels each frontier vertex with its block: 0 is the source's
-    block, 1 the terminal's, and the others are numbered in order of
-    appearance, so equal partitions share one key. Sorting the edges by
-    the larger, then the smaller breadth-first rank of their endpoints
-    makes every edge's lower endpoint already known when the edge comes.
+    block, 1 the terminal's, any other 2 plus the rank of its least frontier
+    vertex, so each partition has one key. Edges come by the larger, then
+    the smaller breadth-first rank of their endpoints, so the lower one is
+    known and the frontier stays in rank order: a merge keeps the smaller
+    label, and a block whose least vertex leaves takes its next member's.
     """
+    if len(edges) == 1:  # reduction leaves a lone edge only between source and terminal
+        ((_, _, p),) = edges.values()
+        return 0.0 + p  # what the sweep banks, 0.0 + 1.0 * p, so -0.0 gives 0.0
     rank = _bfs_order(((u, v) for u, v, _ in edges.values()), source)
     if terminal not in rank:
         return 0.0
@@ -193,10 +192,8 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
     for i, (hi, lo, _, p) in enumerate(core):
         if hi not in frontier:
             frontier.append(hi)
-            if hi == t:
-                states = {s + (1,): m for s, m in states.items()}
-            else:
-                states = {s + (max(max(s), 1) + 1,): m for s, m in states.items()}
+            label = 1 if hi == t else hi + 2
+            states = {s + (label,): m for s, m in states.items()}
         iu, iv = frontier.index(lo), frontier.index(hi)
         q = 1.0 - p
         nxt: dict[tuple[int, ...], float] = {}
@@ -210,18 +207,21 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
                 banked += m * p
                 continue
             keep, drop = (a, b) if a < b else (b, a)
-            merged = _canonical(tuple([keep if x == drop else x for x in s]))
+            merged = tuple([keep if x == drop else x for x in s])
             nxt[merged] = nxt.get(merged, 0.0) + m * p
         keep_at = [j for j, w in enumerate(frontier) if last[w] != i]
         if len(keep_at) < len(frontier):
-            seen_terminal = t <= hi
+            leaving = [(j, w + 2) for j, w in enumerate(frontier) if last[w] == i]
             frontier = [frontier[j] for j in keep_at]
             states = {}
             for s, m in nxt.items():
                 rest = tuple([s[j] for j in keep_at])
-                if 0 not in rest or (seen_terminal and 1 not in rest):
+                if 0 not in rest or (t <= hi and 1 not in rest):  # t <= hi: the terminal was seen
                     continue
-                rest = _canonical(rest)
+                for j, own in leaving:
+                    if s[j] == own and own in rest:
+                        new = frontier[rest.index(own)] + 2
+                        rest = tuple([new if x == own else x for x in rest])
                 states[rest] = states.get(rest, 0.0) + m
         else:
             states = nxt
