@@ -221,12 +221,10 @@ def _cmd_oracle(args, model: Model, env) -> int:
         fields.update(tolerance=tolerance, within_tolerance=within)
         sys.stdout.write(to_json(fields))
     else:
-        rows = [f"mode        {args.mode}"]
-        rows.append(f"exact       {exact!r}")
-        rows.append(f"oracle      {estimate!r}")
-        rows.append(f"difference  {difference!r}")
-        for key, value in extra.items():
-            rows.append(f"{key.ljust(11)} {value!r}")
+        shown = {"mode": args.mode, "exact": exact, "oracle": estimate, "difference": difference}
+        shown.update(extra)
+        width = max(map(len, shown)) + 1  # the longest key sets the column
+        rows = [f"{key.ljust(width)} {value}" for key, value in shown.items()]
         rows.append(f"within tolerance: {'yes' if within else 'no'}")
         sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK if within else EXIT_MISMATCH
