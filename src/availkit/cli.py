@@ -223,7 +223,7 @@ def _cmd_oracle(args, model: Model, env) -> int:
     else:
         shown = {"mode": args.mode, "exact": exact, "oracle": estimate, "difference": difference}
         shown.update(extra)
-        width = max(map(len, shown)) + 1  # the longest key sets the column
+        width = max(map(len, shown)) + 1
         rows = [f"{key.ljust(width)} {value}" for key, value in shown.items()]
         rows.append(f"within tolerance: {'yes' if within else 'no'}")
         sys.stdout.write("\n".join(rows) + "\n")
