@@ -302,9 +302,8 @@ class TestEvalNetwork:
 
 
 class TestPinnedSweep:
-    """The engine's bits and live-state counts, recorded before its labels
-    changed; an engine that sums in another order or keeps more states
-    fails here."""
+    """The engine's bits and peak live states: an engine that sums in
+    another order or keeps more states fails here."""
 
     SPECIAL = (0.0, -0.0, 1.0, 1.0 - 2.0**-53)
     MULTIGRAPH_DIGEST = "df1eeab4658a4c6d6705fceb5556336b12fbc53d9d28991704e92f2cf69a536e"
