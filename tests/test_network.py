@@ -302,12 +302,14 @@ class TestEvalNetwork:
 
 
 class TestPinnedSweep:
-    """The engine's bits and peak live states: an engine that sums in
-    another order or keeps more states fails here."""
+    """The engine's bits, its reduction's edges and names, and its peak
+    live states: an engine that sums in another order, merges in another
+    order or keeps more states fails here."""
 
     SPECIAL = (0.0, -0.0, 1.0, 1.0 - 2.0**-53)
     MULTIGRAPH_DIGEST = "df1eeab4658a4c6d6705fceb5556336b12fbc53d9d28991704e92f2cf69a536e"
     GRID_DIGEST = "32a85d00100e60646d0287908e8ece5f1c648fe4ed5128e65d02ce74bbe1b298"
+    REDUCED_DIGEST = "b5cfacdaae3fc594501cb84ed6e1056535d8164c13ee40ba52d558267ba7b0f2"
 
     def draw(self, rng):
         r = rng.random()
@@ -317,12 +319,11 @@ class TestPinnedSweep:
             return 1.0 - rng.random() * 1e-6
         return rng.random()
 
-    def test_pinned_digest_of_seeded_multigraphs(self):
+    def multigraphs(self):
         # 4,000 multigraphs on two to eight nodes: self-loops, parallel
         # edges (some reversed), and terminals that are unreachable or
         # touch no edge at all
         rng = random.Random(2101)
-        lines = []
         for _ in range(4000):
             nodes = [f"n{i}" for i in range(rng.randint(2, 8))]
             pairs = []
@@ -341,9 +342,21 @@ class TestPinnedSweep:
                 source=nodes[0],
                 terminal=terminal,
             )
-            env = {f"x{i}": self.draw(rng) for i in range(len(pairs))}
-            lines.append(float(eval_network(net, env)).hex())
+            yield net, {f"x{i}": self.draw(rng) for i in range(len(pairs))}
+
+    def test_pinned_digest_of_seeded_multigraphs(self):
+        lines = [float(eval_network(net, env)).hex() for net, env in self.multigraphs()]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.MULTIGRAPH_DIGEST
+
+    def test_pinned_digest_of_reduced_multigraphs(self):
+        # the merge order and the par(...)/ser(...) names, not just the final figure
+        lines = []
+        for net, env in self.multigraphs():
+            red = reduce_network(net, env)
+            edges = " ".join(f"{e.id}:{e.a}-{e.b}" for e in red.network.edges)
+            synthetic = " ".join(a.hex() for a in red.synthetic.values())
+            lines.append(f"{edges} | {synthetic}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.REDUCED_DIGEST
 
     def test_pinned_digest_of_grids(self):
         # every grid from 3x3 to 6x6, each under two environments
@@ -365,3 +378,47 @@ class TestPinnedSweep:
         eval_network(net, env, max_states=budget)
         with pytest.raises(StateBudgetError):
             eval_network(net, env, max_states=budget - 1)
+
+    # s, a, b, c and t take breadth-first ranks 0 to 4, and e0, e1, e3 and
+    # e5 are the first edges of a, b, c and t, so each brings a new vertex
+    # into the frontier. When e5 brings the terminal in, a's block can be
+    # apart from the source's, with a alone or with c.
+    ENTRY_PAIRS = (
+        ("s", "a"), ("s", "b"), ("a", "b"), ("a", "c"),
+        ("b", "c"), ("a", "t"), ("b", "t"), ("c", "t"),
+    )
+    ENTRY_ENV = (0.9, 0.8, 0.7, 0.6, 0.75, 0.85, 0.65, 0.95)
+
+    @pytest.mark.parametrize(
+        "edge,value,want",
+        [
+            (None, None, "0x1.ef5e141ced769p-1"),
+            (0, 0.0, "0x1.8be004b7f5a53p-1"),
+            (0, -0.0, "0x1.8be004b7f5a53p-1"),
+            (0, 1.0, "0x1.fa6c15d2d01c0p-1"),
+            (1, 0.0, "0x1.c1bb3636f3b22p-1"),
+            (1, -0.0, "0x1.c1bb3636f3b22p-1"),
+            (1, 1.0, "0x1.fac6cb966be7bp-1"),
+            (3, 0.0, "0x1.e967d9988d2a3p-1"),
+            (3, -0.0, "0x1.e967d9988d2a3p-1"),
+            (3, 1.0, "0x1.f35790752da98p-1"),
+            (5, 0.0, "0x1.d19a06a6e32e3p-1"),
+            (5, -0.0, "0x1.d19a06a6e32e3p-1"),
+            (5, 1.0, "0x1.f49ecb31c219fp-1"),
+        ],
+        ids=["terminal-joins-other-block"]
+        + [f"e{e}={v}" for e in (0, 1, 3, 5) for v in ("0.0", "-0.0", "1.0")],
+    )
+    def test_pinned_vertex_entering_the_frontier(self, edge, value, want):
+        net = Network(
+            edges=tuple(Edge(f"e{i}", a, b, f"x{i}") for i, (a, b) in enumerate(self.ENTRY_PAIRS)),
+            source="s",
+            terminal="t",
+        )
+        env = {f"x{i}": p for i, p in enumerate(self.ENTRY_ENV)}
+        if edge is not None:
+            env[f"x{edge}"] = value
+        assert reduce_network(net, env).synthetic == {}
+        got = float(eval_network(net, env))
+        assert abs(got - float(enumerate_availability(net, env))) < 1e-12
+        assert got.hex() == want
