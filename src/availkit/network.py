@@ -12,7 +12,9 @@ Trans. Reliability 56(3), 2007) then evaluates the irreducible core that
 remains. It takes the core's edges in breadth-first order from the
 source and carries, for each partition of the frontier vertices into
 connected blocks, each labelled by its least frontier vertex, the
-probability mass of reaching it. Mass is banked when a working edge
+probability mass of reaching it. A vertex enters the frontier on its
+first edge: as a block of its own if the edge is down, in the block of
+the edge's other end if it is up. Mass is banked when a working edge
 joins the source's block to the terminal's, and a state is dropped once
 it can no longer connect them. The sweep's cost grows with the number of
 live states, which ``max_states`` bounds.
@@ -21,6 +23,7 @@ live states, which ``max_states`` bounds.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from ._frozen import Frozen, setfield
@@ -170,6 +173,9 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
     the smaller breadth-first rank of their endpoints, so the lower one is
     known and the frontier stays in rank order: a merge keeps the smaller
     label, and a block whose least vertex leaves takes its next member's.
+    A vertex enters in its first edge's own pass over the states. Its rank
+    is the highest yet, so joining the lower end's block keeps that block's
+    label; only the terminal, entering, turns the lower end's block into 1.
     """
     if len(edges) == 1:  # reduction leaves a lone edge only between source and terminal
         ((_, _, p),) = edges.values()
@@ -190,32 +196,47 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
     states = {(0,): 1.0}
     banked = 0.0
     for i, (hi, lo, _, p) in enumerate(core):
-        if hi not in frontier:
-            frontier.append(hi)
-            label = 1 if hi == t else hi + 2
-            states = {s + (label,): m for s, m in states.items()}
-        iu, iv = frontier.index(lo), frontier.index(hi)
+        iu = frontier.index(lo)
         q = 1.0 - p
         nxt: dict[tuple[int, ...], float] = {}
-        for s, m in states.items():
-            a, b = s[iu], s[iv]
-            if a == b:
-                nxt[s] = nxt.get(s, 0.0) + m
-                continue
-            nxt[s] = nxt.get(s, 0.0) + m * q
-            if a + b == 1:  # an up edge joins the source's block to the terminal's
-                banked += m * p
-                continue
-            keep, drop = (a, b) if a < b else (b, a)
-            merged = tuple([keep if x == drop else x for x in s])
-            nxt[merged] = nxt.get(merged, 0.0) + m * p
+        if hi not in frontier:  # hi enters on its first edge, so every key made here is new
+            frontier.append(hi)
+            b = 1 if hi == t else hi + 2
+            down = (b,)
+            for s, m in states.items():
+                a = s[iu]
+                nxt[s + down] = m * q  # m and q are never -0.0, so this is 0.0 + m * q
+                if b > 1:  # hi joins a's block and has the largest label, so it keeps a's
+                    nxt[s + (a,)] = 0.0 + m * p
+                elif a == 0:
+                    banked += m * p
+                else:  # the terminal enters: a's block becomes the terminal's
+                    nxt[tuple([1 if x == a else x for x in s]) + down] = 0.0 + m * p
+        else:
+            iv = frontier.index(hi)
+            for s, m in states.items():
+                a, b = s[iu], s[iv]
+                if a == b:
+                    nxt[s] = nxt.get(s, 0.0) + m
+                    continue
+                nxt[s] = nxt.get(s, 0.0) + m * q
+                if a + b == 1:  # an up edge joins the source's block to the terminal's
+                    banked += m * p
+                    continue
+                keep, drop = (a, b) if a < b else (b, a)
+                merged = tuple([keep if x == drop else x for x in s])
+                nxt[merged] = nxt.get(merged, 0.0) + m * p
         keep_at = [j for j, w in enumerate(frontier) if last[w] != i]
         if len(keep_at) < len(frontier):
             leaving = [(j, w + 2) for j, w in enumerate(frontier) if last[w] == i]
             frontier = [frontier[j] for j in keep_at]
+            if len(keep_at) > 1:
+                pick = itemgetter(*keep_at)
+            else:  # itemgetter of one index returns the bare item, not a tuple
+                pick = lambda s: tuple([s[j] for j in keep_at])  # noqa: E731
             states = {}
             for s, m in nxt.items():
-                rest = tuple([s[j] for j in keep_at])
+                rest = pick(s)
                 if 0 not in rest or (t <= hi and 1 not in rest):  # t <= hi: the terminal was seen
                     continue
                 for j, own in leaving:
