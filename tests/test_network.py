@@ -216,6 +216,26 @@ class TestEvalNetwork:
         with pytest.raises(StateBudgetError, match="Monte Carlo"):
             eval_network(bridge_network(), UNIFORM, max_states=1)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize(
+        "edges,terminal",
+        [
+            ([("s", "m"), ("m", "t")], "t"),
+            ([("s", "a"), ("s", "b"), ("a", "b"), ("a", "t"), ("b", "t")], "t"),
+            ([("s", "m"), ("m", "x")], "t"),
+        ],
+        ids=["chain", "bridge", "empty-core"],
+    )
+    def test_state_budget_below_one_rejected(self, edges, terminal, budget):
+        # rejected before reduction, so the core's shape does not decide
+        net = Network(
+            edges=tuple(Edge(f"e{i}", a, b, "c") for i, (a, b) in enumerate(edges)),
+            source="s",
+            terminal=terminal,
+        )
+        with pytest.raises(ValueError, match=f"^max_states must be >= 1, got {budget}$"):
+            eval_network(net, {"c": 0.9}, max_states=budget)
+
     def test_state_budget_one_fine_for_series_parallel(self):
         # a reducible graph leaves a single source-terminal edge: one state
         net = Network(
