@@ -296,10 +296,10 @@ def eval_network(
     ``max_states`` bounds the live states of the frontier sweep over the
     irreducible core; exceeding it raises StateBudgetError, which suggests
     the Monte Carlo oracle for meshes too wide to sweep. A network that
-    reduction alone solves needs one state. A budget below 1 is a
-    ValueError, whatever the network.
+    reduction alone solves needs one state. A budget below 1, or NaN, is
+    a ValueError, whatever the network.
     """
-    if max_states < 1:
+    if not max_states >= 1:  # written so that NaN fails too
         raise ValueError(f"max_states must be >= 1, got {max_states}")
     if net.source == net.terminal:
         raise EvaluationError("source and terminal must differ")

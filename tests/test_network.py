@@ -216,7 +216,7 @@ class TestEvalNetwork:
         with pytest.raises(StateBudgetError, match="Monte Carlo"):
             eval_network(bridge_network(), UNIFORM, max_states=1)
 
-    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("budget", [0, -1, float("nan")])
     @pytest.mark.parametrize(
         "edges,terminal",
         [
