@@ -15,6 +15,7 @@ from availkit import (
     monte_carlo_availability,
     reduce_network,
 )
+from availkit.network import _edge_table, _reduce
 from conftest import random_network
 
 
@@ -377,6 +378,66 @@ class TestPinnedSweep:
             synthetic = " ".join(a.hex() for a in red.synthetic.values())
             lines.append(f"{edges} | {synthetic}")
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.REDUCED_DIGEST
+
+    def series_parallel(self):
+        # 300 nets of 50 to 200 edges built by series and parallel
+        # composition: chains fuse in cascades, and a parallel merge queues
+        # again a node that was already visited. Ids are shuffled numbers,
+        # so their sorted order is not the edges' order
+        rng = random.Random(2301)
+        for _ in range(300):
+            n_edges = rng.randint(50, 200)
+            pairs = []
+            inner = iter(range(10 * n_edges))
+
+            def build(a, b, budget, series):
+                if budget == 1:
+                    pairs.append((a, b) if rng.random() < 0.5 else (b, a))
+                    return
+                cuts = sorted(rng.sample(range(1, budget), min(budget, rng.randint(2, 4)) - 1))
+                parts = [hi - lo for lo, hi in zip([0] + cuts, cuts + [budget])]
+                if series:
+                    nodes = [a] + [f"m{next(inner)}" for _ in parts[1:]] + [b]
+                    for part, u, v in zip(parts, nodes, nodes[1:]):
+                        build(u, v, part, False)
+                else:
+                    for part in parts:
+                        build(a, b, part, True)
+
+            build("s", "t", n_edges, rng.random() < 0.5)
+            names = rng.sample(range(len(pairs)), len(pairs))
+            edges = [Edge(f"e{k}", a, b, f"x{k}") for k, (a, b) in zip(names, pairs)]
+            rng.shuffle(edges)
+            yield Network(edges, "s", "t"), {e.component_id: self.draw(rng) for e in edges}
+
+    def holed_grids(self):
+        # 400 grids from 3x3 to 7x7, corner to corner, with about one edge
+        # in six taken out: dangling ends, chains and irreducible cores
+        rng = random.Random(2302)
+        for _ in range(400):
+            net = grid_network(rng.randint(3, 7), rng.randint(3, 7))
+            edges = [e for e in net.edges if rng.random() >= 1 / 6]
+            yield Network(edges, net.source, net.terminal), {
+                e.component_id: self.draw(rng) for e in edges
+            }
+
+    @pytest.mark.parametrize(
+        "corpus,digest",
+        [
+            ("series_parallel", "d5cd2c71dec7fbf84e9fb68a651617b813154ea3cd4d8d1700fc51f6a9003721"),
+            ("holed_grids", "bf0a5f98c9c152f8e1b0c805a9bbe5f3d1211a3a080289343482a520c3340781"),
+            ("multigraphs", "ab53b80d1b861ee7fbe95d35d0a48393c8e906aa05126319c5ee8faa779569a7"),
+        ],
+    )
+    def test_pinned_digest_of_reduce_tables(self, corpus, digest):
+        # _reduce's table in insertion order, which the sweep's _bfs_order
+        # reads; reduce_network sorts its result by id, so REDUCED_DIGEST
+        # cannot see that order
+        lines = []
+        for net, env in getattr(self, corpus)():
+            table = _reduce(_edge_table(net, env), net.source, net.terminal)
+            lines.append(" ".join(f"{eid}:{u}-{v}:{a.hex()}" for eid, (u, v, a) in table.items()))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
     def test_pinned_digest_of_grids(self):
         # every grid from 3x3 to 6x6, each under two environments
