@@ -98,12 +98,16 @@ def _reduce(edges: _EdgeTable, source: str, terminal: str) -> _EdgeTable:
     """Apply the reduction rules to a fixpoint.
 
     Self-loops go first. A worklist then holds the nodes whose incident
-    edges changed, seeded in sorted node order. Visiting a node merges
-    its parallel edges in edge id order; then, unless the node is the
-    source or the terminal, it prunes the node's edge if the node dangles
-    or fuses its two edges if it has degree 2. Every node at the far end
-    of a change is queued again. The visiting order is fixed, so the
-    result and any synthetic edge names are deterministic.
+    edges changed, seeded in sorted node order. A node with two edges to
+    different far ends has no parallel pair, so its visit fuses them
+    directly, the smaller id first in the name. Any other visit sorts the
+    node's edges by id and merges its parallel ones in that order; a node
+    whose edges merged is visited again at once, so its edges are sorted
+    again only after a merge, and a node left with one edge has it pruned.
+    The source and the terminal are never fused or pruned. Every node at
+    the far end of a change is queued again. The visiting order is fixed,
+    so the result, its insertion order and any synthetic edge names are
+    deterministic.
     """
     edges = {eid: e for eid, e in edges.items() if e[0] != e[1]}
     incident: dict[str, set[str]] = {}
@@ -112,55 +116,67 @@ def _reduce(edges: _EdgeTable, source: str, terminal: str) -> _EdgeTable:
         incident.setdefault(v, set()).add(eid)
     queue = deque(sorted(incident))
     queued = set(queue)
-
-    def unlink(eid: str) -> tuple[str, str, float]:
-        u, v, a = edges.pop(eid)
-        incident[u].discard(eid)
-        incident[v].discard(eid)
-        return u, v, a
-
-    def link(eid: str, u: str, v: str, a: float) -> None:
-        edges[eid] = (u, v, a)
-        incident[u].add(eid)
-        incident[v].add(eid)
-
-    def touch(node: str) -> None:
-        if node not in queued:
-            queued.add(node)
-            queue.append(node)
-
+    ends = (source, terminal)
     while queue:
         node = queue.popleft()
         queued.discard(node)
+        ids = incident[node]
+        if len(ids) == 2:
+            first, second = ids
+            if second < first:
+                first, second = second, first
+            u1, v1, a1 = edges[first]
+            u2, v2, a2 = edges[second]
+            far1 = u1 if v1 == node else v1
+            far2 = u2 if v2 == node else v2
+            if far1 != far2:
+                if node not in ends:
+                    del edges[first], edges[second]
+                    ids.clear()
+                    new_id = f"ser({first},{second})"
+                    edges[new_id] = (far1, far2, a1 * a2)
+                    for far, eid in ((far1, first), (far2, second)):
+                        at_far = incident[far]
+                        at_far.discard(eid)
+                        at_far.add(new_id)
+                        if far not in queued:
+                            queued.add(far)
+                            queue.append(far)
+                continue
+        order = sorted(ids)
         by_far: dict[str, str] = {}
-        for eid in sorted(incident[node]):
+        for eid in order:
             u, v, a = edges[eid]
             far = v if u == node else u
             first = by_far.get(far)
             if first is None:
                 by_far[far] = eid
                 continue
-            fu, fv, fa = unlink(first)
-            unlink(eid)
+            fu, fv, fa = edges.pop(first)
+            del edges[eid]
             new_id = f"par({first},{eid})"
-            link(new_id, fu, fv, 1.0 - (1.0 - fa) * (1.0 - a))
+            edges[new_id] = (fu, fv, 1.0 - (1.0 - fa) * (1.0 - a))
             by_far[far] = new_id
-            touch(far)
-        if node in (source, terminal):
+            for at in (ids, incident[far]):
+                at.discard(first)
+                at.discard(eid)
+                at.add(new_id)
+            if far not in queued:
+                queued.add(far)
+                queue.append(far)
+        if node in ends:
             continue
-        ids = sorted(incident[node])
-        if len(ids) == 1:
-            u, v, _ = unlink(ids[0])
-            touch(v if u == node else u)
-        elif len(ids) == 2:
-            first, second = ids
-            u1, v1, a1 = unlink(first)
-            u2, v2, a2 = unlink(second)
-            far1 = u1 if v1 == node else v1
-            far2 = u2 if v2 == node else v2
-            link(f"ser({first},{second})", far1, far2, a1 * a2)
-            touch(far1)
-            touch(far2)
+        if len(ids) < len(order):  # merged: visit again before anything else
+            queue.appendleft(node)
+        elif len(ids) == 1:
+            (eid,) = ids
+            u, v, _ = edges.pop(eid)
+            ids.clear()
+            far = v if u == node else u
+            incident[far].discard(eid)
+            if far not in queued:
+                queued.add(far)
+                queue.append(far)
     return edges
 
 
