@@ -271,12 +271,16 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
 
 
 def _edge_table(net: Network, env: Mapping[str, float]) -> _EdgeTable:
+    if net.source == net.terminal:
+        raise EvaluationError("source and terminal must differ")
     table: _EdgeTable = {}
     for e in net.edges:
         if e.id in table:
             raise EvaluationError(f"duplicate edge id {e.id!r}")
         if e.id.startswith(("par(", "ser(")):
             raise EvaluationError(f"edge id {e.id!r} is reserved: par(...) and ser(...) are merges")
+        if "," in e.id:  # so a merge's name par(a,b) or ser(a,b) reads back one way only
+            raise EvaluationError(f"edge id {e.id!r} holds a comma, which merge names use")
         table[e.id] = (e.a, e.b, _availability(env, e.component_id, e.id))
     return table
 
@@ -289,7 +293,9 @@ def reduce_network(net: Network, env: Mapping[str, float]) -> ReducedNetwork:
     returned alongside the graph; surviving original edges keep their
     component ids. An irreducible core (such as a bridge mesh) comes back
     unchanged. An edge id that starts ``par(`` or ``ser(`` is reserved for
-    merged edges: here and in eval_network it is an EvaluationError.
+    merged edges, and one that holds a comma would make two merges' names
+    alike: here and in eval_network either is an EvaluationError, as is a
+    source that is also the terminal.
     """
     table = sorted(_reduce(_edge_table(net, env), net.source, net.terminal).items())
     original = {e.id: e for e in net.edges}
@@ -317,7 +323,5 @@ def eval_network(
     """
     if not max_states >= 1:  # written so that NaN fails too
         raise ValueError(f"max_states must be >= 1, got {max_states}")
-    if net.source == net.terminal:
-        raise EvaluationError("source and terminal must differ")
     core = _reduce(_edge_table(net, env), net.source, net.terminal)
     return Probability(_sweep(core, net.source, net.terminal, max_states))

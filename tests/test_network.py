@@ -163,8 +163,9 @@ class TestEvalNetwork:
 
     def test_source_equals_terminal_rejected(self):
         net = Network(edges=(Edge("e0", "s", "s", "a"),), source="s", terminal="s")
-        with pytest.raises(EvaluationError):
-            eval_network(net, {"a": 0.9})
+        for entry in (eval_network, reduce_network):
+            with pytest.raises(EvaluationError, match="^source and terminal must differ$"):
+                entry(net, {"a": 0.9})
 
     def test_duplicate_edge_ids_rejected(self):
         net = Network(
@@ -207,6 +208,18 @@ class TestEvalNetwork:
             assert repr(taken) in str(exc)
         else:
             assert taken not in red.synthetic
+
+    def test_edge_id_with_a_comma_rejected(self):
+        # par(a,b) merged with c and a merged with par(b,c) would both be par(a,b,c)
+        net = Network(
+            [Edge("a,b", "s", "m", "x"), Edge("c", "s", "m", "x"),
+             Edge("a", "m", "t", "x"), Edge("b,c", "m", "t", "x")],
+            "s",
+            "t",
+        )
+        for entry in (eval_network, reduce_network):
+            with pytest.raises(EvaluationError, match="'a,b' holds a comma"):
+                entry(net, {"x": 0.9})
 
     def test_missing_component_rejected(self):
         net = Network(edges=(Edge("e0", "s", "t", "ghost"),), source="s", terminal="t")
