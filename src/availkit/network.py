@@ -169,9 +169,8 @@ def _reduce(edges: _EdgeTable, source: str, terminal: str) -> _EdgeTable:
         if len(ids) < len(order):  # merged: visit again before anything else
             queue.appendleft(node)
         elif len(ids) == 1:
-            (eid,) = ids
+            eid = ids.pop()
             u, v, _ = edges.pop(eid)
-            ids.clear()
             far = v if u == node else u
             incident[far].discard(eid)
             if far not in queued:
