@@ -4,8 +4,9 @@ A network is an undirected multigraph whose edges carry components; the
 system is up whenever at least one path of working edges joins the source
 to the terminal. Nodes are perfect junctions — only edges fail.
 
-Evaluation runs in two stages. A worklist reduction first applies the
-series/parallel rules to a fixpoint: it drops self-loops and dangling
+Evaluation runs in two stages, after one pass that checks each edge,
+reads its availability and leaves self-loops out. A worklist reduction
+first applies the series/parallel rules to a fixpoint: it drops dangling
 edges, merges parallel edges and fuses chains through internal degree-2
 nodes. An edge-ordered frontier sweep (Hardy, Lucet & Limnios, IEEE
 Trans. Reliability 56(3), 2007) then evaluates the irreducible core that
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from ._frozen import Frozen, setfield
 from .evaluate import EvaluationError, _availability
@@ -34,6 +35,8 @@ __all__ = ["Edge", "Network", "ReducedNetwork", "StateBudgetError", "reduce_netw
 
 # (node a, node b, availability) per edge id — the working representation.
 _EdgeTable = dict[str, tuple[str, str, float]]
+# The ids of the edges at each node, for the edges in the table.
+_Incidence = dict[str, set[str]]
 
 DEFAULT_MAX_STATES = 1 << 17
 
@@ -94,33 +97,44 @@ def _bfs_order(pairs: Iterable[tuple[str, str]], source: str) -> dict[str, int]:
     return order
 
 
-def _reduce(edges: _EdgeTable, source: str, terminal: str) -> _EdgeTable:
-    """Apply the reduction rules to a fixpoint.
+def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str) -> _EdgeTable:
+    """Apply the reduction rules to a fixpoint, in place.
 
-    Self-loops go first. A worklist then holds the nodes whose incident
-    edges changed, seeded in sorted node order. A node with two edges to
-    different far ends has no parallel pair, so its visit fuses them
-    directly, the smaller id first in the name. Any other visit sorts the
-    node's edges by id and merges its parallel ones in that order; a node
-    whose edges merged is visited again at once, so its edges are sorted
-    again only after a merge, and a node left with one edge has it pruned.
-    The source and the terminal are never fused or pruned. Every node at
-    the far end of a change is queued again. The visiting order is fixed,
-    so the result, its insertion order and any synthetic edge names are
+    It takes the loop-free table and the incidence sets that _edge_table
+    builds and changes both. A worklist holds the nodes whose incident
+    edges changed, seeded in sorted node order. A node with fewer than two
+    edges sorts nothing: its one edge is pruned, and a node with none is
+    passed over. A node with two edges to different far ends has no
+    parallel pair, so its visit fuses them directly, the smaller id first
+    in the name. Any other visit sorts the node's edges by id and merges
+    its parallel ones in that order; a node whose edges merged is visited
+    again at once, so its edges are sorted again only after a merge. The
+    source and the terminal are never fused or pruned. Every node at the
+    far end of a change is queued again. The visiting order is fixed, so
+    the result, its insertion order and any synthetic edge names are
     deterministic.
     """
-    edges = {eid: e for eid, e in edges.items() if e[0] != e[1]}
-    incident: dict[str, set[str]] = {}
-    for eid, (u, v, _) in edges.items():
-        incident.setdefault(u, set()).add(eid)
-        incident.setdefault(v, set()).add(eid)
-    queue = deque(sorted(incident))
-    queued = set(queue)
+    try:
+        queue = deque(sorted(incident))
+    except TypeError:
+        a, b = next((a, b) for a in incident for b in incident if not _orders(a, b))
+        raise EvaluationError(f"network nodes {a!r} and {b!r} cannot be ordered") from None
+    idle: set[str] = set()  # the nodes off the worklist; every node starts on it
     ends = (source, terminal)
     while queue:
         node = queue.popleft()
-        queued.discard(node)
+        idle.add(node)
         ids = incident[node]
+        if len(ids) < 2:
+            if ids and node not in ends:
+                eid = ids.pop()
+                u, v, _ = edges.pop(eid)
+                far = v if u == node else u
+                incident[far].discard(eid)
+                if far in idle:
+                    idle.discard(far)
+                    queue.append(far)
+            continue
         if len(ids) == 2:
             first, second = ids
             if second < first:
@@ -139,8 +153,8 @@ def _reduce(edges: _EdgeTable, source: str, terminal: str) -> _EdgeTable:
                         at_far = incident[far]
                         at_far.discard(eid)
                         at_far.add(new_id)
-                        if far not in queued:
-                            queued.add(far)
+                        if far in idle:
+                            idle.discard(far)
                             queue.append(far)
                 continue
         order = sorted(ids)
@@ -161,22 +175,21 @@ def _reduce(edges: _EdgeTable, source: str, terminal: str) -> _EdgeTable:
                 at.discard(first)
                 at.discard(eid)
                 at.add(new_id)
-            if far not in queued:
-                queued.add(far)
+            if far in idle:
+                idle.discard(far)
                 queue.append(far)
-        if node in ends:
-            continue
-        if len(ids) < len(order):  # merged: visit again before anything else
+        if len(ids) < len(order) and node not in ends:  # merged: visit again before anything else
             queue.appendleft(node)
-        elif len(ids) == 1:
-            eid = ids.pop()
-            u, v, _ = edges.pop(eid)
-            far = v if u == node else u
-            incident[far].discard(eid)
-            if far not in queued:
-                queued.add(far)
-                queue.append(far)
     return edges
+
+
+def _orders(a: Any, b: Any) -> bool:
+    """Whether ``a < b`` has an answer, as sorting the nodes needs."""
+    try:
+        a < b  # noqa: B015
+    except TypeError:
+        return False
+    return True
 
 
 def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> float:
@@ -191,6 +204,8 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
     A vertex enters in its first edge's own pass over the states. Its rank
     is the highest yet, so joining the lower end's block keeps that block's
     label; only the terminal, entering, turns the lower end's block into 1.
+    A vertex leaves after its last edge, and only the steps where one does
+    rebuild the frontier and drop or relabel states.
     """
     if len(edges) == 1:  # reduction leaves a lone edge only between source and terminal
         ((_, _, p),) = edges.values()
@@ -206,6 +221,7 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
     last: dict[int, int] = {}
     for i, (hi, lo, _, _) in enumerate(core):
         last[hi] = last[lo] = i
+    leaves_after = set(last.values())  # the steps after which a vertex leaves the frontier
     t = rank[terminal]
     frontier = [0]
     states = {(0,): 1.0}
@@ -241,8 +257,8 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
                 keep, drop = (a, b) if a < b else (b, a)
                 merged = tuple([keep if x == drop else x for x in s])
                 nxt[merged] = nxt.get(merged, 0.0) + m * p
-        keep_at = [j for j, w in enumerate(frontier) if last[w] != i]
-        if len(keep_at) < len(frontier):
+        if i in leaves_after:
+            keep_at = [j for j, w in enumerate(frontier) if last[w] != i]
             leaving = [(j, w + 2) for j, w in enumerate(frontier) if last[w] == i]
             frontier = [frontier[j] for j in keep_at]
             if len(keep_at) > 1:
@@ -269,19 +285,46 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
     return banked
 
 
-def _edge_table(net: Network, env: Mapping[str, float]) -> _EdgeTable:
+def _edge_table(net: Network, env: Mapping[str, float]) -> tuple[_EdgeTable, _Incidence]:
+    """The one pass from a network to what _reduce takes: the edge table
+    in the network's order and each node's set of incident edge ids.
+
+    Every edge's id is checked and its availability read, a self-loop's
+    too, but a self-loop enters neither the table nor the incidence sets:
+    it never joins its ends to anything else.
+    """
     if net.source == net.terminal:
         raise EvaluationError("source and terminal must differ")
     table: _EdgeTable = {}
+    incident: _Incidence = {}
+    loops: set[str] = set()  # self-loop ids, still taken for the duplicate check
     for e in net.edges:
-        if e.id in table:
-            raise EvaluationError(f"duplicate edge id {e.id!r}")
-        if e.id.startswith(("par(", "ser(")):
-            raise EvaluationError(f"edge id {e.id!r} is reserved: par(...) and ser(...) are merges")
-        if "," in e.id:  # so a merge's name par(a,b) or ser(a,b) reads back one way only
-            raise EvaluationError(f"edge id {e.id!r} holds a comma, which merge names use")
-        table[e.id] = (e.a, e.b, _availability(env, e.component_id, e.id))
-    return table
+        eid = e.id
+        if not isinstance(eid, str):
+            raise EvaluationError(f"edge id {eid!r} is not a string")
+        if eid in table or eid in loops:
+            raise EvaluationError(f"duplicate edge id {eid!r}")
+        if "(" in eid and eid.startswith(("par(", "ser(")):  # most ids hold no "(", a cheaper test
+            raise EvaluationError(f"edge id {eid!r} is reserved: par(...) and ser(...) are merges")
+        if "," in eid:  # so a merge's name par(a,b) or ser(a,b) reads back one way only
+            raise EvaluationError(f"edge id {eid!r} holds a comma, which merge names use")
+        a = _availability(env, e.component_id, eid)
+        u, v = e.a, e.b
+        if u == v:
+            loops.add(eid)
+            continue
+        table[eid] = (u, v, a)
+        at = incident.get(u)  # not setdefault, which would make a set on every call
+        if at is None:
+            incident[u] = {eid}
+        else:
+            at.add(eid)
+        at = incident.get(v)
+        if at is None:
+            incident[v] = {eid}
+        else:
+            at.add(eid)
+    return table, incident
 
 
 def reduce_network(net: Network, env: Mapping[str, float]) -> ReducedNetwork:
@@ -293,10 +336,11 @@ def reduce_network(net: Network, env: Mapping[str, float]) -> ReducedNetwork:
     component ids. An irreducible core (such as a bridge mesh) comes back
     unchanged. An edge id that starts ``par(`` or ``ser(`` is reserved for
     merged edges, and one that holds a comma would make two merges' names
-    alike: here and in eval_network either is an EvaluationError, as is a
-    source that is also the terminal.
+    alike: here and in eval_network either is an EvaluationError, as is an
+    id that is not a string, nodes that cannot be sorted together (a tuple
+    among strings) and a source that is also the terminal.
     """
-    table = sorted(_reduce(_edge_table(net, env), net.source, net.terminal).items())
+    table = sorted(_reduce(*_edge_table(net, env), net.source, net.terminal).items())
     original = {e.id: e for e in net.edges}
     edges = tuple(
         original[eid] if eid in original else Edge(eid, u, v, eid) for eid, (u, v, _) in table
@@ -322,5 +366,5 @@ def eval_network(
     """
     if not max_states >= 1:  # written so that NaN fails too
         raise ValueError(f"max_states must be >= 1, got {max_states}")
-    core = _reduce(_edge_table(net, env), net.source, net.terminal)
+    core = _reduce(*_edge_table(net, env), net.source, net.terminal)
     return Probability(_sweep(core, net.source, net.terminal, max_states))

@@ -167,14 +167,17 @@ class TestEvalNetwork:
             with pytest.raises(EvaluationError, match="^source and terminal must differ$"):
                 entry(net, {"a": 0.9})
 
-    def test_duplicate_edge_ids_rejected(self):
+    @pytest.mark.parametrize("first", [("s", "t"), ("s", "s")], ids=["edge", "self-loop"])
+    def test_duplicate_edge_ids_rejected(self, first):
+        # a self-loop enters no table, but its id is still taken
         net = Network(
-            edges=(Edge("e0", "s", "t", "a"), Edge("e0", "s", "t", "a")),
+            edges=(Edge("e0", *first, "a"), Edge("e0", "s", "t", "a")),
             source="s",
             terminal="t",
         )
-        with pytest.raises(EvaluationError, match="duplicate"):
-            eval_network(net, {"a": 0.9})
+        for entry in (eval_network, reduce_network):
+            with pytest.raises(EvaluationError, match="^duplicate edge id 'e0'$"):
+                entry(net, {"a": 0.9})
 
     @pytest.mark.parametrize(
         "edges, taken",
@@ -221,10 +224,68 @@ class TestEvalNetwork:
             with pytest.raises(EvaluationError, match="'a,b' holds a comma"):
                 entry(net, {"x": 0.9})
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([("e0", "s", "m"), (5, "m", "t")], "edge id 5 is not a string"),
+            ([("e0", "s", "m"), (["e1"], "m", "t")], "edge id ['e1'] is not a string"),
+            ([("e0", "s", ("m", 1)), ("e1", ("m", 1), "t")],
+             "network nodes 's' and ('m', 1) cannot be ordered"),
+        ],
+        ids=["int-id", "list-id", "tuple-node"],
+    )
+    def test_id_or_nodes_of_another_kind_rejected(self, edges, message):
+        net = Network([Edge(*e, "x") for e in edges], "s", "t")
+        for entry in (eval_network, reduce_network):
+            with pytest.raises(EvaluationError) as info:
+                entry(net, {"x": 0.9})
+            assert str(info.value) == message
+
+    def test_int_nodes_sort_and_evaluate(self):
+        net = Network(
+            [Edge("e0", 0, 1, "a"), Edge("e1", 1, 2, "b"), Edge("e2", 0, 2, "c"),
+             Edge("e3", 2, 2, "a")],
+            0,
+            2,
+        )
+        env = {"a": 0.9, "b": 0.8, "c": 0.7}
+        red = reduce_network(net, env)
+        assert [(e.id, e.a, e.b) for e in red.network.edges] == [("par(e2,ser(e0,e1))", 0, 2)]
+        assert float(eval_network(net, env)) == red.synthetic["par(e2,ser(e0,e1))"]
+
     def test_missing_component_rejected(self):
         net = Network(edges=(Edge("e0", "s", "t", "ghost"),), source="s", terminal="t")
-        with pytest.raises(EvaluationError, match="ghost"):
-            eval_network(net, {})
+        for entry in (eval_network, reduce_network):
+            with pytest.raises(EvaluationError) as info:
+                entry(net, {})
+            assert str(info.value) == "no availability for component 'ghost' (edge 'e0')"
+
+    # s-m-t in series with a 1.0 partner: the merge a * 1.0 is the value the
+    # rule gave, sign included, and the sweep banks 0.0 + that
+    @pytest.mark.parametrize(
+        "value, ruled",
+        [(1, 1.0), (0, 0.0), (True, 1.0), (-0.0, -0.0), (1 + 1e-13, 1.0), (-1e-13, 0.0)],
+        ids=["int-1", "int-0", "True", "-0.0", "clamped-high", "clamped-low"],
+    )
+    def test_probability_rule_on_edge_availabilities(self, value, ruled):
+        net = Network([Edge("e0", "s", "m", "x"), Edge("e1", "m", "t", "one")], "s", "t")
+        env = {"x": value, "one": 1.0}
+        assert reduce_network(net, env).synthetic["ser(e0,e1)"].hex() == ruled.hex()
+        assert float(eval_network(net, env)).hex() == (0.0 + ruled).hex()
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(1.5, "^probability 1.5 outside \\[0, 1\\]$"),
+         (float("nan"), "^probability must not be NaN$")],
+        ids=["1.5", "nan"],
+    )
+    def test_probability_rule_rejects_edge_availabilities(self, value, message):
+        # a self-loop's availability is read too, though it never enters the table
+        for a, b in (("s", "t"), ("s", "s")):
+            net = Network([Edge("e0", "s", "t", "ok"), Edge("e1", a, b, "x")], "s", "t")
+            for entry in (eval_network, reduce_network):
+                with pytest.raises(ValueError, match=message):
+                    entry(net, {"ok": 0.9, "x": value})
 
     def test_state_budget_one_fails_on_bridge(self):
         with pytest.raises(StateBudgetError, match="Monte Carlo"):
@@ -446,7 +507,7 @@ class TestPinnedSweep:
         # cannot see that order
         lines = []
         for net, env in getattr(self, corpus)():
-            table = _reduce(_edge_table(net, env), net.source, net.terminal)
+            table = _reduce(*_edge_table(net, env), net.source, net.terminal)
             lines.append(" ".join(f"{eid}:{u}-{v}:{a.hex()}" for eid, (u, v, a) in table.items()))
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.REDUCE_TABLE_DIGESTS[corpus]
