@@ -24,6 +24,23 @@ __all__ = ["Leaf", "Series", "Parallel", "KofN", "Bridge", "Block", "EvaluationE
 MAX_NESTING = 200
 NESTING_ERROR = f"blocks nest more than {MAX_NESTING} levels deep"
 
+# Messages of rules that ``availkit.model.validate`` reports and an evaluator or
+# ``fold`` raises too, each written once; a value goes in by ``str.format``.
+NOT_A_BLOCK = "not a block: {!r}"
+INTEGER_K = "expected an integer k"
+SAME_ENDS = "source and terminal must differ"
+DUPLICATE_EDGE = "duplicate edge id {!r}"
+EDGE_ID_TYPE = "edge id {!r} is not a string"
+
+
+def kofn_problem(k: object, n: int) -> str | None:
+    """What is wrong with the ``k`` of a k-of-n block of ``n`` sub-blocks, or None."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        return INTEGER_K
+    if k < 1:
+        return f"k must be >= 1, got {k}"
+    return f"k={k} exceeds the {n} sub-blocks" if k > n else None
+
 
 class EvaluationError(ValueError):
     """A structure could not be evaluated: it nests too deep or misfits its environment."""
@@ -107,7 +124,7 @@ def fold(
     if not isinstance(block, (Series, Parallel, KofN, Bridge)):
         if isinstance(block, Leaf):  # a subclass of Leaf is a leaf, as validate reads it
             return leaf(block)
-        raise TypeError(f"not a block: {block!r}")
+        raise TypeError(NOT_A_BLOCK.format(block))
     if _depth == MAX_NESTING:
         raise EvaluationError(NESTING_ERROR)
     _depth += 1  # leaf children are folded in place, saving a call each

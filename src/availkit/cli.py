@@ -3,7 +3,7 @@
 Subcommands::
 
     availkit eval   MODEL   evaluate and print the availability report
-    availkit check  MODEL   parse, and validate a file that parses
+    availkit check  MODEL   parse and validate, every diagnostic at its line
     availkit oracle MODEL   cross-check evaluation against a brute-force
                             oracle (exhaustive enumeration or Monte Carlo)
     availkit whatif MODEL --set id.field=value [...]
@@ -32,7 +32,7 @@ from .components import (
     spec_from_fields,
 )
 from .evaluate import EvaluationError, eval_block
-from .model import Diagnostic, Model, validate
+from .model import Model
 from .modelfile import ParseDiagnostic, parse_model
 from .network import DEFAULT_MAX_STATES, Network, eval_network
 from .oracle import (
@@ -124,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("eval", help="evaluate a model")
     _add_common(evaluate, "--minutes-per-year", "--max-states")
-    _add_common(sub.add_parser("check", help="parse a model, and validate it if it parses"))
+    _add_common(sub.add_parser("check", help="parse and validate a model"))
 
     oracle = sub.add_parser("oracle", help="cross-check the evaluation")
     _add_common(oracle, "--enum-cap", "--max-states")
@@ -145,37 +145,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_diagnostics(
-    path: str, parse_diags: Sequence[ParseDiagnostic], model_diags: Sequence[Diagnostic]
-) -> None:
-    for d in parse_diags:
-        print(
-            f"{path}:{d.span.line}:{d.span.column}: {d.severity}: {d.message}",
-            file=sys.stderr,
-        )
-    for d in model_diags:
-        print(f"{path}: {d.severity}: {d.message} (at {d.path})", file=sys.stderr)
-
-
-def _diag_rows(
-    parse_diags: Sequence[ParseDiagnostic], model_diags: Sequence[Diagnostic]
-) -> list[tuple[str, str, str]]:
-    rows = [
-        (d.severity, f"line {d.span.line}, col {d.span.column}", d.message)
-        for d in parse_diags
-    ]
-    rows.extend((d.severity, d.path, d.message) for d in model_diags)
-    return rows
-
-
 def _evaluate(model: Model, env, max_states: int) -> float:
     if isinstance(model.system, Network):
         return eval_network(model.system, env, max_states=max_states)
     return eval_block(model.system, env)
 
 
-def _cmd_check(args, parse_diags, model_diags) -> int:
-    rows = _diag_rows(parse_diags, model_diags)
+def _cmd_check(args, diags: Sequence[ParseDiagnostic]) -> int:
+    rows = [(d.severity, f"line {d.span.line}, col {d.span.column}", d.message) for d in diags]
     errors = sum(1 for severity, _, _ in rows if severity == "error")
     warnings = len(rows) - errors
     if args.format == "json":
@@ -311,13 +288,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {args.model!r} is not UTF-8: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    model, parse_diags = parse_model(text)
-    model_diags = validate(model) if model is not None else []
-    _print_diagnostics(args.model, parse_diags, model_diags)
+    model, diags = parse_model(text)
+    for d in diags:
+        sys.stderr.write(f"{args.model}:{d.span.line}:{d.span.column}: {d.severity}: {d.message}\n")
 
     if args.command == "check":
-        return _cmd_check(args, parse_diags, model_diags)
-    if model is None or any(d.severity == "error" for d in model_diags):
+        return _cmd_check(args, diags)
+    if model is None:
         return EXIT_VALIDATION
 
     try:

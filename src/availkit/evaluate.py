@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .blocks import Block, Bridge, EvaluationError, KofN, Parallel, Series, fold
+from .blocks import Block, Bridge, EvaluationError, KofN, Parallel, Series, fold, kofn_problem
 from .probability import Probability
 
 __all__ = [
@@ -55,13 +55,8 @@ def eval_kofn(k: int, avails: Sequence[float]) -> float:
     degenerate cases coincide bit-for-bit with eval_parallel and
     eval_series.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise EvaluationError("expected an integer k")
-    n = len(avails)
-    if n == 0:
-        raise EvaluationError("kofn requires at least one availability")
-    if not 1 <= k <= n:
-        raise EvaluationError(f"k must satisfy 1 <= k <= {n}, got {k}")
+    if problem := kofn_problem(k, len(avails)):
+        raise EvaluationError(problem)
     if k == 1:
         return eval_parallel(avails)
     dist = [1.0]
@@ -116,7 +111,7 @@ def _availability(env: Environment, component_id: str, edge_id: str | None = Non
     """``env[component_id]`` under the probability rule; a missing one names the edge if given."""
     try:
         value = env[component_id]
-    except KeyError:
+    except (KeyError, TypeError):  # an unhashable id is in no mapping
         edge = "" if edge_id is None else f" (edge {edge_id!r})"
         raise EvaluationError(f"no availability for component {component_id!r}{edge}") from None
     return Probability(value)

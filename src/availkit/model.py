@@ -1,22 +1,24 @@
 """The model container — components plus the system structure — and its
-validation.
+validation, which holds every structural rule.
 
 Validation never raises: it returns a list of diagnostics, each carrying
 a severity, a dotted path into the structure, and a message. Errors make
-a model unevaluable, or one that no model file can state (a series,
+a model unevaluable, or break a rule of the model file (a series,
 parallel or k-of-n block of one child); warnings flag suspect but legal
 constructions (an unused component, a network that cannot connect even
-with every edge up).
+with every edge up). ``availkit.modelfile.parse_model`` runs the same
+walk over what it read and reports each finding at its token.
 A block tree nested deeper than ``blocks.MAX_NESTING`` levels is an
 error at its first block too deep, below which nothing else is checked.
 """
 
 from __future__ import annotations
 
-from typing import Literal, Union
+from typing import Container, Literal, Union
 
 from ._frozen import Frozen, setfield
-from .blocks import MAX_NESTING, NESTING_ERROR, Block, Bridge, KofN, Leaf, Parallel, Series, _kind
+from .blocks import (DUPLICATE_EDGE, EDGE_ID_TYPE, MAX_NESTING, NESTING_ERROR, NOT_A_BLOCK,
+                     SAME_ENDS, Block, Bridge, KofN, Leaf, Parallel, Series, _kind, kofn_problem)
 from .components import Component
 from .network import Network, _bfs_order
 
@@ -47,105 +49,107 @@ class Model(Frozen):
         return hash((self.system,))
 
 
-def _validate_block(
-    block: Block,
-    path: str,
-    known: set[str],
-    used: set[str],
-    out: list[Diagnostic],
-    depth: int = 0,
-) -> None:
-    if isinstance(block, Leaf):
-        used.add(block.component_id)
-        if block.component_id not in known:
-            out.append(
-                Diagnostic("error", path, f"unknown component {block.component_id!r}")
-            )
+# A finding is (severity, message, trail, field): ``trail`` holds the child
+# or edge indices down to the block or edge at fault, made a path only for a
+# finding, and ``field`` names the part of it at fault, or is None.
+_COMPOSITES = (Series, Parallel, KofN, Bridge)
+NEVER_USED = "component {!r} is never used"
+
+
+def _unknown(cid: object, known: Container[str], used: set[str]) -> str | None:
+    """The error for a component id not in ``known``; a known one is marked used."""
+    try:
+        if cid in known:
+            used.add(cid)
+            return None
+    except TypeError:  # an unhashable id names no component
+        pass
+    return f"unknown component {cid!r}"
+
+
+def _check_block(block: Block, trail: tuple, known: Container[str], used: set[str],
+                 out: list) -> None:
+    """Check ``block``, at ``trail``, and every block below it."""
+    if not isinstance(block, _COMPOSITES):
+        if not isinstance(block, Leaf):
+            out.append(("error", NOT_A_BLOCK.format(block), trail, None))
+        elif message := _unknown(block.component_id, known, used):
+            out.append(("error", message, trail, None))
         return
     # a composite below MAX_NESTING others is reported, not checked, so the
     # recursion stays within MAX_NESTING + 1 frames however deep the tree
     # goes; a loop still marks the components used beneath it
-    if isinstance(block, (Series, Parallel, KofN, Bridge)) and depth == MAX_NESTING:
-        out.append(Diagnostic("error", path, NESTING_ERROR))
+    if len(trail) == MAX_NESTING:
+        out.append(("error", NESTING_ERROR, trail, None))
         below = [block]
         while below:
             node = below.pop()
-            if isinstance(node, Leaf):
-                used.add(node.component_id)
-            elif isinstance(node, (Series, Parallel, KofN, Bridge)):
+            if isinstance(node, _COMPOSITES):
                 below.extend(node.children)
+            elif isinstance(node, Leaf):
+                _unknown(node.component_id, known, used)
         return
-    if isinstance(block, (Series, Parallel, KofN)):
-        kind = _kind(block)
-        n = len(block.children)
-        if not n:
-            out.append(Diagnostic("error", path, f"{kind} has no children"))
-        elif n == 1:
-            out.append(Diagnostic("error", path, f"{kind} requires at least two sub-blocks"))
-        if isinstance(block, KofN):
-            if not isinstance(block.k, int) or isinstance(block.k, bool):
-                out.append(Diagnostic("error", path, "expected an integer k"))
-            elif block.k < 1:
-                out.append(Diagnostic("error", path, f"k must be >= 1, got {block.k}"))
-            elif block.k > n:
-                out.append(
-                    Diagnostic("error", path, f"k={block.k} exceeds the {n} children")
-                )
-        for i, child in enumerate(block.children):
-            _validate_block(child, f"{path}.children[{i}]", known, used, out, depth + 1)
-        return
-    if isinstance(block, Bridge):
-        for i, child in enumerate(block.children, start=1):
-            _validate_block(child, f"{path}.b{i}", known, used, out, depth + 1)
-        return
-    out.append(Diagnostic("error", path, f"not a block: {block!r}"))
+    if not isinstance(block, Bridge):
+        if len(block.children) < 2:
+            message = f"{_kind(block)} requires at least two sub-blocks"
+            out.append(("error", message, trail, None))
+        if isinstance(block, KofN) and (problem := kofn_problem(block.k, len(block.children))):
+            out.append(("error", problem, trail, "k"))
+    for i, child in enumerate(block.children):
+        if type(child) is Leaf and type(child.component_id) is str and child.component_id in known:
+            used.add(child.component_id)  # the common case, without a call
+        else:
+            _check_block(child, trail + (i,), known, used, out)
 
 
-def _validate_network(
-    net: Network, path: str, known: set[str], used: set[str], out: list[Diagnostic]
-) -> None:
-    if net.source == net.terminal:
-        out.append(Diagnostic("error", path, "source and terminal must differ"))
-    if not net.edges:
-        out.append(Diagnostic("error", path, "network has no edges"))
-    seen_ids: set[str] = set()
-    for i, edge in enumerate(net.edges):
-        epath = f"{path}.edges[{i}]"
-        if edge.id in seen_ids:
-            out.append(Diagnostic("error", epath, f"duplicate edge id {edge.id!r}"))
-        seen_ids.add(edge.id)
+def _check(system: Union[Block, Network], known: Container[str]) -> tuple[list, set]:
+    """The walk behind validate and parse_model: the findings and the known ids used."""
+    out, used = [], set()
+    if not isinstance(system, Network):
+        _check_block(system, (), known, used, out)
+        return out, used
+    if system.source == system.terminal:
+        out.append(("error", SAME_ENDS, (), None))
+    if not system.edges:
+        out.append(("error", "network requires at least one edge", (), None))
+    ids: set[str] = set()
+    for i, edge in enumerate(system.edges):
+        if not isinstance(edge.id, str):
+            out.append(("error", EDGE_ID_TYPE.format(edge.id), (i,), None))
+        elif edge.id in ids:
+            out.append(("error", DUPLICATE_EDGE.format(edge.id), (i,), None))
+        else:
+            ids.add(edge.id)
         if edge.a == edge.b:
-            out.append(
-                Diagnostic(
-                    "warning", epath, f"self-loop at {edge.a!r} cannot affect connectivity"
-                )
-            )
-        used.add(edge.component_id)
-        if edge.component_id not in known:
-            out.append(
-                Diagnostic("error", epath, f"unknown component {edge.component_id!r}")
-            )
-    if net.edges and net.terminal not in _bfs_order(((e.a, e.b) for e in net.edges), net.source):
-        out.append(
-            Diagnostic(
-                "warning",
-                path,
-                "terminal is unreachable from source even with all edges up",
-            )
-        )
+            message = f"self-loop at {edge.a!r} cannot affect connectivity"
+            out.append(("warning", message, (i,), None))
+        if message := _unknown(edge.component_id, known, used):
+            out.append(("error", message, (i,), "component_id"))
+    try:
+        pairs = ((e.a, e.b) for e in system.edges)
+        if system.edges and system.terminal not in _bfs_order(pairs, system.source):
+            message = "terminal is unreachable from source even with all edges up"
+            out.append(("warning", message, (), None))
+    except TypeError:  # a node that cannot be hashed, which eval_network reports
+        pass
+    return out, used
+
+
+def _path(system: Union[Block, Network], trail: tuple) -> str:
+    """The dotted path down ``trail``: system.children[2].b1, system.edges[0]."""
+    if isinstance(system, Network):
+        return "system" + "".join(f".edges[{i}]" for i in trail)
+    parts = ["system"]
+    for i in trail:
+        parts.append(f".b{i + 1}" if isinstance(system, Bridge) else f".children[{i}]")
+        system = system.children[i]
+    return "".join(parts)
 
 
 def validate(model: Model) -> list[Diagnostic]:
     """Structural checks over a model; deterministic for a given input."""
-    out: list[Diagnostic] = []
-    known = set(model.components)
-    used: set[str] = set()
-    if isinstance(model.system, Network):
-        _validate_network(model.system, "system", known, used, out)
-    else:
-        _validate_block(model.system, "system", known, used, out)
-    for cid in sorted(known - used):
-        out.append(
-            Diagnostic("warning", f"components.{cid}", f"component {cid!r} is never used")
-        )
+    findings, used = _check(model.system, model.components)
+    out = [Diagnostic(sev, _path(model.system, trail), msg) for sev, msg, trail, _ in findings]
+    for cid in sorted(model.components.keys() - used):
+        out.append(Diagnostic("warning", f"components.{cid}", NEVER_USED.format(cid)))
     return out

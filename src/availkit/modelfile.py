@@ -27,7 +27,10 @@ or nodes. ``#`` starts a line comment. A file declares either
 ``system = ...`` or one ``network { ... }``, not both.
 
 Parsing is total: it returns a model (or None) plus positioned
-diagnostics, and never raises on any input text. Spans count bytes of
+diagnostics, and never raises on any input text. The parser reads the
+syntax. The structural rules are ``model.validate``'s: its walk runs over
+the system or network read, and each finding is placed at a token; after
+a syntax error, only its errors are reported. Spans count bytes of
 the UTF-8 encoding, where a lone surrogate counts the 3 bytes of its
 ``surrogatepass`` encoding; line and column are 1-based, and columns
 count code points.
@@ -57,10 +60,11 @@ from operator import attrgetter
 from typing import Literal, NoReturn
 
 from ._frozen import Frozen, setfield
-from .blocks import MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series, _kind, fold
+from .blocks import (INTEGER_K, MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series,
+                     _kind, fold)
 from .components import _READERS, FORM_FIELDS, Component, DirectAvailability, spec_from_fields
 from .maintainability import check_field
-from .model import Model
+from .model import NEVER_USED, Model, _check
 from .network import Edge, Network
 
 __all__ = ["SourceSpan", "ParseDiagnostic", "parse_model", "format_model"]
@@ -112,6 +116,8 @@ _COMBINATION_HINT = (
 _INT_RE = re.compile(r"-?\d+$")
 
 _PUNCT = frozenset("{}()=,;")
+# A finding's token after its block's or edge's first: 'kofn ( k', 'edge ( a , b , c'.
+_FIELD_TOKEN = {None: 0, "k": 2, "component_id": 6}
 _TOP_WORDS = frozenset({"component", "system", "network"})
 _COMPOSITES = frozenset({"series", "parallel", "kofn", "bridge"})
 
@@ -194,9 +200,9 @@ class _Spans:
     offsets in ASCII text; otherwise a cursor encodes the text between the
     last offset asked for and this one. Reports come in a few forward
     sweeps (bad characters, the parser, which steps back at most to the
-    start of a declaration, unknown refs), so the cursor travels a few text
-    lengths however many there are. Lines come from a bisect over the
-    newline offsets, indexed on first use.
+    start of a declaration, the structural walk), so the cursor travels a
+    few text lengths however many there are. Lines come from a bisect over
+    the newline offsets, indexed on first use.
     """
 
     def __init__(self, text: str) -> None:
@@ -238,8 +244,9 @@ class _Recover(Exception):
 class _Parser:
     """Recursive descent over token texts; ``i`` is the next token's index.
 
-    Diagnostics and references name tokens by index. The hot loops,
-    ``_component`` and ``_block_items``, read ``toks`` directly.
+    Diagnostics name tokens by index; ``starts`` maps the trail (child or
+    edge indices) of each block or edge read to its first token. The hot
+    loops, ``_component`` and ``_block_items``, read ``toks`` directly.
 
     Recovery has two rules. A construct that cannot go on reports its
     error and raises ``_Recover`` (``_fail``), which only ``parse``
@@ -270,10 +277,9 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.components: dict[str, Component] = {}
-        self.declared: set[str] = set()
-        self.refs: list[int] = []
-        self.system: object | None = None
-        self.network: Network | None = None
+        self.declared: dict[str, int] = {}  # each component id, even one whose body failed
+        self.starts: dict[tuple, int] = {}
+        self.read: tuple[object, dict[tuple, int]] | None = None  # the first whole structure
         # the declarations as *seen*, even when their bodies fail to
         # parse — a broken system line is not a missing one
         self.system_tok: int | None = None
@@ -281,8 +287,8 @@ class _Parser:
 
     # -- token plumbing ------------------------------------------------
 
-    def _error(self, message: str, i: int) -> None:
-        self.diagnostics.append(ParseDiagnostic("error", message, self.spans(i)))
+    def _error(self, message: str, i: int, severity: Literal["error", "warning"] = "error") -> None:
+        self.diagnostics.append(ParseDiagnostic(severity, message, self.spans(i)))
 
     def _fail(self, message: str, i: int) -> NoReturn:
         """Report ``message`` at token ``i`` and unwind to ``parse``."""
@@ -353,9 +359,6 @@ class _Parser:
                     self._fail("expected 'component', 'system' or 'network'", self.i)
             except _Recover:
                 self._sync_top()
-        for i in self.refs:
-            if toks[i] not in self.declared:
-                self._error(f"unknown component {toks[i]!r}", i)
         if self.system_tok is None and self.network_tok is None:
             self._error("missing system declaration", self.i)
         elif self.system_tok is not None and self.network_tok is not None:
@@ -363,10 +366,19 @@ class _Parser:
                 "a file declares either 'system = ...' or a network, not both",
                 self.system_tok,
             )
+        if self.read is not None:
+            # after a syntax error only errors: an unused component is likely a broken line's
+            syntax_ok = not self.diagnostics
+            findings, used = _check(self.read[0], self.declared)
+            for severity, message, trail, field in findings:
+                if syntax_ok or severity == "error":
+                    self._error(message, self.read[1][trail] + _FIELD_TOKEN[field], severity)
+            for cid, i in self.declared.items() if syntax_ok else ():
+                if cid not in used:
+                    self._error(NEVER_USED.format(cid), i, "warning")
         if any(d.severity == "error" for d in self.diagnostics):
             return None, self.diagnostics
-        system = self.network if self.network is not None else self.system
-        return Model(components=self.components, system=system), self.diagnostics
+        return Model(components=self.components, system=self.read[0]), self.diagnostics
 
     def _component(self) -> None:
         toks = self.toks
@@ -424,7 +436,7 @@ class _Parser:
         if name in self.declared:
             self._error(f"duplicate component id {name!r}", name_i)
             return
-        self.declared.add(name)
+        self.declared[name] = name_i
         if len(self.diagnostics) > reported:
             return
         spec = spec_from_fields(fields)
@@ -444,55 +456,48 @@ class _Parser:
         else:
             self.system_tok = i
         self._expect("=")
-        block = self._block(0)
-        if self.system is None:
-            self.system = block
+        self.starts = {}
+        block = self._block(())
+        self.read = self.read or (block, self.starts)
 
-    def _block(self, depth: int):
-        """The block at the next token, inside ``depth`` composites."""
+    def _block(self, trail: tuple):
+        """The block at the next token, at ``trail`` (a child index per composite above)."""
         toks = self.toks
         i = self.i
         tok = toks[i]
         if not _is_id(tok):
             self._fail("expected a block", i)
         self.i = i + 1
+        self.starts[trail] = i
         if tok not in _COMPOSITES:
             if tok in _KEYWORDS:
                 self._fail(f"{tok!r} is a reserved word and cannot name a component", i)
-            self.refs.append(i)
             return Leaf(tok)
-        if depth == MAX_NESTING:
+        if len(trail) == MAX_NESTING:
             self._fail(NESTING_ERROR, i)
         self._expect("(")
         if tok == "kofn":
             k_i = self.i
             if not _INT_RE.match(toks[k_i]):
-                self._fail("expected an integer k", k_i)
+                self._fail(INTEGER_K, k_i)
             self.i = k_i + 1
             self._expect(";")
-        children = self._block_items(depth + 1)
-        n = len(children)
+        children = self._block_items(trail)
         if tok == "bridge":
+            n = len(children)
             if n != 5:
                 self._fail(f"bridge requires exactly five sub-blocks, got {n}", i)
             return Bridge(*children)
-        if n < 2:
-            self._fail(f"{tok} requires at least two sub-blocks", i)
-        if tok != "kofn":
-            return (Series if tok == "series" else Parallel)(tuple(children))
-        k = int(toks[k_i])
-        if k < 1:
-            self._fail(f"k must be >= 1, got {k}", k_i)
-        if k > n:
-            self._fail(f"k={k} exceeds the {n} sub-blocks", k_i)
-        return KofN(k, tuple(children))
+        if tok == "kofn":
+            return KofN(int(toks[k_i]), children)
+        return (Series if tok == "series" else Parallel)(children)
 
-    def _block_items(self, depth: int) -> list:
+    def _block_items(self, trail: tuple) -> list:
         """The blocks up to and with the closing ')'."""
         toks = self.toks
         children = []
         while True:
-            children.append(self._block(depth))
+            children.append(self._block(trail + (len(children),)))
             if toks[self.i] != ",":
                 break
             self.i += 1
@@ -516,9 +521,10 @@ class _Parser:
             self._expect(text)
         terminal = toks[self._expect_name("a node id")]
         edges: list[Edge] = []
+        starts = {(): head}
         while toks[self.i] == ",":
             self.i += 1
-            self._expect("edge")
+            starts[(len(edges),)] = self._expect("edge")
             self._expect("(")
             a = self._expect_name("a node id")
             self._expect(",")
@@ -526,13 +532,9 @@ class _Parser:
             self._expect(",")
             comp = self._expect_name("a component id")
             self._expect(")")
-            self.refs.append(comp)
             edges.append(Edge(f"e{len(edges)}", toks[a], toks[b], toks[comp]))
         self._expect("}")
-        if not edges:
-            self._error("network requires at least one edge", head)
-        elif self.network is None:
-            self.network = Network(edges=tuple(edges), source=source, terminal=terminal)
+        self.read = self.read or (Network(edges=edges, source=source, terminal=terminal), starts)
 
 
 def parse_model(text: str) -> tuple[Model | None, list[ParseDiagnostic]]:

@@ -28,6 +28,7 @@ from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
 from ._frozen import Frozen, setfield
+from .blocks import DUPLICATE_EDGE, EDGE_ID_TYPE, SAME_ENDS
 from .evaluate import EvaluationError, _availability
 from .probability import Probability
 
@@ -294,16 +295,16 @@ def _edge_table(net: Network, env: Mapping[str, float]) -> tuple[_EdgeTable, _In
     it never joins its ends to anything else.
     """
     if net.source == net.terminal:
-        raise EvaluationError("source and terminal must differ")
+        raise EvaluationError(SAME_ENDS)
     table: _EdgeTable = {}
     incident: _Incidence = {}
     loops: set[str] = set()  # self-loop ids, still taken for the duplicate check
     for e in net.edges:
         eid = e.id
         if not isinstance(eid, str):
-            raise EvaluationError(f"edge id {eid!r} is not a string")
+            raise EvaluationError(EDGE_ID_TYPE.format(eid))
         if eid in table or eid in loops:
-            raise EvaluationError(f"duplicate edge id {eid!r}")
+            raise EvaluationError(DUPLICATE_EDGE.format(eid))
         if "(" in eid and eid.startswith(("par(", "ser(")):  # most ids hold no "(", a cheaper test
             raise EvaluationError(f"edge id {eid!r} is reserved: par(...) and ser(...) are merges")
         if "," in eid:  # so a merge's name par(a,b) or ser(a,b) reads back one way only
@@ -314,16 +315,19 @@ def _edge_table(net: Network, env: Mapping[str, float]) -> tuple[_EdgeTable, _In
             loops.add(eid)
             continue
         table[eid] = (u, v, a)
-        at = incident.get(u)  # not setdefault, which would make a set on every call
-        if at is None:
-            incident[u] = {eid}
-        else:
-            at.add(eid)
-        at = incident.get(v)
-        if at is None:
-            incident[v] = {eid}
-        else:
-            at.add(eid)
+        try:
+            at = incident.get(u)  # not setdefault, which would make a set on every call
+            if at is None:
+                incident[u] = {eid}
+            else:
+                at.add(eid)
+            at = incident.get(v)
+            if at is None:
+                incident[v] = {eid}
+            else:
+                at.add(eid)
+        except TypeError:
+            raise EvaluationError(f"edge {eid!r} joins a node that cannot be hashed") from None
     return table, incident
 
 
@@ -337,8 +341,8 @@ def reduce_network(net: Network, env: Mapping[str, float]) -> ReducedNetwork:
     unchanged. An edge id that starts ``par(`` or ``ser(`` is reserved for
     merged edges, and one that holds a comma would make two merges' names
     alike: here and in eval_network either is an EvaluationError, as is an
-    id that is not a string, nodes that cannot be sorted together (a tuple
-    among strings) and a source that is also the terminal.
+    id that is not a string, nodes that cannot be hashed or sorted together
+    (a tuple among strings) and a source that is also the terminal.
     """
     table = sorted(_reduce(*_edge_table(net, env), net.source, net.terminal).items())
     original = {e.id: e for e in net.edges}

@@ -45,7 +45,7 @@ from itertools import chain, compress, repeat
 from operator import and_, mul, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .blocks import Block, Bridge, EvaluationError, Parallel, Series, fold, leaves
+from .blocks import INTEGER_K, Block, Bridge, EvaluationError, Parallel, Series, fold, leaves
 from .evaluate import _availability
 from .network import Network
 from .probability import Probability
@@ -176,7 +176,7 @@ def _block_up(full: int, block: Block, ups: list[int]) -> int:
     # carry, and a row carries out of the top bit as its k-th child is up.
     k = block.k
     if not isinstance(k, int) or isinstance(k, bool):
-        raise EvaluationError("expected an integer k")
+        raise EvaluationError(INTEGER_K)
     if k <= 0:
         return full
     bias = (1 << k.bit_length()) - k

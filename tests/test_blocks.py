@@ -245,7 +245,9 @@ class TestValidateBlocks:
 
     def test_empty_children(self):
         m = Model(comps(), Series(()))
-        assert any("no children" in d.message for d in validate(m))
+        assert validate(m) == [
+            Diagnostic("error", "system", "series requires at least two sub-blocks")
+        ]
 
     @pytest.mark.parametrize(
         "block, message",
@@ -287,6 +289,16 @@ class TestValidateBlocks:
         assert validate(chain(3000, "a")) == [too_deep]
         # used only below the cap is still used
         assert validate(chain(3000, "b")) == [too_deep]
+
+    def test_an_unhashable_component_id_is_a_finding_not_a_raise(self):
+        # validate never raises: no component can have an id that is not hashable
+        assert validate(Model({}, Leaf(["x"]))) == [
+            Diagnostic("error", "system", "unknown component ['x']")
+        ]
+        m = Model(comps("a"), Series((Leaf("a"), Parallel((Leaf(["x"]), Leaf("a"))))))
+        assert validate(m) == [
+            Diagnostic("error", "system.children[1].children[0]", "unknown component ['x']")
+        ]
 
     def test_unused_component_warning(self):
         m = Model(comps("a", "b", "z"), Series((Leaf("a"), Leaf("b"))))
@@ -354,3 +366,17 @@ class TestValidateNetworks:
         assert any(
             d.path == "system.edges[0]" and "ghost" in d.message for d in diags
         )
+
+    def test_ids_and_nodes_of_another_kind_are_findings_not_raises(self):
+        # an unhashable node leaves reachability unchecked; eval_network names it
+        net = Network(
+            edges=(Edge(["e0"], "a", ["m"], "c1"), Edge("e1", ["m"], "b", ["c1"]),
+                   Edge(5, "a", "b", "c1")),
+            source="a",
+            terminal=["b"],
+        )
+        assert validate(Model(comps("c1"), net)) == [
+            Diagnostic("error", "system.edges[0]", "edge id ['e0'] is not a string"),
+            Diagnostic("error", "system.edges[1]", "unknown component ['c1']"),
+            Diagnostic("error", "system.edges[2]", "edge id 5 is not a string"),
+        ]

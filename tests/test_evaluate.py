@@ -231,9 +231,9 @@ class TestEvalBlock:
         [
             (Series(()), "series requires at least one availability"),
             (Parallel(()), "parallel requires at least one availability"),
-            (KofN(1, ()), "kofn requires at least one availability"),
-            (KofN(0, (Leaf("a"), Leaf("a"))), "k must satisfy 1 <= k <= 2, got 0"),
-            (KofN(3, (Leaf("a"), Leaf("a"))), "k must satisfy 1 <= k <= 2, got 3"),
+            (KofN(1, ()), "k=1 exceeds the 0 sub-blocks"),
+            (KofN(0, (Leaf("a"), Leaf("a"))), "k must be >= 1, got 0"),
+            (KofN(3, (Leaf("a"), Leaf("a"))), "k=3 exceeds the 2 sub-blocks"),
         ],
         ids=["series", "parallel", "kofn", "k0", "k3"],
     )

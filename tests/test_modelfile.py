@@ -10,6 +10,8 @@ from hypothesis import example, given, strategies as st
 from availkit import (
     Bridge,
     Component,
+    Diagnostic,
+    EvaluationError,
     KofN,
     Leaf,
     Model,
@@ -18,6 +20,7 @@ from availkit import (
     Network,
     Parallel,
     Series,
+    eval_kofn,
     format_model,
     parse_model,
     validate,
@@ -133,7 +136,7 @@ _LEXER_EDGES = [
      [("unexpected character '\\xa0'", 43, 45, 2, 9),
       ("unexpected character '\\x0b'", 46, 47, 2, 11)]),
     ("component c { availability = 0.9 }\r\n\r\nsystem = ghost\r\n",
-     [("unknown component 'ghost'", 47, 52, 3, 10)]),
+     [("unknown component 'ghost'", 47, 52, 3, 10), ("component 'c' is never used", 10, 11, 1, 11)]),
     ("component c { availability = 0.9 } # no system",
      [("missing system declaration", 46, 46, 1, 47)]),
     ("component c { availability = 1. }\nsystem = c",
@@ -335,15 +338,29 @@ class TestDiagnostics:
         )
         assert any("component fields must be" in d.message for d in errors(diags))
 
-    def test_kofn_k_bounds(self):
-        _, diags = parse_model(
-            "component c { availability = 0.9 }\nsystem = kofn(0; c, c)"
-        )
-        assert any("k must be >= 1" in d.message for d in errors(diags))
-        _, diags = parse_model(
-            "component c { availability = 0.9 }\nsystem = kofn(3; c, c)"
-        )
-        assert any("k=3 exceeds" in d.message for d in errors(diags))
+    @pytest.mark.parametrize("where", ["parse_model", "validate", "eval_kofn"])
+    @pytest.mark.parametrize(
+        "k, message",
+        [(0, "k must be >= 1, got 0"), (-1, "k must be >= 1, got -1"),
+         (3, "k=3 exceeds the 2 sub-blocks")],
+        ids=["k0", "k-1", "k3"],
+    )
+    def test_kofn_k_bounds(self, where, k, message):
+        # one rule, one message: the file's error sits at k's token
+        if where == "parse_model":
+            model, diags = parse_model(
+                f"component c {{ availability = 0.9 }}\nsystem = kofn({k}; c, c)"
+            )
+            assert model is None
+            assert [(d.message, d.span.line, d.span.column) for d in diags] == [(message, 2, 15)]
+        elif where == "validate":
+            tree = KofN(k, (Leaf("c"), Leaf("c")))
+            components = {"c": Component.direct("c", 0.9)}
+            assert validate(Model(components, tree)) == [Diagnostic("error", "system", message)]
+        else:
+            with pytest.raises(EvaluationError) as err:
+                eval_kofn(k, [0.9, 0.9])
+            assert str(err.value) == message
 
     def test_bridge_arity(self):
         _, diags = parse_model(
@@ -382,6 +399,54 @@ class TestDiagnostics:
             "network { source = a, terminal = b }\n"
         )
         assert any("at least one edge" in d.message for d in errors(diags))
+
+    # c's only use is replaced by an undeclared ghost
+    _GHOST = (
+        "component a { availability = 0.9 }\n"
+        "component c { availability = 0.9 }\n"
+        "system = series(a, ghost)\n"
+    )
+
+    def test_after_a_syntax_error_a_component_left_unused_is_not_reported(self):
+        model, diags = parse_model("component b { availability 0.9 }\n" + self._GHOST)
+        assert model is None
+        assert positioned(diags) == [
+            ("expected '='", 27, 30, 1, 28),
+            ("unknown component 'ghost'", 122, 127, 4, 20),
+        ]
+
+    def test_without_a_syntax_error_every_finding_is_reported_at_its_token(self):
+        model, diags = parse_model(self._GHOST)
+        assert model is None
+        assert positioned(diags) == [
+            ("unknown component 'ghost'", 89, 94, 3, 20),
+            ("component 'c' is never used", 45, 46, 2, 11),
+        ]
+        assert [d.severity for d in diags] == ["error", "warning"]
+        # a warning alone leaves the model
+        model, diags = parse_model(self._GHOST.replace("ghost", "a"))
+        assert model is not None
+        assert positioned(diags) == [("component 'c' is never used", 45, 46, 2, 11)]
+        assert diags[0].severity == "warning"
+
+    def test_a_source_that_is_its_terminal_is_an_error_at_the_network(self):
+        model, diags = parse_model(
+            "component c { availability = 0.9 }\n"
+            "network { source = s, terminal = s, edge(s, t, c) }\n"
+        )
+        assert model is None
+        assert positioned(diags) == [("source and terminal must differ", 35, 42, 2, 1)]
+
+    def test_edge_findings_sit_at_the_component_and_at_the_edge(self):
+        _, diags = parse_model(
+            "component c { availability = 0.9 }\n"
+            "network { source = s, terminal = t,\n"
+            "  edge(s, t, ghost), edge(t, t, c) }\n"
+        )
+        assert [(d.severity, d.message, d.span.line, d.span.column) for d in diags] == [
+            ("error", "unknown component 'ghost'", 3, 14),
+            ("warning", "self-loop at 't' cannot affect connectivity", 3, 22),
+        ]
 
     def test_unexpected_character(self):
         _, diags = parse_model("component c1 { availability = 0.9 }\nsystem = c1\n@")
@@ -617,8 +682,8 @@ def parse_digest(texts):
     return digest.hexdigest()
 
 
-_PARSE_DIGEST = "82a98480fd5c64aa1fc072ff2c3326bbe7fbd34cfe7133ce23227542156dbd9b"
-_TOKEN_DIGEST = "376623a0ef36c876512e7a3b54bae2f6ff0ef3ae7d3d981065f3e25eefa86a43"
+_PARSE_DIGEST = "68f9bc37e20054402f9330e0983d3db630d54d37812e9fe6a95ea50e39f380b3"
+_TOKEN_DIGEST = "621902ae079b3544bc5f0cc4848b01ad86547ebac5820a8e18c56a2488cccee1"
 
 
 class TestParseDigest:

@@ -241,6 +241,23 @@ class TestEvalNetwork:
                 entry(net, {"x": 0.9})
             assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([Edge("e0", "s", ["m"], "x"), Edge("e1", ["m"], "t", "x")],
+             "edge 'e0' joins a node that cannot be hashed"),
+            ([Edge("e0", ["s"], "t", "x")], "edge 'e0' joins a node that cannot be hashed"),
+            ([Edge("e0", "s", "t", ["x"])], "no availability for component ['x'] (edge 'e0')"),
+        ],
+        ids=["list-node", "list-source", "list-component"],
+    )
+    def test_an_unhashable_node_or_component_id_is_an_evaluation_error(self, edges, message):
+        net = Network(edges, edges[0].a, "t")
+        for entry in (eval_network, reduce_network):
+            with pytest.raises(EvaluationError) as info:
+                entry(net, {"x": 0.9})
+            assert str(info.value) == message
+
     def test_int_nodes_sort_and_evaluate(self):
         net = Network(
             [Edge("e0", 0, 1, "a"), Edge("e1", 1, 2, "b"), Edge("e2", 0, 2, "c"),
