@@ -26,10 +26,16 @@ from availkit import (
     validate,
 )
 from availkit import modelfile
+from availkit.components import spec_fields
 from availkit.modelfile import MAX_NESTING
 from conftest import random_tree
 
 DATA = Path(__file__).parent / "data"
+
+
+def component_fields(c):
+    """A component's model-file fields and their values, in file order."""
+    return spec_fields(c.spec)
 
 
 def errors(diags):
@@ -682,26 +688,58 @@ def parse_digest(texts):
     return digest.hexdigest()
 
 
+def fields_digest(texts):
+    """The digest of parse_model over ``texts``, read through no ``repr`` but
+    the system's: each diagnostic's severity, message, byte span, line and
+    column; each component's id, field names, the bits of each field value,
+    of its availability and of its mean down time."""
+    digest = hashlib.sha256()
+    for text in texts:
+        model, diags = parse_model(text)
+        seen = [(d.severity, d.message, d.span.line, d.span.column, d.span.start, d.span.end)
+                for d in diags]
+        if model is not None:
+            for cid, c in model.components.items():
+                fields = component_fields(c)
+                mdt_h = None if c.mdt_h is None else c.mdt_h.hex()
+                seen.append((cid, c.id, list(fields), [v.hex() for v in fields.values()],
+                             c.availability.hex(), mdt_h))
+            seen.append(repr(model.system))
+        digest.update(repr(seen).encode("utf-8", "surrogatepass"))
+    return digest.hexdigest()
+
+
+def mutated_texts():
+    # 2,400 texts from the four files the digest was first taken over
+    rng = random.Random(14)
+    names = ["bridge", "broken", "kofn", "mixed"]
+    bases = [(DATA / f"{name}.avail").read_text(encoding="utf-8") for name in names]
+    return [mutate(rng, bases[i % len(bases)]) for i in range(2400)]
+
+
+def token_texts():
+    # 3,000 texts from the five files the digest was first taken over
+    rng = random.Random(15)
+    names = ["bridge", "broken", "kofn", "malformed", "mixed"]
+    bases = [(DATA / f"{name}.avail").read_text(encoding="utf-8") for name in names]
+    return [mutate_tokens(rng, bases[i % len(bases)]) for i in range(3000)]
+
+
 _PARSE_DIGEST = "68f9bc37e20054402f9330e0983d3db630d54d37812e9fe6a95ea50e39f380b3"
 _TOKEN_DIGEST = "621902ae079b3544bc5f0cc4848b01ad86547ebac5820a8e18c56a2488cccee1"
+_FIELDS_DIGEST = "f0e4ec16bf39324c642187e7f4f2502f530ae68289577e76b834df4e9c06ba81"
 
 
 class TestParseDigest:
     def test_mutated_texts(self):
-        # 2,400 texts from the four files the digest was first taken over
-        rng = random.Random(14)
-        names = ["bridge", "broken", "kofn", "mixed"]
-        bases = [(DATA / f"{name}.avail").read_text(encoding="utf-8") for name in names]
-        texts = [mutate(rng, bases[i % len(bases)]) for i in range(2400)]
-        assert parse_digest(texts) == _PARSE_DIGEST
+        assert parse_digest(mutated_texts()) == _PARSE_DIGEST
 
     def test_token_edits(self):
-        # 3,000 texts from the five files the digest was first taken over
-        rng = random.Random(15)
-        names = ["bridge", "broken", "kofn", "malformed", "mixed"]
-        bases = [(DATA / f"{name}.avail").read_text(encoding="utf-8") for name in names]
-        texts = [mutate_tokens(rng, bases[i % len(bases)]) for i in range(3000)]
-        assert parse_digest(texts) == _TOKEN_DIGEST
+        assert parse_digest(token_texts()) == _TOKEN_DIGEST
+
+    def test_fields_and_diagnostics_without_repr(self):
+        # the same 5,400 texts, digested with no repr of a component or a model
+        assert fields_digest(mutated_texts() + token_texts()) == _FIELDS_DIGEST
 
 
 class TestFormatting:
@@ -732,6 +770,31 @@ class TestFormatting:
         model, diags = parse_model(f"{declared}\nsystem = {declared.split()[1]}\n")
         assert diags == []
         assert format_model(model) == f"{line}\nsystem = {declared.split()[1]}\n"
+
+    # A probability within PROBABILITY_TOLERANCE above 1 is kept as read and
+    # clamped only where it is derived with; the availability here is 1000 / 1003.5.
+    @pytest.mark.parametrize(
+        "body, printed, availability, mdt_h",
+        [
+            ("availability = 1.0000000000001", "availability = 1.0000000000001",
+             "0x1.0000000000000p+0", None),
+            ("mtbf_h = 1000, mttres_h = 1, mldt_h = 2, madt_h = 0.5, pnrs = 1.0000000000001,"
+             " tat_h = 100",
+             "mtbf_h = 1000.0, mttres_h = 1.0, mldt_h = 2.0, madt_h = 0.5, pnrs = 1.0,"
+             " tat_h = 100.0",
+             "0x1.fe36d9189e2aap-1", "0x1.c000000000000p+1"),
+        ],
+        ids=["availability", "pnrs"],
+    )
+    def test_a_value_in_the_tolerance_band(self, body, printed, availability, mdt_h):
+        model, diags = parse_model(f"component a {{ {body} }}\nsystem = a\n")
+        assert diags == []
+        text = format_model(model)
+        assert text == f"component a {{ {printed} }}\nsystem = a\n"
+        assert parse_model(text)[0] == model
+        c = model.components["a"]
+        assert c.availability.hex() == availability
+        assert (None if c.mdt_h is None else c.mdt_h.hex()) == mdt_h
 
     def test_round_trip_block_model(self):
         text = (
