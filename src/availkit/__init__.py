@@ -1,23 +1,17 @@
 """Steady-state availability modelling for repairable systems.
 
-Components carry either a direct availability, an MTBF/MDT pair, or the
-full maintainability pipeline (MTTRes, MLDT, MADT, PNRS, TAT). Systems
-are reliability block diagram trees (series, parallel, k-of-n, bridge)
-or two-terminal networks evaluated by reduction and a frontier sweep.
+A component's fields give its availability directly, as an MTBF/MDT
+pair, or as MTBF with the maintainability pipeline (MTTRes, MLDT, MADT,
+PNRS, TAT). Systems are reliability block diagram trees (series,
+parallel, k-of-n, bridge) or two-terminal networks evaluated by
+reduction and a frontier sweep.
 Brute-force oracles (exhaustive enumeration and a reproducible Monte
 Carlo sampler) cross-check every evaluator, and a small model-file
 format plus CLI wrap the lot.
 """
 
 from .blocks import Block, Bridge, KofN, Leaf, Parallel, Series, leaves
-from .components import (
-    Component,
-    ComponentSpec,
-    DirectAvailability,
-    MtbfMaintainability,
-    MtbfMdt,
-    derive_environment,
-)
+from .components import FORMS, Component, check_field, derive_environment
 from .evaluate import (
     EvaluationError,
     eval_block,
@@ -26,11 +20,7 @@ from .evaluate import (
     eval_parallel,
     eval_series,
 )
-from .maintainability import (
-    MaintainabilityParams,
-    availability_from_times,
-    mean_down_time,
-)
+from .maintainability import availability_from_times, mean_down_time
 from .model import Diagnostic, Model, validate
 from .modelfile import ParseDiagnostic, SourceSpan, format_model, parse_model
 from .network import (
@@ -69,21 +59,17 @@ __all__ = [
     "Bridge",
     "Component",
     "ComponentLine",
-    "ComponentSpec",
     "DEFAULT_ENUMERATION_CAP",
     "DEFAULT_MAX_STATES",
     "Diagnostic",
-    "DirectAvailability",
     "Edge",
     "EnumerationCapError",
     "EvaluationError",
+    "FORMS",
     "KofN",
     "Leaf",
     "MINUTES_PER_YEAR",
-    "MaintainabilityParams",
     "Model",
-    "MtbfMaintainability",
-    "MtbfMdt",
     "Network",
     "PROBABILITY_TOLERANCE",
     "Parallel",
@@ -95,6 +81,7 @@ __all__ = [
     "StateBudgetError",
     "availability_from_times",
     "build_report",
+    "check_field",
     "derive_environment",
     "enumerate_availability",
     "eval_block",

@@ -21,16 +21,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from .components import (
-    FORM_FIELDS,
-    Component,
-    DirectAvailability,
-    MtbfMaintainability,
-    MtbfMdt,
-    derive_environment,
-    spec_fields,
-    spec_from_fields,
-)
+from .components import FIELD_NAMES, FORM_OF, FORMS, Component, derive_environment
 from .evaluate import EvaluationError, eval_block
 from .model import Model
 from .modelfile import ParseDiagnostic, parse_model
@@ -53,13 +44,6 @@ EXIT_CAP = 4
 
 ENUMERATION_TOLERANCE = 1e-9
 MC_HALF_WIDTHS = 4.0
-
-_OVERRIDE_FIELDS = frozenset().union(*FORM_FIELDS.values())
-_FORM_NAMES = {
-    DirectAvailability: "direct availability",
-    MtbfMdt: "mtbf/mdt",
-    MtbfMaintainability: "mtbf/maintainability",
-}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -212,7 +196,7 @@ def _parse_override(text: str) -> tuple[str, str, float]:
     cid, dot, field = lhs.partition(".")
     if not eq or not dot or not cid or not field:
         raise ValueError(f"override {text!r} must look like id.field=value")
-    if field not in _OVERRIDE_FIELDS:
+    if field not in FIELD_NAMES:
         raise ValueError(f"unknown field {field!r} in override {text!r}")
     try:
         value = float(value_text)
@@ -224,18 +208,14 @@ def _parse_override(text: str) -> tuple[str, str, float]:
 def _apply_override(component: Component, field: str, value: float) -> Component:
     """The component with one field changed within its form; a field that
     makes a form on its own (availability) switches the component to it."""
-    fields = spec_fields(component.spec)
+    fields = component.fields
     fields = {**fields, field: value} if field in fields else {field: value}
-    try:
-        spec = spec_from_fields(fields)
-    except ValueError as exc:  # prefixed as Component prefixes its own errors
-        raise ValueError(f"component {component.id!r}: {exc}") from None
-    if spec is None:
-        form = _FORM_NAMES[type(component.spec)]
+    if frozenset(fields) not in FORM_OF:
+        form = FORMS[tuple(component.fields)]
         raise ValueError(
             f"field {field!r} does not apply to component {component.id!r} ({form} form)"
         )
-    return Component(component.id, spec)
+    return Component(component.id, fields)
 
 
 def _cmd_whatif(args, model: Model, env) -> int:

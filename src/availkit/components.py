@@ -1,167 +1,116 @@
-"""Component definitions: how each unit's availability is specified.
+"""Components: a named unit and the availability its fields give it.
 
-A component either states its availability directly, derives it from
-MTBF and an already-known mean down time, or derives the down time first
-from the maintainability pipeline.
+The paper gives a component's availability one of three ways, and each
+is a form of model-file fields (``FORMS``): the availability stated
+outright; MTBF with a known mean down time; or MTBF with the
+maintainability pipeline, from which the mean down time is derived
+first. A ``Component`` holds its id and its form's fields in file order,
+and derives its availability and mean down time once, when it is built.
+``check_field`` is the range rule of every field.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import Iterable, Mapping, Union
+import math
+from typing import Iterable, Mapping
 
 from ._frozen import Frozen, setfield
-from .maintainability import (
-    MaintainabilityParams,
-    availability_from_times,
-    check_field,
-    mean_down_time,
-)
+from .maintainability import availability_from_times, mean_down_time
 from .probability import Probability
 
-__all__ = [
-    "DirectAvailability",
-    "MtbfMdt",
-    "MtbfMaintainability",
-    "ComponentSpec",
-    "FORM_FIELDS",
-    "spec_fields",
-    "spec_from_fields",
-    "Component",
-    "derive_environment",
-]
+__all__ = ["FORMS", "check_field", "Component", "derive_environment"]
+
+# The model-file fields of each form, in file order, and the form's name.
+FORMS = {
+    ("availability",): "direct availability",
+    ("mtbf_h", "mdt_h"): "mtbf/mdt",
+    ("mtbf_h", "mttres_h", "mldt_h", "madt_h", "pnrs", "tat_h"): "mtbf/maintainability",
+}
+FIELD_NAMES = frozenset().union(*FORMS)
+FORM_HINT = (
+    "component fields must be: availability alone; mtbf_h with mdt_h; "
+    "or mtbf_h with mttres_h, mldt_h, madt_h, pnrs, tat_h"
+)
+# The fields of each form, in file order, by the set of their names.
+FORM_OF = {frozenset(names): names for names in FORMS}
 
 
-class DirectAvailability(Frozen):
-    """Availability stated outright.
+def check_field(name: str, value: float) -> str | None:
+    """The range rule of one model field: None when ``value`` keeps it,
+    else the message that says why not.
 
-    Specs are plain data holders; range checks happen when a Component
-    is built, so every complaint names the offending component.
+    ``availability`` and ``pnrs`` are probabilities, ``mtbf_h`` is finite
+    and positive, and every other duration is finite and non-negative.
     """
-
-    __slots__ = _fields = ("availability",)
-
-    def __init__(self, availability: float) -> None:
-        setfield(self, "availability", availability)
-
-
-class MtbfMdt(Frozen):
-    """MTBF paired with a known mean down time, both in hours."""
-
-    __slots__ = _fields = ("mtbf_h", "mdt_h")
-
-    def __init__(self, mtbf_h: float, mdt_h: float) -> None:
-        setfield(self, "mtbf_h", mtbf_h)
-        setfield(self, "mdt_h", mdt_h)
-
-
-class MtbfMaintainability(Frozen):
-    """MTBF in hours plus the maintainability pipeline for the down time."""
-
-    __slots__ = _fields = ("mtbf_h", "maint")
-
-    def __init__(self, mtbf_h: float, maint: MaintainabilityParams) -> None:
-        setfield(self, "mtbf_h", mtbf_h)
-        setfield(self, "maint", maint)
-
-
-ComponentSpec = Union[DirectAvailability, MtbfMdt, MtbfMaintainability]
-
-# The model-file fields of each form, in file order.
-FORM_FIELDS = {
-    DirectAvailability: DirectAvailability._fields,
-    MtbfMdt: MtbfMdt._fields,
-    MtbfMaintainability: ("mtbf_h",) + MaintainabilityParams._fields,
-}
-_FORM_KEYS = [(frozenset(names), form) for form, names in FORM_FIELDS.items()]
-# Reads a spec's values in FORM_FIELDS order; the pipeline's sit on ``maint``.
-_READERS = {
-    form: attrgetter(*[name if name in form._fields else f"maint.{name}" for name in names])
-    for form, names in FORM_FIELDS.items()
-}
-
-
-def spec_fields(spec: ComponentSpec) -> dict[str, float]:
-    """The spec's model-file fields and their values, in file order."""
-    form = type(spec)
-    names, values = FORM_FIELDS[form], _READERS[form](spec)
-    # attrgetter of a single name returns the value itself, not a 1-tuple
-    return dict(zip(names, values)) if len(names) > 1 else {names[0]: values}
-
-
-def spec_from_fields(fields: Mapping[str, float]) -> ComponentSpec | None:
-    """The spec of the form made of exactly these fields, None if no form is.
-    A maintainability value out of range raises ValueError."""
-    keys = fields.keys()
-    for names, form in _FORM_KEYS:
-        if keys == names:
-            values = [fields[name] for name in FORM_FIELDS[form]]
-            if form is MtbfMaintainability:
-                return form(values[0], MaintainabilityParams(*values[1:]))
-            return form(*values)
+    if name in ("availability", "pnrs"):
+        try:
+            Probability(value)
+        except ValueError:
+            return f"{name} {value!r} out of [0, 1]"
+    elif name == "mtbf_h":
+        if not (math.isfinite(value) and value > 0.0):
+            return f"mtbf_h must be a finite value > 0, got {value!r}"
+    elif not (math.isfinite(value) and value >= 0.0):
+        return f"{name} must be a finite value >= 0, got {value!r}"
     return None
 
 
 class Component(Frozen):
-    """A named unit of the system with one of the three availability specs.
+    """A named unit of the system, given by the fields of one form.
 
-    Its ``availability`` and ``mdt_h`` (mean down time, None for a direct
-    availability) are derived once, at construction, so bad numbers fail
-    fast. They stay out of ``repr``, ``==`` and ``hash``, which see the
-    declaration only.
+    ``fields`` maps each field of the form to its value as a float, in
+    file order; treat it as read-only. Each value is kept as given, so a
+    probability within ``PROBABILITY_TOLERANCE`` of [0, 1] is clamped
+    only where it is derived with. The ``availability`` and ``mdt_h``
+    (mean down time, None for a direct availability) are derived once,
+    when the component is built, so a bad number fails fast, with the
+    component's id. They stay out of ``repr``, ``==`` and ``hash``, which
+    see the id and the fields only.
     """
 
-    _fields = ("id", "spec")
+    _fields = ("id", "fields")
     __slots__ = _fields + ("availability", "mdt_h")
+    fields: dict[str, float]
     availability: float
     mdt_h: float | None
 
-    def __init__(self, id: str, spec: ComponentSpec) -> None:
+    def __init__(self, id: str, fields: Mapping[str, float]) -> None:
         if not id:
             raise ValueError("component id must be non-empty")
+        names = FORM_OF.get(frozenset(fields))
+        if names is None:
+            raise ValueError(f"component {id!r}: {FORM_HINT}")
+        values = {name: float(fields[name]) for name in names}
+        for name, value in values.items():
+            problem = check_field(name, value)
+            if problem is not None:
+                raise ValueError(f"component {id!r}: {problem}")
+        self._derive(id, values)
+
+    @classmethod
+    def _checked(cls, id: str, fields: dict[str, float]) -> "Component":
+        """The component of one form's ``fields``, floats in file order that
+        each keep ``check_field``'s rule already, as the parser reads them."""
+        self = cls.__new__(cls)
+        self._derive(id, fields)
+        return self
+
+    def _derive(self, id: str, fields: dict[str, float]) -> None:
+        values = list(fields.values())
+        if len(values) == 1:
+            availability, mdt_h = Probability(values[0]), None
+        else:
+            mdt_h = values[1] if len(values) == 2 else mean_down_time(*values[1:])
+            if mdt_h == math.inf:  # every term is finite, but their sum can overflow
+                raise ValueError(f"component {id!r}: {check_field('mean down time', mdt_h)}")
+            availability = availability_from_times(values[0], mdt_h)
         setfield(self, "id", id)
-        setfield(self, "spec", spec)
-        availability, mdt_h = _derive(self)
+        setfield(self, "fields", fields)
         setfield(self, "availability", availability)
         setfield(self, "mdt_h", mdt_h)
 
-    @classmethod
-    def direct(cls, id: str, availability: float) -> "Component":
-        return cls(id, DirectAvailability(availability))
-
-    @classmethod
-    def from_mtbf_mdt(cls, id: str, mtbf_h: float, mdt_h: float) -> "Component":
-        return cls(id, MtbfMdt(mtbf_h, mdt_h))
-
-    @classmethod
-    def from_maintainability(
-        cls, id: str, mtbf_h: float, maint: MaintainabilityParams
-    ) -> "Component":
-        return cls(id, MtbfMaintainability(mtbf_h, maint))
-
-
-def _derive(component: Component) -> tuple[float, float | None]:
-    """Availability and mean down time of one component, per its spec.
-
-    Validation failures carry the component id so a bad figure in a large
-    model can be traced back to its declaration.
-    """
-    spec = component.spec
-    try:
-        if isinstance(spec, DirectAvailability):
-            return Probability(spec.availability), None
-        if isinstance(spec, MtbfMdt):
-            return availability_from_times(spec.mtbf_h, spec.mdt_h), spec.mdt_h
-        if isinstance(spec, MtbfMaintainability):
-            mdt_h = mean_down_time(spec.maint)
-            # every term is finite, but their sum can still overflow
-            problem = check_field("mean down time", mdt_h)
-            if problem is not None:
-                raise ValueError(problem)
-            return availability_from_times(spec.mtbf_h, mdt_h), mdt_h
-    except ValueError as exc:
-        raise ValueError(f"component {component.id!r}: {exc}") from None
-    raise ValueError(f"component {component.id!r}: unrecognised spec {spec!r}")
+    def __hash__(self) -> int:
+        return hash((self.id, *self.fields.values()))
 
 
 def derive_environment(

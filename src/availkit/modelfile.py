@@ -62,8 +62,7 @@ from typing import Literal, NoReturn
 from ._frozen import Frozen, setfield
 from .blocks import (INTEGER_K, MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series,
                      _kind, fold)
-from .components import _READERS, FORM_FIELDS, Component, DirectAvailability, spec_from_fields
-from .maintainability import check_field
+from .components import FIELD_NAMES, FORM_HINT, FORM_OF, FORMS, Component, check_field
 from .model import NEVER_USED, Model, _check
 from .network import Edge, Network
 
@@ -104,13 +103,6 @@ _KEYWORDS = frozenset(
         "kofn",
         "bridge",
     }
-)
-
-_FIELD_NAMES = frozenset().union(*FORM_FIELDS.values())
-
-_COMBINATION_HINT = (
-    "component fields must be: availability alone; mtbf_h with mdt_h; "
-    "or mtbf_h with mttres_h, mldt_h, madt_h, pnrs, tat_h"
 )
 
 _INT_RE = re.compile(r"-?\d+$")
@@ -256,8 +248,8 @@ class _Parser:
     Any other error that leaves the parse on track, such as a duplicate,
     only reports.
 
-    Each field value is range-checked as it is read, and building the
-    ``Component`` checks it again.
+    Each field value is range-checked once, as it is read, and the
+    ``Component`` is built from the checked values.
     """
 
     def __init__(self, text: str) -> None:
@@ -390,7 +382,7 @@ class _Parser:
         i = self.i
         while True:
             field_i, fname = i, toks[i]
-            known = fname in _FIELD_NAMES  # and so an id
+            known = fname in FIELD_NAMES  # and so an id
             if not known and not _is_id(fname):
                 self._error("expected a field name", i)
                 self.i = i
@@ -439,12 +431,14 @@ class _Parser:
         self.declared[name] = name_i
         if len(self.diagnostics) > reported:
             return
-        spec = spec_from_fields(fields)
-        if spec is None:
-            self._error(_COMBINATION_HINT, name_i)
+        names = FORM_OF.get(frozenset(fields))
+        if names is None:
+            self._error(FORM_HINT, name_i)
             return
+        if tuple(fields) != names:  # read in another order
+            fields = {name: fields[name] for name in names}
         try:
-            self.components[name] = Component(name, spec)
+            self.components[name] = Component._checked(name, fields)
         except ValueError as exc:  # a mean down time that overflows
             self._error(str(exc), name_i)
 
@@ -543,10 +537,10 @@ def parse_model(text: str) -> tuple[Model | None, list[ParseDiagnostic]]:
     return _Parser(text).parse()
 
 
-# "component ID { name = value, ... }" per form, in FORM_FIELDS order.
+# "component ID { name = value, ... }" per form, its fields in file order.
 _COMPONENT_LINES = {
-    form: "component %s { " + ", ".join([f"{name} = %r" for name in names]) + " }"
-    for form, names in FORM_FIELDS.items()
+    names: "component %s { " + ", ".join([f"{name} = %r" for name in names]) + " }"
+    for names in FORMS
 }
 
 
@@ -566,15 +560,8 @@ def format_model(model: Model) -> str:
     """
     lines = []
     for cid, comp in model.components.items():
-        spec = comp.spec
-        form = type(spec)
-        values = _READERS[form](spec)
-        # float() prints an int as a bare float;
-        # the reader of the one-field form returns its value, not a tuple
-        if form is DirectAvailability:
-            lines.append(_COMPONENT_LINES[form] % (cid, float(values)))
-        else:
-            lines.append(_COMPONENT_LINES[form] % (cid, *map(float, values)))
+        fields = comp.fields
+        lines.append(_COMPONENT_LINES[tuple(fields)] % (cid, *fields.values()))
     if isinstance(model.system, Network):
         net = model.system
         lines.append("network {")

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from availkit import (
     Edge,
-    MaintainabilityParams,
     Network,
     Probability,
     availability_from_times,
@@ -110,10 +109,7 @@ def test_4_bridge_four_way_agreement():
 
 
 def test_5_maintainability_pipeline_worked_example():
-    params = MaintainabilityParams(
-        mttres_h=2.0, mldt_h=4.0, madt_h=1.0, pnrs=0.99, tat_h=168.0
-    )
-    mdt = mean_down_time(params)
+    mdt = mean_down_time(mttres_h=2.0, mldt_h=4.0, madt_h=1.0, pnrs=0.99, tat_h=168.0)
     assert mdt == 8.68
     a = float(availability_from_times(100000.0, mdt))
     want = 100000.0 / 100008.68

@@ -26,7 +26,7 @@ from availkit.blocks import MAX_NESTING, NESTING_ERROR, fold
 
 
 def comps(*ids):
-    return {cid: Component.direct(cid, 0.9) for cid in ids}
+    return {cid: Component(cid, {"availability": 0.9}) for cid in ids}
 
 
 class TestLeaves:

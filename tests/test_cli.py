@@ -362,12 +362,14 @@ class TestWhatif:
     def test_override_out_of_range(self, capsys):
         code, _, err = run(capsys, "whatif", BRIDGE, "--set", "c1.availability=2.0")
         assert code == 1
-        assert "outside [0, 1]" in err
+        assert err == "error: component 'c1': availability 2.0 out of [0, 1]\n"
 
     @pytest.mark.parametrize(
         "override, message",
         [
-            ("db.pnrs=2", "probability 2.0 outside [0, 1]"),
+            ("db.pnrs=2", "pnrs 2.0 out of [0, 1]"),
+            ("db.pnrs=nan", "pnrs nan out of [0, 1]"),
+            ("db.mldt_h=inf", "mldt_h must be a finite value >= 0, got inf"),
             ("db.tat_h=-1", "tat_h must be a finite value >= 0, got -1.0"),
         ],
     )

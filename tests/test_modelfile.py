@@ -15,8 +15,6 @@ from availkit import (
     KofN,
     Leaf,
     Model,
-    MtbfMaintainability,
-    MtbfMdt,
     Network,
     Parallel,
     Series,
@@ -26,16 +24,11 @@ from availkit import (
     validate,
 )
 from availkit import modelfile
-from availkit.components import spec_fields
+from availkit.components import FIELD_NAMES, FORM_HINT
 from availkit.modelfile import MAX_NESTING
 from conftest import random_tree
 
 DATA = Path(__file__).parent / "data"
-
-
-def component_fields(c):
-    """A component's model-file fields and their values, in file order."""
-    return spec_fields(c.spec)
 
 
 def errors(diags):
@@ -59,8 +52,9 @@ class TestParsing:
             "system = series(a, b, c)\n"
         )
         assert diags == []
-        assert isinstance(model.components["b"].spec, MtbfMdt)
-        assert isinstance(model.components["c"].spec, MtbfMaintainability)
+        assert list(model.components["b"].fields) == ["mtbf_h", "mdt_h"]
+        assert model.components["c"].fields == {
+            "mtbf_h": 1e5, "mttres_h": 2.0, "mldt_h": 4.0, "madt_h": 1.0, "pnrs": 0.99, "tat_h": 168.0}
 
     def test_nested_blocks(self):
         model, diags = parse_model(
@@ -88,7 +82,7 @@ class TestParsing:
             "component x { mtbf_h = 1e5, mdt_h = 8.68 }\nsystem = x\n"
         )
         assert diags == []
-        assert model.components["x"].spec.mtbf_h == 1e5
+        assert model.components["x"].fields["mtbf_h"] == 1e5
 
     def test_network_declaration(self):
         model, diags = parse_model(
@@ -171,7 +165,7 @@ _LEXER_EDGES = [
 ]
 
 
-_HINT = modelfile._COMBINATION_HINT
+_HINT = FORM_HINT
 
 # Component bodies with a value out of range and something else wrong after
 # it: (text, [(message, byte start, byte end, line, column)]). A value out
@@ -361,7 +355,7 @@ class TestDiagnostics:
             assert [(d.message, d.span.line, d.span.column) for d in diags] == [(message, 2, 15)]
         elif where == "validate":
             tree = KofN(k, (Leaf("c"), Leaf("c")))
-            components = {"c": Component.direct("c", 0.9)}
+            components = {"c": Component("c", {"availability": 0.9})}
             assert validate(Model(components, tree)) == [Diagnostic("error", "system", message)]
         else:
             with pytest.raises(EvaluationError) as err:
@@ -591,7 +585,7 @@ class TestLexing:
 # truncation.
 _MUTANT_VALUES = ["2", "-1", "1.5", "-0", "0", "0.5", "7", "1e308", "1e999", ".5",
                   "-1e-12", "-2e-12", "1.000000000001", "1.000000000002", "5e-324"]
-_MUTANT_FIELDS = sorted(modelfile._FIELD_NAMES) + ["bogus"]
+_MUTANT_FIELDS = sorted(FIELD_NAMES) + ["bogus"]
 _MUTANT_BODIES = [
     "mtbf_h = 10, mttres_h = 1e308, mldt_h = 1e308, madt_h = 0, pnrs = 0.5, tat_h = 1",
     "mtbf_h = 10, mttres_h = 1, mldt_h = 2, madt_h = 3, pnrs = 0.9, tat_h = 4",
@@ -700,7 +694,7 @@ def fields_digest(texts):
                 for d in diags]
         if model is not None:
             for cid, c in model.components.items():
-                fields = component_fields(c)
+                fields = c.fields
                 mdt_h = None if c.mdt_h is None else c.mdt_h.hex()
                 seen.append((cid, c.id, list(fields), [v.hex() for v in fields.values()],
                              c.availability.hex(), mdt_h))
@@ -725,12 +719,29 @@ def token_texts():
     return [mutate_tokens(rng, bases[i % len(bases)]) for i in range(3000)]
 
 
-_PARSE_DIGEST = "68f9bc37e20054402f9330e0983d3db630d54d37812e9fe6a95ea50e39f380b3"
-_TOKEN_DIGEST = "621902ae079b3544bc5f0cc4848b01ad86547ebac5820a8e18c56a2488cccee1"
-_FIELDS_DIGEST = "f0e4ec16bf39324c642187e7f4f2502f530ae68289577e76b834df4e9c06ba81"
+_PARSE_DIGEST = "7351e1fa78ddbbab9e694917cab4105abcb3438e01dfd4f04d5f6bce7a9f9824"
+_TOKEN_DIGEST = "ec328d2d1dee5362711f3be5c64d7c39d0d223c3e4de1004597cfe8feb14cbe9"
+# Three of the texts hold a pnrs within PROBABILITY_TOLERANCE of [0, 1]
+# (-1e-12 and 1.000000000001), which a component keeps as read.
+_FIELDS_DIGEST = "d89c0418ae0751c203f382b32c1304fd3723fcf148f5635c7629776888e60c03"
 
 
 class TestParseDigest:
+    def test_a_parsed_component_is_the_one_its_fields_build(self):
+        # the parser builds from values it checked at their tokens; the
+        # constructor checks them again and must give the same bits
+        texts = mutated_texts()[:600] + token_texts()[:600]
+        built = 0
+        for text in texts:
+            model, _ = parse_model(text)
+            for c in model.components.values() if model is not None else ():
+                twin = Component(c.id, c.fields)
+                assert twin == c and list(twin.fields) == list(c.fields)
+                assert twin.availability.hex() == c.availability.hex()
+                assert twin.mdt_h == c.mdt_h
+                built += 1
+        assert built > 100
+
     def test_mutated_texts(self):
         assert parse_digest(mutated_texts()) == _PARSE_DIGEST
 
@@ -780,7 +791,7 @@ class TestFormatting:
              "0x1.0000000000000p+0", None),
             ("mtbf_h = 1000, mttres_h = 1, mldt_h = 2, madt_h = 0.5, pnrs = 1.0000000000001,"
              " tat_h = 100",
-             "mtbf_h = 1000.0, mttres_h = 1.0, mldt_h = 2.0, madt_h = 0.5, pnrs = 1.0,"
+             "mtbf_h = 1000.0, mttres_h = 1.0, mldt_h = 2.0, madt_h = 0.5, pnrs = 1.0000000000001,"
              " tat_h = 100.0",
              "0x1.fe36d9189e2aap-1", "0x1.c000000000000p+1"),
         ],
@@ -795,6 +806,10 @@ class TestFormatting:
         c = model.components["a"]
         assert c.availability.hex() == availability
         assert (None if c.mdt_h is None else c.mdt_h.hex()) == mdt_h
+
+    def test_a_component_built_in_code_prints_its_fields_in_file_order(self):
+        model = Model({"w": Component("w", {"mdt_h": 2, "mtbf_h": 5000})}, Leaf("w"))
+        assert format_model(model) == "component w { mtbf_h = 5000.0, mdt_h = 2.0 }\nsystem = w\n"
 
     def test_round_trip_block_model(self):
         text = (
@@ -835,7 +850,7 @@ class TestFormatting:
         for _ in range(40):
             tree, env = random_tree(rng, max_depth=3, max_leaves=8)
             components = {
-                cid: Component.direct(cid, round(a, 6)) for cid, a in env.items()
+                cid: Component(cid, {"availability": round(a, 6)}) for cid, a in env.items()
             }
             model = Model(components=components, system=tree)
             text = format_model(model)
@@ -864,7 +879,7 @@ class TestFormatting:
             k = int(rng.random() * (len(children) + 3)) - 1
             return KofN(rng.choice([k, k, k, k, str(k), float(k), k > 0, None]), children)
 
-        components = {f"c{i}": Component.direct(f"c{i}", 0.9) for i in range(4)}
+        components = {f"c{i}": Component(f"c{i}", {"availability": 0.9}) for i in range(4)}
         clean = 0
         for _ in range(400):
             model = Model(components=components, system=tree(3))

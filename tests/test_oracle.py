@@ -14,7 +14,6 @@ from availkit import (
     EvaluationError,
     KofN,
     Leaf,
-    MaintainabilityParams,
     Network,
     Parallel,
     Series,
@@ -132,7 +131,8 @@ def pinned_enumeration_case(name):
 
 def test_every_figure_is_a_plain_float():
     # leaves, the rule's results and the oracles' figures are all bare floats
-    maint = MaintainabilityParams(3.0, 2.0, 1.0, 1, 72.0)
+    pipe = Component("b", dict(mtbf_h=1000.0, mttres_h=3.0, mldt_h=2.0, madt_h=1.0, pnrs=1,
+                               tat_h=72.0))
     figures = [
         eval_block(BRIDGE, UNIFORM),
         eval_block(Leaf("c1"), {"c1": 1}),
@@ -140,9 +140,10 @@ def test_every_figure_is_a_plain_float():
         enumerate_availability(BRIDGE, UNIFORM),
         monte_carlo_availability(BRIDGE, UNIFORM, 1000, 7)[0],
         unavailability(1),
-        Component.direct("a", 1).availability,
-        Component.from_maintainability("b", 1000.0, maint).availability,
-        maint.pnrs,
+        Component("a", {"availability": 1}).availability,
+        pipe.availability,
+        pipe.mdt_h,
+        pipe.fields["pnrs"],
     ]
     assert [type(figure) for figure in figures] == [float] * len(figures)
 

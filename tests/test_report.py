@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from availkit import (
     Component,
     Leaf,
-    MaintainabilityParams,
     Model,
     Parallel,
     build_report,
@@ -21,9 +20,11 @@ from availkit import (
 from availkit import report
 from availkit.report import to_json
 
+MAINT = dict(mtbf_h=100000.0, mttres_h=2.0, mldt_h=4.0, madt_h=1.0, pnrs=0.99, tat_h=168.0)
+
 
 def direct_model(availability):
-    comps = {"only": Component.direct("only", availability)}
+    comps = {"only": Component("only", {"availability": availability})}
     return Model(comps, Leaf("only"))
 
 
@@ -84,8 +85,8 @@ class TestBuildReport:
 
     def test_per_component_follows_declaration_order(self):
         comps = {
-            "b": Component.direct("b", 0.9),
-            "a": Component.from_mtbf_mdt("a", 90.0, 10.0),
+            "b": Component("b", {"availability": 0.9}),
+            "a": Component("a", {"mtbf_h": 90.0, "mdt_h": 10.0}),
         }
         model = Model(comps, Parallel((Leaf("b"), Leaf("a"))))
         env = derive_environment(comps)
@@ -95,8 +96,7 @@ class TestBuildReport:
         assert rep.per_component[1].mdt_h == 10.0
 
     def test_pipeline_mdt_shown(self):
-        maint = MaintainabilityParams(2.0, 4.0, 1.0, 0.99, 168.0)
-        comps = {"srv": Component.from_maintainability("srv", 100000.0, maint)}
+        comps = {"srv": Component("srv", MAINT)}
         model = Model(comps, Leaf("srv"))
         env = derive_environment(comps)
         rep = build_report(model, env, eval_block(model.system, env))
@@ -137,10 +137,9 @@ class TestRenderJson:
         assert data["downtime_minutes_per_year"] == 0.0
 
     def test_mdt_included_only_when_known(self):
-        maint = MaintainabilityParams(2.0, 4.0, 1.0, 0.99, 168.0)
         comps = {
-            "a": Component.direct("a", 0.9),
-            "srv": Component.from_maintainability("srv", 100000.0, maint),
+            "a": Component("a", {"availability": 0.9}),
+            "srv": Component("srv", MAINT),
         }
         model = Model(comps, Parallel((Leaf("a"), Leaf("srv"))))
         env = derive_environment(comps)
@@ -151,7 +150,7 @@ class TestRenderJson:
 
 
     def test_integer_mdt_built_in_code_is_written_as_a_float(self):
-        comps = {"w": Component.from_mtbf_mdt("w", 5000, 2)}
+        comps = {"w": Component("w", {"mtbf_h": 5000, "mdt_h": 2})}
         model = Model(comps, Leaf("w"))
         env = derive_environment(comps)
         rep = build_report(model, env, eval_block(model.system, env))
@@ -213,8 +212,8 @@ class TestRenderText:
 
     def test_component_table_alignment(self):
         comps = {
-            "short": Component.direct("short", 0.9),
-            "a-much-longer-name": Component.direct("a-much-longer-name", 0.8),
+            "short": Component("short", {"availability": 0.9}),
+            "a-much-longer-name": Component("a-much-longer-name", {"availability": 0.8}),
         }
         model = Model(comps, Parallel((Leaf("short"), Leaf("a-much-longer-name"))))
         env = derive_environment(comps)

@@ -12,14 +12,10 @@ from availkit import (
     Component,
     ComponentLine,
     Diagnostic,
-    DirectAvailability,
     Edge,
     KofN,
     Leaf,
-    MaintainabilityParams,
     Model,
-    MtbfMaintainability,
-    MtbfMdt,
     Network,
     Parallel,
     ParseDiagnostic,
@@ -29,9 +25,10 @@ from availkit import (
 )
 from availkit.network import ReducedNetwork
 
-MAINT = MaintainabilityParams(3.0, 2.0, 1.0, 0.95, 72.0)
+MAINT = dict(mtbf_h=20000.0, mttres_h=3.0, mldt_h=2.0, madt_h=1.0, pnrs=0.95, tat_h=72.0)
 MAINT_REPR = (
-    "MaintainabilityParams(mttres_h=3.0, mldt_h=2.0, madt_h=1.0, pnrs=0.95, tat_h=72.0)"
+    "{'mtbf_h': 20000.0, 'mttres_h': 3.0, 'mldt_h': 2.0, 'madt_h': 1.0, 'pnrs': 0.95,"
+    " 'tat_h': 72.0}"
 )
 NET = Network([Edge("e1", "s", "t", "a")], "s", "t")
 
@@ -53,22 +50,12 @@ CASES = [
         "Bridge(b1=Leaf(component_id='a'), b2=Leaf(component_id='b'), b3=Leaf(component_id='c'),"
         " b4=Leaf(component_id='d'), b5=Leaf(component_id='e'))",
     ),
-    (DirectAvailability(0.99), "DirectAvailability(availability=0.99)"),
-    (MtbfMdt(1000.0, 10.0), "MtbfMdt(mtbf_h=1000.0, mdt_h=10.0)"),
-    (MtbfMaintainability(20000.0, MAINT), f"MtbfMaintainability(mtbf_h=20000.0, maint={MAINT_REPR})"),
-    (MAINT, MAINT_REPR),
+    (Component("a", {"availability": 0.99}), "Component(id='a', fields={'availability': 0.99})"),
     (
-        Component.direct("a", 0.99),
-        "Component(id='a', spec=DirectAvailability(availability=0.99))",
+        Component("web", {"mtbf_h": 5000, "mdt_h": 2}),
+        "Component(id='web', fields={'mtbf_h': 5000.0, 'mdt_h': 2.0})",
     ),
-    (
-        Component.from_mtbf_mdt("web", 5000.0, 2.0),
-        "Component(id='web', spec=MtbfMdt(mtbf_h=5000.0, mdt_h=2.0))",
-    ),
-    (
-        Component.from_maintainability("db", 20000.0, MAINT),
-        f"Component(id='db', spec=MtbfMaintainability(mtbf_h=20000.0, maint={MAINT_REPR}))",
-    ),
+    (Component("db", MAINT), f"Component(id='db', fields={MAINT_REPR})"),
     (
         Diagnostic("warning", "components.x", "component 'x' is never used"),
         "Diagnostic(severity='warning', path='components.x', message=\"component 'x' is never used\")",
@@ -97,13 +84,13 @@ CASES = [
         " per_component=(ComponentLine(id='a', availability=0.99, mdt_h=None),))",
     ),
     (
-        Model({"a": Component.direct("a", 0.99)}, Series((Leaf("a"),))),
-        "Model(components={'a': Component(id='a', spec=DirectAvailability(availability=0.99))},"
+        Model({"a": Component("a", {"availability": 0.99})}, Series((Leaf("a"),))),
+        "Model(components={'a': Component(id='a', fields={'availability': 0.99})},"
         " system=Series(children=(Leaf(component_id='a'),)))",
     ),
     (
-        Model({"a": Component.direct("a", 0.99)}, NET),
-        "Model(components={'a': Component(id='a', spec=DirectAvailability(availability=0.99))},"
+        Model({"a": Component("a", {"availability": 0.99})}, NET),
+        "Model(components={'a': Component(id='a', fields={'availability': 0.99})},"
         " system=Network(edges=(Edge(id='e1', a='s', b='t', component_id='a'),),"
         " source='s', terminal='t'))",
     ),
@@ -115,7 +102,7 @@ HASHABLE = [value for value in VALUES if not isinstance(value, ReducedNetwork)]
 
 
 def test_every_value_type_is_covered():
-    assert len({type(value) for value in VALUES}) == 19
+    assert len({type(value) for value in VALUES}) == 15
 
 
 @pytest.mark.parametrize("value,expected", CASES, ids=IDS)
@@ -138,18 +125,19 @@ def test_equal_values_hash_equal(value):
 
 
 def test_model_hashes_by_its_system_only():
-    a = Model({"a": Component.direct("a", 0.9)}, Leaf("a"))
-    b = Model({"a": Component.direct("a", 0.5)}, Leaf("a"))
+    a = Model({"a": Component("a", {"availability": 0.9})}, Leaf("a"))
+    b = Model({"a": Component("a", {"availability": 0.5})}, Leaf("a"))
     assert a != b and hash(a) == hash(b) == hash((Leaf("a"),))
 
 
 def test_component_equality_ignores_the_derived_numbers():
-    c = Component.from_mtbf_mdt("b", 1000.0, 10.0)
-    other = Component("b", MtbfMdt(1000.0, 10.0))
+    c = Component("b", {"mtbf_h": 1000.0, "mdt_h": 10.0})
+    other = Component("b", {"mdt_h": 10, "mtbf_h": 1000})
     object.__setattr__(other, "availability", 0.5)
     object.__setattr__(other, "mdt_h", None)
     assert other == c and hash(other) == hash(c)
-    assert c != Component("b", MtbfMdt(1000.0, 11.0))
+    assert c != Component("b", {"mtbf_h": 1000.0, "mdt_h": 11.0})
+    assert c != Component("c", {"mtbf_h": 1000.0, "mdt_h": 10.0})
 
 
 @pytest.mark.parametrize("value", VALUES, ids=IDS)
@@ -165,7 +153,7 @@ def test_fields_cannot_be_assigned_or_deleted(value):
 
 
 def test_derived_numbers_cannot_be_assigned():
-    c = Component.direct("a", 0.9)
+    c = Component("a", {"availability": 0.9})
     with pytest.raises(AttributeError):
         c.availability = 0.5
     with pytest.raises(AttributeError):
@@ -184,30 +172,31 @@ def test_copies_are_equal(value, clone):
 
 
 def test_copied_component_keeps_its_numbers():
-    c = Component.from_maintainability("db", 20000.0, MAINT)
+    c = Component("db", MAINT)
     for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
         assert float(twin.availability).hex() == float(c.availability).hex()
         assert twin.mdt_h == c.mdt_h
 
 
 def test_replace_derives_the_numbers_afresh():
-    c = Component.from_mtbf_mdt("b", 1000.0, 10.0)
-    d = c.replace(spec=MtbfMdt(90.0, 10.0))
+    c = Component("b", {"mtbf_h": 1000.0, "mdt_h": 10.0})
+    d = c.replace(fields={"mtbf_h": 90.0, "mdt_h": 10.0})
     assert float(d.availability) == 0.9 and d.mdt_h == 10.0
     assert float(d.availability).hex() == float(d.replace().availability).hex()
     assert c.replace() == c and c.replace(id="z").id == "z"
 
 
 def test_replace_runs_the_constructor_checks():
-    with pytest.raises(ValueError, match="tat_h"):
-        MAINT.replace(tat_h=-1.0)
-    pnrs = MAINT.replace(pnrs=1).pnrs
+    db = Component("db", MAINT)
+    with pytest.raises(ValueError, match="^component 'db': tat_h must be a finite value >= 0"):
+        db.replace(fields={**MAINT, "tat_h": -1.0})
+    pnrs = db.replace(fields={**MAINT, "pnrs": 1}).fields["pnrs"]
     assert type(pnrs) is float and pnrs == 1.0
     with pytest.raises(ValueError, match="non-empty"):
-        Component.direct("a", 0.9).replace(id="")
+        Component("a", {"availability": 0.9}).replace(id="")
 
 
 @pytest.mark.parametrize("name", ["availability", "mdt_h", "children", "nope"])
 def test_replace_rejects_a_name_the_constructor_does_not_take(name):
     with pytest.raises(TypeError):
-        Component.direct("a", 0.9).replace(**{name: 0.5})
+        Component("a", {"availability": 0.9}).replace(**{name: 0.5})
