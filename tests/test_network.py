@@ -270,6 +270,20 @@ class TestEvalNetwork:
         assert [(e.id, e.a, e.b) for e in red.network.edges] == [("par(e2,ser(e0,e1))", 0, 2)]
         assert float(eval_network(net, env)) == red.synthetic["par(e2,ser(e0,e1))"]
 
+    def test_a_source_that_no_edge_touches_is_refused_when_built(self):
+        # no edge's check sees it, so only the network's own can
+        with pytest.raises(TypeError) as info:
+            Network([Edge("e0", "s", "t", "x")], ["q"], "t")
+        assert str(info.value) == "node ['q'] is not a string"
+
+    def test_edges_that_are_tuples_are_refused_when_built(self):
+        with pytest.raises(TypeError) as info:
+            Network([("e0", "s", "t", "x")], "s", "t")
+        assert str(info.value) == "not an edge: ('e0', 's', 't', 'x')"
+        with pytest.raises(TypeError) as info:
+            Network([Edge("e0", "s", "m", "x"), ("e1", "m", "t", "x")], "s", "t")
+        assert str(info.value) == "not an edge: ('e1', 'm', 't', 'x')"
+
     def test_missing_component_rejected(self):
         net = Network(edges=(Edge("e0", "s", "t", "ghost"),), source="s", terminal="t")
         for entry in (eval_network, reduce_network):

@@ -200,3 +200,38 @@ def test_replace_runs_the_constructor_checks():
 def test_replace_rejects_a_name_the_constructor_does_not_take(name):
     with pytest.raises(TypeError):
         Component("a", {"availability": 0.9}).replace(**{name: 0.5})
+
+
+# Every id and node is a str, checked when its value is built, with one message.
+STRING_FIELDS = [
+    (lambda v: Leaf(v), "component id"),
+    (lambda v: Edge(v, "s", "t", "x"), "edge id"),
+    (lambda v: Edge("e0", v, "t", "x"), "node"),
+    (lambda v: Edge("e0", "s", v, "x"), "node"),
+    (lambda v: Edge("e0", "s", "t", v), "component id"),
+    (lambda v: Network([Edge("e0", "s", "t", "x")], v, "t"), "node"),
+    (lambda v: Network([Edge("e0", "s", "t", "x")], "s", v), "node"),
+    (lambda v: Component(v, {"availability": 0.9}), "component id"),
+]
+
+
+@pytest.mark.parametrize("value", [5, ["x"], ("x",), None], ids=["int", "list", "tuple", "None"])
+@pytest.mark.parametrize(
+    "build, what",
+    STRING_FIELDS,
+    ids=["Leaf.component_id", "Edge.id", "Edge.a", "Edge.b", "Edge.component_id",
+         "Network.source", "Network.terminal", "Component.id"],
+)
+def test_an_id_or_node_that_is_not_a_string_is_refused_when_built(build, what, value):
+    with pytest.raises(TypeError) as info:
+        build(value)
+    assert str(info.value) == f"{what} {value!r} is not a string"
+
+
+def test_replace_refuses_an_id_or_node_that_is_not_a_string():
+    with pytest.raises(TypeError) as info:
+        NET.replace(source=["q"])
+    assert str(info.value) == "node ['q'] is not a string"
+    with pytest.raises(TypeError) as info:
+        Leaf("a").replace(component_id=5)
+    assert str(info.value) == "component id 5 is not a string"
