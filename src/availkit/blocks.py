@@ -2,10 +2,13 @@
 
 Blocks compose by availability only: a leaf names a component, and the
 structural nodes say how many of their children must be up. The tree is
-immutable and finite by construction; shape rules (non-empty children,
-k in range, resolvable leaves) are checked by ``availkit.model.validate``
-rather than at construction, so partially-built or deliberately broken
-trees can still be inspected and reported on.
+immutable and finite by construction. Types are checked when a value is
+built: every component id, edge id and node is a ``str``
+(``check_string``), so nothing downstream meets one of another kind.
+Shape rules (non-empty children, k in range, resolvable leaves) are
+checked by ``availkit.model.validate`` rather than at construction, so
+partially-built or deliberately broken trees can still be inspected and
+reported on.
 """
 
 from __future__ import annotations
@@ -30,7 +33,17 @@ NOT_A_BLOCK = "not a block: {!r}"
 INTEGER_K = "expected an integer k"
 SAME_ENDS = "source and terminal must differ"
 DUPLICATE_EDGE = "duplicate edge id {!r}"
-EDGE_ID_TYPE = "edge id {!r} is not a string"
+# The constructors' type rules: an id or node that is not a str, a network
+# edge that is not an Edge; each is a TypeError where the value is built.
+NOT_A_STRING = "{} {!r} is not a string"
+NOT_AN_EDGE = "not an edge: {!r}"
+
+
+def check_string(what: str, value: object) -> str:
+    """``value``, if it is a str; else a TypeError that calls it ``what``."""
+    if isinstance(value, str):
+        return value
+    raise TypeError(NOT_A_STRING.format(what, value))
 
 
 def kofn_problem(k: object, n: int) -> str | None:
@@ -53,7 +66,7 @@ class Leaf(Frozen):
     __slots__ = _fields = ("component_id",)
 
     def __init__(self, component_id: str) -> None:
-        setfield(self, "component_id", component_id)
+        setfield(self, "component_id", check_string("component id", component_id))
 
 
 class Series(Frozen):

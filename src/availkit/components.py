@@ -15,6 +15,7 @@ import math
 from typing import Iterable, Mapping
 
 from ._frozen import Frozen, setfield
+from .blocks import check_string
 from .maintainability import availability_from_times, mean_down_time
 from .probability import Probability
 
@@ -75,7 +76,7 @@ class Component(Frozen):
     mdt_h: float | None
 
     def __init__(self, id: str, fields: Mapping[str, float]) -> None:
-        if not id:
+        if not check_string("component id", id):
             raise ValueError("component id must be non-empty")
         names = FORM_OF.get(frozenset(fields))
         if names is None:

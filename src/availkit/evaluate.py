@@ -111,7 +111,7 @@ def _availability(env: Environment, component_id: str, edge_id: str | None = Non
     """``env[component_id]`` under the probability rule; a missing one names the edge if given."""
     try:
         value = env[component_id]
-    except (KeyError, TypeError):  # an unhashable id is in no mapping
+    except KeyError:
         edge = "" if edge_id is None else f" (edge {edge_id!r})"
         raise EvaluationError(f"no availability for component {component_id!r}{edge}") from None
     return Probability(value)

@@ -1,15 +1,17 @@
 """The model container — components plus the system structure — and its
 validation, which holds every structural rule.
 
-Validation never raises: it returns a list of diagnostics, each carrying
-a severity, a dotted path into the structure, and a message. Errors make
-a model unevaluable, or break a rule of the model file (a series,
-parallel or k-of-n block of one child); warnings flag suspect but legal
-constructions (an unused component, a network that cannot connect even
-with every edge up). ``availkit.modelfile.parse_model`` runs the same
-walk over what it read and reports each finding at its token.
-A block tree nested deeper than ``blocks.MAX_NESTING`` levels is an
-error at its first block too deep, below which nothing else is checked.
+Validation never raises on a model that can be built, as the
+constructors check the type of every id and node: it returns a list of
+diagnostics, each carrying a severity, a dotted path into the structure,
+and a message. Errors make a model unevaluable, or break a rule of the
+model file (a series, parallel or k-of-n block of one child); warnings
+flag suspect but legal constructions (an unused component, a network
+that cannot connect even with every edge up).
+``availkit.modelfile.parse_model`` runs the same walk over what it read
+and reports each finding at its token. A block tree nested deeper than
+``blocks.MAX_NESTING`` levels is an error at its first block too deep,
+below which nothing else is checked.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 from typing import Container, Literal, Union
 
 from ._frozen import Frozen, setfield
-from .blocks import (DUPLICATE_EDGE, EDGE_ID_TYPE, MAX_NESTING, NESTING_ERROR, NOT_A_BLOCK,
-                     SAME_ENDS, Block, Bridge, KofN, Leaf, Parallel, Series, _kind, kofn_problem)
+from .blocks import (DUPLICATE_EDGE, MAX_NESTING, NESTING_ERROR, NOT_A_BLOCK, SAME_ENDS, Block,
+                     Bridge, KofN, Leaf, Parallel, Series, _kind, kofn_problem)
 from .components import Component
 from .network import Network, _bfs_order
 
@@ -56,14 +58,11 @@ _COMPOSITES = (Series, Parallel, KofN, Bridge)
 NEVER_USED = "component {!r} is never used"
 
 
-def _unknown(cid: object, known: Container[str], used: set[str]) -> str | None:
+def _unknown(cid: str, known: Container[str], used: set[str]) -> str | None:
     """The error for a component id not in ``known``; a known one is marked used."""
-    try:
-        if cid in known:
-            used.add(cid)
-            return None
-    except TypeError:  # an unhashable id names no component
-        pass
+    if cid in known:
+        used.add(cid)
+        return None
     return f"unknown component {cid!r}"
 
 
@@ -96,7 +95,7 @@ def _check_block(block: Block, trail: tuple, known: Container[str], used: set[st
         if isinstance(block, KofN) and (problem := kofn_problem(block.k, len(block.children))):
             out.append(("error", problem, trail, "k"))
     for i, child in enumerate(block.children):
-        if type(child) is Leaf and type(child.component_id) is str and child.component_id in known:
+        if type(child) is Leaf and child.component_id in known:
             used.add(child.component_id)  # the common case, without a call
         else:
             _check_block(child, trail + (i,), known, used, out)
@@ -114,9 +113,7 @@ def _check(system: Union[Block, Network], known: Container[str]) -> tuple[list, 
         out.append(("error", "network requires at least one edge", (), None))
     ids: set[str] = set()
     for i, edge in enumerate(system.edges):
-        if not isinstance(edge.id, str):
-            out.append(("error", EDGE_ID_TYPE.format(edge.id), (i,), None))
-        elif edge.id in ids:
+        if edge.id in ids:
             out.append(("error", DUPLICATE_EDGE.format(edge.id), (i,), None))
         else:
             ids.add(edge.id)
@@ -125,13 +122,10 @@ def _check(system: Union[Block, Network], known: Container[str]) -> tuple[list, 
             out.append(("warning", message, (i,), None))
         if message := _unknown(edge.component_id, known, used):
             out.append(("error", message, (i,), "component_id"))
-    try:
-        pairs = ((e.a, e.b) for e in system.edges)
-        if system.edges and system.terminal not in _bfs_order(pairs, system.source):
-            message = "terminal is unreachable from source even with all edges up"
-            out.append(("warning", message, (), None))
-    except TypeError:  # a node that cannot be hashed, which eval_network reports
-        pass
+    pairs = ((e.a, e.b) for e in system.edges)
+    if system.edges and system.terminal not in _bfs_order(pairs, system.source):
+        message = "terminal is unreachable from source even with all edges up"
+        out.append(("warning", message, (), None))
     return out, used
 
 

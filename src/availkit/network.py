@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from collections import deque
 from operator import itemgetter
-from typing import Any, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from ._frozen import Frozen, setfield
-from .blocks import DUPLICATE_EDGE, EDGE_ID_TYPE, SAME_ENDS
+from .blocks import DUPLICATE_EDGE, NOT_AN_EDGE, SAME_ENDS, check_string
 from .evaluate import EvaluationError, _availability
 from .probability import Probability
 
@@ -52,10 +52,10 @@ class Edge(Frozen):
     __slots__ = _fields = ("id", "a", "b", "component_id")
 
     def __init__(self, id: str, a: str, b: str, component_id: str) -> None:
-        setfield(self, "id", id)
-        setfield(self, "a", a)
-        setfield(self, "b", b)
-        setfield(self, "component_id", component_id)
+        setfield(self, "id", check_string("edge id", id))
+        setfield(self, "a", check_string("node", a))
+        setfield(self, "b", check_string("node", b))
+        setfield(self, "component_id", check_string("component id", component_id))
 
 
 class Network(Frozen):
@@ -65,9 +65,13 @@ class Network(Frozen):
     edges: tuple[Edge, ...]
 
     def __init__(self, edges: Iterable[Edge], source: str, terminal: str) -> None:
-        setfield(self, "edges", tuple(edges))
-        setfield(self, "source", source)
-        setfield(self, "terminal", terminal)
+        edges = tuple(edges)
+        for edge in edges:
+            if not isinstance(edge, Edge):
+                raise TypeError(NOT_AN_EDGE.format(edge))
+        setfield(self, "edges", edges)
+        setfield(self, "source", check_string("node", source))
+        setfield(self, "terminal", check_string("node", terminal))
 
 
 class ReducedNetwork(Frozen):
@@ -115,11 +119,7 @@ def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str)
     the result, its insertion order and any synthetic edge names are
     deterministic.
     """
-    try:
-        queue = deque(sorted(incident))
-    except TypeError:
-        a, b = next((a, b) for a in incident for b in incident if not _orders(a, b))
-        raise EvaluationError(f"network nodes {a!r} and {b!r} cannot be ordered") from None
+    queue = deque(sorted(incident))
     idle: set[str] = set()  # the nodes off the worklist; every node starts on it
     ends = (source, terminal)
     while queue:
@@ -182,15 +182,6 @@ def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str)
         if len(ids) < len(order) and node not in ends:  # merged: visit again before anything else
             queue.appendleft(node)
     return edges
-
-
-def _orders(a: Any, b: Any) -> bool:
-    """Whether ``a < b`` has an answer, as sorting the nodes needs."""
-    try:
-        a < b  # noqa: B015
-    except TypeError:
-        return False
-    return True
 
 
 def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> float:
@@ -290,9 +281,11 @@ def _edge_table(net: Network, env: Mapping[str, float]) -> tuple[_EdgeTable, _In
     """The one pass from a network to what _reduce takes: the edge table
     in the network's order and each node's set of incident edge ids.
 
-    Every edge's id is checked and its availability read, a self-loop's
-    too, but a self-loop enters neither the table nor the incidence sets:
-    it never joins its ends to anything else.
+    Every edge's id is checked against the ids before it and the merge
+    names, and its availability read, a self-loop's too, but a self-loop
+    enters neither the table nor the incidence sets: it never joins its
+    ends to anything else. Ids and nodes are strings, as ``Edge`` and
+    ``Network`` check when built, so every node hashes and sorts.
     """
     if net.source == net.terminal:
         raise EvaluationError(SAME_ENDS)
@@ -301,8 +294,6 @@ def _edge_table(net: Network, env: Mapping[str, float]) -> tuple[_EdgeTable, _In
     loops: set[str] = set()  # self-loop ids, still taken for the duplicate check
     for e in net.edges:
         eid = e.id
-        if not isinstance(eid, str):
-            raise EvaluationError(EDGE_ID_TYPE.format(eid))
         if eid in table or eid in loops:
             raise EvaluationError(DUPLICATE_EDGE.format(eid))
         if "(" in eid and eid.startswith(("par(", "ser(")):  # most ids hold no "(", a cheaper test
@@ -315,19 +306,16 @@ def _edge_table(net: Network, env: Mapping[str, float]) -> tuple[_EdgeTable, _In
             loops.add(eid)
             continue
         table[eid] = (u, v, a)
-        try:
-            at = incident.get(u)  # not setdefault, which would make a set on every call
-            if at is None:
-                incident[u] = {eid}
-            else:
-                at.add(eid)
-            at = incident.get(v)
-            if at is None:
-                incident[v] = {eid}
-            else:
-                at.add(eid)
-        except TypeError:
-            raise EvaluationError(f"edge {eid!r} joins a node that cannot be hashed") from None
+        at = incident.get(u)  # not setdefault, which would make a set on every call
+        if at is None:
+            incident[u] = {eid}
+        else:
+            at.add(eid)
+        at = incident.get(v)
+        if at is None:
+            incident[v] = {eid}
+        else:
+            at.add(eid)
     return table, incident
 
 
@@ -340,9 +328,9 @@ def reduce_network(net: Network, env: Mapping[str, float]) -> ReducedNetwork:
     component ids. An irreducible core (such as a bridge mesh) comes back
     unchanged. An edge id that starts ``par(`` or ``ser(`` is reserved for
     merged edges, and one that holds a comma would make two merges' names
-    alike: here and in eval_network either is an EvaluationError, as is an
-    id that is not a string, nodes that cannot be hashed or sorted together
-    (a tuple among strings) and a source that is also the terminal.
+    alike: here and in eval_network either is an EvaluationError, as is a
+    source that is also the terminal. Ids and nodes are strings, checked
+    when the network is built.
     """
     table = sorted(_reduce(*_edge_table(net, env), net.source, net.terminal).items())
     original = {e.id: e for e in net.edges}

@@ -290,15 +290,13 @@ class TestValidateBlocks:
         # used only below the cap is still used
         assert validate(chain(3000, "b")) == [too_deep]
 
-    def test_an_unhashable_component_id_is_a_finding_not_a_raise(self):
-        # validate never raises: no component can have an id that is not hashable
-        assert validate(Model({}, Leaf(["x"]))) == [
-            Diagnostic("error", "system", "unknown component ['x']")
-        ]
-        m = Model(comps("a"), Series((Leaf("a"), Parallel((Leaf(["x"]), Leaf("a"))))))
-        assert validate(m) == [
-            Diagnostic("error", "system.children[1].children[0]", "unknown component ['x']")
-        ]
+    def test_an_unhashable_component_id_is_refused_before_validate(self):
+        # validate never raises: no leaf can hold an id that is not a string
+        for build in (lambda: Leaf(["x"]),
+                      lambda: Series((Leaf("a"), Parallel((Leaf(["x"]), Leaf("a")))))):
+            with pytest.raises(TypeError) as info:
+                build()
+            assert str(info.value) == "component id ['x'] is not a string"
 
     def test_unused_component_warning(self):
         m = Model(comps("a", "b", "z"), Series((Leaf("a"), Leaf("b"))))
@@ -367,16 +365,16 @@ class TestValidateNetworks:
             d.path == "system.edges[0]" and "ghost" in d.message for d in diags
         )
 
-    def test_ids_and_nodes_of_another_kind_are_findings_not_raises(self):
-        # an unhashable node leaves reachability unchecked; eval_network names it
-        net = Network(
-            edges=(Edge(["e0"], "a", ["m"], "c1"), Edge("e1", ["m"], "b", ["c1"]),
-                   Edge(5, "a", "b", "c1")),
-            source="a",
-            terminal=["b"],
-        )
-        assert validate(Model(comps("c1"), net)) == [
-            Diagnostic("error", "system.edges[0]", "edge id ['e0'] is not a string"),
-            Diagnostic("error", "system.edges[1]", "unknown component ['c1']"),
-            Diagnostic("error", "system.edges[2]", "edge id 5 is not a string"),
-        ]
+    def test_ids_and_nodes_of_another_kind_are_refused_before_validate(self):
+        # the edges and the network are refused as each is built, before validate
+        for build, message in [
+            (lambda: Edge(["e0"], "a", "m", "c1"), "edge id ['e0'] is not a string"),
+            (lambda: Edge("e0", "a", ["m"], "c1"), "node ['m'] is not a string"),
+            (lambda: Edge("e1", "m", "b", ["c1"]), "component id ['c1'] is not a string"),
+            (lambda: Edge(5, "a", "b", "c1"), "edge id 5 is not a string"),
+            (lambda: Network([Edge("e0", "a", "b", "c1")], "a", ["b"]),
+             "node ['b'] is not a string"),
+        ]:
+            with pytest.raises(TypeError) as info:
+                build()
+            assert str(info.value) == message

@@ -224,50 +224,50 @@ class TestEvalNetwork:
             with pytest.raises(EvaluationError, match="'a,b' holds a comma"):
                 entry(net, {"x": 0.9})
 
+    # an id or node of another kind is refused when its Edge is built, so no
+    # evaluator, reduction or validate meets one
     @pytest.mark.parametrize(
         "edges, message",
         [
             ([("e0", "s", "m"), (5, "m", "t")], "edge id 5 is not a string"),
             ([("e0", "s", "m"), (["e1"], "m", "t")], "edge id ['e1'] is not a string"),
-            ([("e0", "s", ("m", 1)), ("e1", ("m", 1), "t")],
-             "network nodes 's' and ('m', 1) cannot be ordered"),
+            ([("e0", "s", ("m", 1)), ("e1", ("m", 1), "t")], "node ('m', 1) is not a string"),
         ],
         ids=["int-id", "list-id", "tuple-node"],
     )
     def test_id_or_nodes_of_another_kind_rejected(self, edges, message):
-        net = Network([Edge(*e, "x") for e in edges], "s", "t")
-        for entry in (eval_network, reduce_network):
-            with pytest.raises(EvaluationError) as info:
-                entry(net, {"x": 0.9})
-            assert str(info.value) == message
+        with pytest.raises(TypeError) as info:
+            Network([Edge(*e, "x") for e in edges], "s", "t")
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "edges, message",
         [
-            ([Edge("e0", "s", ["m"], "x"), Edge("e1", ["m"], "t", "x")],
-             "edge 'e0' joins a node that cannot be hashed"),
-            ([Edge("e0", ["s"], "t", "x")], "edge 'e0' joins a node that cannot be hashed"),
-            ([Edge("e0", "s", "t", ["x"])], "no availability for component ['x'] (edge 'e0')"),
+            ([("e0", "s", ["m"], "x"), ("e1", ["m"], "t", "x")], "node ['m'] is not a string"),
+            ([("e0", ["s"], "t", "x")], "node ['s'] is not a string"),
+            ([("e0", "s", "t", ["x"])], "component id ['x'] is not a string"),
         ],
         ids=["list-node", "list-source", "list-component"],
     )
-    def test_an_unhashable_node_or_component_id_is_an_evaluation_error(self, edges, message):
-        net = Network(edges, edges[0].a, "t")
-        for entry in (eval_network, reduce_network):
-            with pytest.raises(EvaluationError) as info:
-                entry(net, {"x": 0.9})
-            assert str(info.value) == message
+    def test_an_unhashable_node_or_component_id_is_refused_when_built(self, edges, message):
+        with pytest.raises(TypeError) as info:
+            Network([Edge(*e) for e in edges], edges[0][1], "t")
+        assert str(info.value) == message
 
-    def test_int_nodes_sort_and_evaluate(self):
+    def test_int_nodes_are_refused_and_their_net_evaluates_with_string_nodes(self):
+        for build in (lambda: Edge("e0", 0, 1, "a"), lambda: Network([], 0, "2")):
+            with pytest.raises(TypeError) as info:
+                build()
+            assert str(info.value) == "node 0 is not a string"
         net = Network(
-            [Edge("e0", 0, 1, "a"), Edge("e1", 1, 2, "b"), Edge("e2", 0, 2, "c"),
-             Edge("e3", 2, 2, "a")],
-            0,
-            2,
+            [Edge("e0", "0", "1", "a"), Edge("e1", "1", "2", "b"), Edge("e2", "0", "2", "c"),
+             Edge("e3", "2", "2", "a")],
+            "0",
+            "2",
         )
         env = {"a": 0.9, "b": 0.8, "c": 0.7}
         red = reduce_network(net, env)
-        assert [(e.id, e.a, e.b) for e in red.network.edges] == [("par(e2,ser(e0,e1))", 0, 2)]
+        assert [(e.id, e.a, e.b) for e in red.network.edges] == [("par(e2,ser(e0,e1))", "0", "2")]
         assert float(eval_network(net, env)) == red.synthetic["par(e2,ser(e0,e1))"]
 
     def test_a_source_that_no_edge_touches_is_refused_when_built(self):
