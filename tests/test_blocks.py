@@ -298,6 +298,19 @@ class TestValidateBlocks:
                 build()
             assert str(info.value) == "component id ['x'] is not a string"
 
+    def test_a_table_key_that_is_not_its_components_id_is_refused(self):
+        # validate reads the keys and derive_environment the ids, so the two must agree
+        c = Component("a", {"availability": 0.9})
+        message = "component table key {!r} is not its component's id 'a'"
+        for table, key in [({"b": c}, "b"), ({5: c, "x": c}, 5), ({"a": c, "x": c}, "x")]:
+            with pytest.raises(ValueError) as info:
+                Model(table, Leaf("b"))
+            assert str(info.value) == message.format(key)
+        m = Model({"a": c}, Leaf("a"))
+        with pytest.raises(ValueError) as info:
+            m.replace(components={"b": c})
+        assert str(info.value) == message.format("b")
+
     def test_unused_component_warning(self):
         m = Model(comps("a", "b", "z"), Series((Leaf("a"), Leaf("b"))))
         [diag] = validate(m)
