@@ -36,14 +36,21 @@ class Diagnostic(Frozen):
         setfield(self, "message", message)
 
 
+KEY_NOT_ID = "component table key {!r} is not its component's id {!r}"
+
+
 class Model(Frozen):
     """A component table (declaration order preserved) and the system it
-    feeds — either a block tree or a two-terminal network. Its hash is the
-    system's, since the table is a dict."""
+    feeds — either a block tree or a two-terminal network. Each key is its
+    component's id, or the model is a ValueError. Its hash is the system's,
+    since the table is a dict."""
 
     __slots__ = _fields = ("components", "system")
 
     def __init__(self, components: dict[str, Component], system: Union[Block, Network]) -> None:
+        for key, comp in components.items():
+            if key != comp.id:
+                raise ValueError(KEY_NOT_ID.format(key, comp.id))
         setfield(self, "components", components)
         setfield(self, "system", system)
 
