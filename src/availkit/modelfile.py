@@ -30,10 +30,8 @@ Parsing is total: it returns a model (or None) plus positioned
 diagnostics, and never raises on any input text. The parser reads the
 syntax. The structural rules are ``model.validate``'s: its walk runs over
 the system or network read, and each finding is placed at a token; after
-a syntax error, only its errors are reported. Spans count bytes of
-the UTF-8 encoding, where a lone surrogate counts the 3 bytes of its
-``surrogatepass`` encoding; line and column are 1-based, and columns
-count code points.
+a syntax error, only its errors are reported. A diagnostic's line and
+column are 1-based, and columns count code points.
 
 Tokens are plain strings from one ``findall``, and a token's kind
 follows from its text. After whitespace and comments the pattern tries
@@ -70,11 +68,9 @@ __all__ = ["SourceSpan", "ParseDiagnostic", "parse_model", "format_model"]
 
 
 class SourceSpan(Frozen):
-    __slots__ = _fields = ("start", "end", "line", "column")
+    __slots__ = _fields = ("line", "column")
 
-    def __init__(self, start: int, end: int, line: int, column: int) -> None:
-        setfield(self, "start", start)
-        setfield(self, "end", end)
+    def __init__(self, line: int, column: int) -> None:
         setfield(self, "line", line)
         setfield(self, "column", column)
 
@@ -153,13 +149,13 @@ def _regular(tok: str) -> bool:
 _IRREGULAR_ASCII = frozenset(c for c in map(chr, range(128)) if not _regular(c))
 
 
-def _offsets(text: str) -> list[tuple[int, int]]:
-    """The (start, end) char offsets of the tokens of a text in which every
-    character starts a token."""
-    return [m.span(1) for m in _TOKEN_RE.finditer(text)]
+def _offsets(text: str) -> list[int]:
+    """The char offsets of the tokens of a text in which every character
+    starts a token."""
+    return [m.start(1) for m in _TOKEN_RE.finditer(text)]
 
 
-def _walk(text: str) -> tuple[list[str], list[tuple[int, int]], list[int]]:
+def _walk(text: str) -> tuple[list[str], list[int], list[int]]:
     """The tokens of any text up to its end, their char offsets, and the
     offsets of the characters that start no token.
 
@@ -167,66 +163,48 @@ def _walk(text: str) -> tuple[list[str], list[tuple[int, int]], list[int]]:
     right after it, so '²0.5' is the bad character '²' and the number 0.5.
     """
     toks: list[str] = []
-    spans: list[tuple[int, int]] = []
+    starts: list[int] = []
     bad: list[int] = []
     pos = 0
     while True:
         for m in _TOKEN_RE.finditer(text, pos):
-            tok = m[1]
+            tok, start = m[1], m.start(1)
             if not _regular(tok):
-                start = m.start(1)
                 bad.append(start)
                 pos = start + 1
                 break
             toks.append(tok)
-            spans.append(m.span(1))
+            starts.append(start)
             if not tok:
-                return toks, spans, bad
+                return toks, starts, bad
 
 
 class _Spans:
     """Source spans of the tokens of one text, built only when reported.
 
     The first report finds the tokens' char offsets in one more pass over
-    the text; a well-formed text needs none. Byte offsets equal char
-    offsets in ASCII text; otherwise a cursor encodes the text between the
-    last offset asked for and this one. Reports come in a few forward
-    sweeps (bad characters, the parser, which steps back at most to the
-    start of a declaration, the structural walk), so the cursor travels a
-    few text lengths however many there are. Lines come from a bisect over
+    the text; a well-formed text needs none. Lines come from a bisect over
     the newline offsets, indexed on first use.
     """
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.ascii = text.isascii()
-        self.char = self.byte = 0
         self.newlines: list[int] | None = None
-        self.offsets: list[tuple[int, int]] | None = None
+        self.offsets: list[int] | None = None
 
-    def _byte(self, pos: int) -> int:
-        if self.ascii:
-            return pos
-        if pos >= self.char:
-            self.byte += len(self.text[self.char:pos].encode("utf-8", "surrogatepass"))
-        else:
-            self.byte -= len(self.text[pos:self.char].encode("utf-8", "surrogatepass"))
-        self.char = pos
-        return self.byte
-
-    def at(self, start: int, end: int) -> SourceSpan:
-        """The span of the chars ``text[start:end]``."""
+    def at(self, start: int) -> SourceSpan:
+        """The span of the char at offset ``start``."""
         if self.newlines is None:
             self.newlines = [m.start() for m in re.finditer("\n", self.text)]
         line = bisect_left(self.newlines, start)
         column = start - (self.newlines[line - 1] if line else -1)
-        return SourceSpan(self._byte(start), self._byte(end), line + 1, column)
+        return SourceSpan(line + 1, column)
 
     def __call__(self, i: int) -> SourceSpan:
         """The span of token ``i``."""
         if self.offsets is None:
             self.offsets = _offsets(self.text)
-        return self.at(*self.offsets[i])
+        return self.at(self.offsets[i])
 
 
 class _Recover(Exception):
@@ -258,13 +236,12 @@ class _Parser:
         # After text ending in whitespace or a comment, findall also yields
         # a second, empty match at the end; parsing stops at the first.
         toks = _TOKEN_RE.findall(text)
-        if not (_IRREGULAR_ASCII.isdisjoint(toks) if self.spans.ascii
+        if not (_IRREGULAR_ASCII.isdisjoint(toks) if text.isascii()
                 else all(map(_regular, set(toks)))):
             toks, self.spans.offsets, bad = _walk(text)
             for start in bad:
                 self.diagnostics.append(ParseDiagnostic(
-                    "error", f"unexpected character {text[start]!r}",
-                    self.spans.at(start, start + 1),
+                    "error", f"unexpected character {text[start]!r}", self.spans.at(start),
                 ))
         self.toks = toks
         self.i = 0

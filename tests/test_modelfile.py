@@ -117,107 +117,102 @@ _SURROGATES = st.characters(
     min_codepoint=0xD800, max_codepoint=0xDFFF, exclude_categories=()
 )
 
-# Lexer edge cases: (text, [(message, byte start, byte end, line, column)]).
+# Lexer edge cases: (text, [(message, line, column)]).
 _LEXER_EDGES = [
     # '²', 'Ⅳ' and '½' are word characters that continue an id but start nothing
     ("component x² { availability = 1.5 }\nsystem = x²",
-     [("availability 1.5 out of [0, 1]", 31, 34, 1, 31)]),
+     [("availability 1.5 out of [0, 1]", 1, 31)]),
     ("component c { availability = 0.9 }\nsystem = ²",
-     [("unexpected character '²'", 44, 46, 2, 10), ("expected a block", 46, 46, 2, 11)]),
+     [("unexpected character '²'", 2, 10), ("expected a block", 2, 11)]),
     ("component c { availability = ²0.5 }\nsystem = Ⅳ½c",
-     [("unexpected character '²'", 29, 31, 1, 30), ("unexpected character 'Ⅳ'", 46, 49, 2, 10),
-      ("unexpected character '½'", 49, 51, 2, 11)]),
+     [("unexpected character '²'", 1, 30), ("unexpected character 'Ⅳ'", 2, 10),
+      ("unexpected character '½'", 2, 11)]),
     ("component c { availability = 0.9 }\nsystem = series(c, ⅣX²)",
-     [("unexpected character 'Ⅳ'", 54, 57, 2, 20), ("unknown component 'X²'", 57, 60, 2, 21)]),
+     [("unexpected character 'Ⅳ'", 2, 20), ("unknown component 'X²'", 2, 21)]),
     # an Arabic-Indic three is a decimal digit, and float() reads it
     ("component c { availability = \u0663 }\nsystem = c",
-     [("availability 3.0 out of [0, 1]", 29, 31, 1, 30)]),
+     [("availability 3.0 out of [0, 1]", 1, 30)]),
     ("component c { availability = 0.9 }\nsystem =\xa0c\x0b",
-     [("unexpected character '\\xa0'", 43, 45, 2, 9),
-      ("unexpected character '\\x0b'", 46, 47, 2, 11)]),
+     [("unexpected character '\\xa0'", 2, 9), ("unexpected character '\\x0b'", 2, 11)]),
     ("component c { availability = 0.9 }\r\n\r\nsystem = ghost\r\n",
-     [("unknown component 'ghost'", 47, 52, 3, 10), ("component 'c' is never used", 10, 11, 1, 11)]),
+     [("unknown component 'ghost'", 3, 10), ("component 'c' is never used", 1, 11)]),
     ("component c { availability = 0.9 } # no system",
-     [("missing system declaration", 46, 46, 1, 47)]),
+     [("missing system declaration", 1, 47)]),
     ("component c { availability = 1. }\nsystem = c",
-     [("unexpected character '.'", 30, 31, 1, 31)]),
+     [("unexpected character '.'", 1, 31)]),
     ("component c { mtbf_h = --1, mdt_h = 1 }\nsystem = c",
-     [("unexpected character '-'", 23, 24, 1, 24),
-      ("mtbf_h must be a finite value > 0, got -1.0", 24, 26, 1, 25)]),
+     [("unexpected character '-'", 1, 24),
+      ("mtbf_h must be a finite value > 0, got -1.0", 1, 25)]),
     ("component é { availability = 2 }\nsystem = é @",
-     [("unexpected character '@'", 46, 47, 2, 12),
-      ("availability 2.0 out of [0, 1]", 30, 31, 1, 30)]),
+     [("unexpected character '@'", 2, 12), ("availability 2.0 out of [0, 1]", 1, 30)]),
     # lone ASCII characters that start no token
     ("component c { availability = 0.9 }\nsystem = c\x00",
-     [("unexpected character '\\x00'", 45, 46, 2, 11)]),
+     [("unexpected character '\\x00'", 2, 11)]),
     ("component c { availability = 0.9 }\x7f\nsystem = c",
-     [("unexpected character '\\x7f'", 34, 35, 1, 35)]),
+     [("unexpected character '\\x7f'", 1, 35)]),
     ("component c { availability = 0.9 }\nsystem = !c",
-     [("unexpected character '!'", 44, 45, 2, 10)]),
+     [("unexpected character '!'", 2, 10)]),
     ("component c {\favailability = 0.9 }\nsystem = c",
-     [("unexpected character '\\x0c'", 13, 14, 1, 14)]),
+     [("unexpected character '\\x0c'", 1, 14)]),
     ("component c { availability = -x }\nsystem = c",
-     [("unexpected character '-'", 29, 30, 1, 30), ("expected a number", 30, 31, 1, 31)]),
+     [("unexpected character '-'", 1, 30), ("expected a number", 1, 31)]),
     ("component c { availability = .e1 }\nsystem = series(c, -.)",
-     [("unexpected character '.'", 29, 30, 1, 30), ("unexpected character '-'", 54, 55, 2, 20),
-      ("unexpected character '.'", 55, 56, 2, 21), ("expected a number", 30, 32, 1, 31),
-      ("expected a block", 56, 57, 2, 22)]),
+     [("unexpected character '.'", 1, 30), ("unexpected character '-'", 2, 20),
+      ("unexpected character '.'", 2, 21), ("expected a number", 1, 31),
+      ("expected a block", 2, 22)]),
 ]
 
 
 _HINT = FORM_HINT
 
 # Component bodies with a value out of range and something else wrong after
-# it: (text, [(message, byte start, byte end, line, column)]). A value out
-# of range is reported at its token as it is read, before anything later,
-# and declares nothing, so its field may come again.
+# it: (text, [(message, line, column)]). A value out of range is reported at
+# its token as it is read, before anything later, and declares nothing, so
+# its field may come again.
 _COMPONENT_BODIES = [
     ("component c { availability = 2, availability = 0.5 }\nsystem = c",
-     [("availability 2.0 out of [0, 1]", 29, 30, 1, 30)]),
+     [("availability 2.0 out of [0, 1]", 1, 30)]),
     ("component c { availability = 0.5, availability = 2 }\nsystem = c",
-     [("duplicate field 'availability'", 34, 46, 1, 35)]),
+     [("duplicate field 'availability'", 1, 35)]),
     ("component c { mtbf_h = 0, mdt_h 1 }\nsystem = c",
-     [("mtbf_h must be a finite value > 0, got 0.0", 23, 24, 1, 24),
-      ("expected '='", 32, 33, 1, 33)]),
+     [("mtbf_h must be a finite value > 0, got 0.0", 1, 24), ("expected '='", 1, 33)]),
     ("component c { availability = 2\nsystem = c",
-     [("availability 2.0 out of [0, 1]", 29, 30, 1, 30), ("expected '}'", 31, 37, 2, 1)]),
+     [("availability 2.0 out of [0, 1]", 1, 30), ("expected '}'", 2, 1)]),
     ("component c { availability = 0.9 }\ncomponent c { availability = -1 }\nsystem = c",
-     [("availability -1.0 out of [0, 1]", 64, 66, 2, 30),
-      ("duplicate component id 'c'", 45, 46, 2, 11)]),
+     [("availability -1.0 out of [0, 1]", 2, 30), ("duplicate component id 'c'", 2, 11)]),
     ("component c { availability = 2, mtbf_h = 5 }\nsystem = c",
-     [("availability 2.0 out of [0, 1]", 29, 30, 1, 30)]),
+     [("availability 2.0 out of [0, 1]", 1, 30)]),
     ("component c { availability = 0.9, mtbf_h = 5 }\nsystem = c",
-     [(_HINT, 10, 11, 1, 11)]),
+     [(_HINT, 1, 11)]),
     ("component c { mtbf_h = -1 }\nsystem = c",
-     [("mtbf_h must be a finite value > 0, got -1.0", 23, 25, 1, 24)]),
+     [("mtbf_h must be a finite value > 0, got -1.0", 1, 24)]),
     ("component c { pnrs = 1.5, bogus = 1, tat_h = -2, = 3 }\nsystem = c",
-     [("pnrs 1.5 out of [0, 1]", 21, 24, 1, 22), ("unknown field 'bogus'", 26, 31, 1, 27),
-      ("tat_h must be a finite value >= 0, got -2.0", 45, 47, 1, 46),
-      ("expected a field name", 49, 50, 1, 50)]),
+     [("pnrs 1.5 out of [0, 1]", 1, 22), ("unknown field 'bogus'", 1, 27),
+      ("tat_h must be a finite value >= 0, got -2.0", 1, 46), ("expected a field name", 1, 50)]),
     ("component c { mtbf_h = 1e999, mdt_h = -0.5 }\nsystem = c",
-     [("mtbf_h must be a finite value > 0, got inf", 23, 28, 1, 24),
-      ("mdt_h must be a finite value >= 0, got -0.5", 38, 42, 1, 39)]),
+     [("mtbf_h must be a finite value > 0, got inf", 1, 24),
+      ("mdt_h must be a finite value >= 0, got -0.5", 1, 39)]),
 ]
 
 # System lines with a mistake, each followed by what comes after it, as
-# (text, [(message, byte start, byte end, line, column)]). A failed block
-# is reported once, and parsing resumes at the next declaration; text after
-# a complete block is stray top-level text.
+# (text, [(message, line, column)]). A failed block is reported once, and
+# parsing resumes at the next declaration; text after a complete block is
+# stray top-level text.
 _A = "component a { availability = 0.9 }\n"
 _SYSTEM_LINES = [
     (_A + "system = series(b, )\ncomponent b { availability = 0.9 }",
-     [("expected a block", 54, 55, 2, 20)]),
+     [("expected a block", 2, 20)]),
     (_A + "system = a a",
-     [("expected 'component', 'system' or 'network'", 46, 47, 2, 12)]),
+     [("expected 'component', 'system' or 'network'", 2, 12)]),
     (_A + "system = kofn(2 a, a)",
-     [("expected ';'", 51, 52, 2, 17)]),
+     [("expected ';'", 2, 17)]),
     (_A + "system = (a\ncomponent b { availability = 2 }",
-     [("expected a block", 44, 45, 2, 10), ("availability 2.0 out of [0, 1]", 76, 77, 3, 30)]),
+     [("expected a block", 2, 10), ("availability 2.0 out of [0, 1]", 3, 30)]),
 ]
 
 
 def positioned(diags):
-    return [(d.message, d.span.start, d.span.end, d.span.line, d.span.column) for d in diags]
+    return [(d.message, d.span.line, d.span.column) for d in diags]
 
 
 class TestDiagnostics:
@@ -241,17 +236,17 @@ class TestDiagnostics:
         _, diags = parse_model(text)
         assert positioned(diags) == expected
 
-    def test_lone_surrogates_count_three_bytes(self):
+    def test_a_lone_surrogate_counts_one_column(self):
         _, diags = parse_model("\ud800")
         assert positioned(diags) == [
-            ("unexpected character '\\ud800'", 0, 3, 1, 1),
-            ("missing system declaration", 3, 3, 1, 2),
+            ("unexpected character '\\ud800'", 1, 1),
+            ("missing system declaration", 1, 2),
         ]
         _, diags = parse_model("system = a # \udfff\n\udc80 b")
         assert positioned(diags) == [
-            ("unexpected character '\\udc80'", 17, 20, 2, 1),
-            ("expected 'component', 'system' or 'network'", 21, 22, 2, 3),
-            ("unknown component 'a'", 9, 10, 1, 10),
+            ("unexpected character '\\udc80'", 2, 1),
+            ("expected 'component', 'system' or 'network'", 2, 3),
+            ("unknown component 'a'", 1, 10),
         ]
 
     def test_spans_stay_linear_in_the_text(self):
@@ -264,10 +259,7 @@ class TestDiagnostics:
         assert time.perf_counter() - started < 5.0
         assert model is None and len(diags) == 80_000
         last = text.rindex("ü")
-        assert positioned(diags[-1:]) == [
-            ("unknown component 'ü'", len(text[:last].encode()), len(text[:last + 1].encode()),
-             2, last - text.index("\n")),
-        ]
+        assert positioned(diags[-1:]) == [("unknown component 'ü'", 2, last - text.index("\n"))]
 
     def test_nesting_past_the_cap_is_a_positioned_error(self):
         head = "component a { availability = 0.9 }\nsystem = "
@@ -411,22 +403,22 @@ class TestDiagnostics:
         model, diags = parse_model("component b { availability 0.9 }\n" + self._GHOST)
         assert model is None
         assert positioned(diags) == [
-            ("expected '='", 27, 30, 1, 28),
-            ("unknown component 'ghost'", 122, 127, 4, 20),
+            ("expected '='", 1, 28),
+            ("unknown component 'ghost'", 4, 20),
         ]
 
     def test_without_a_syntax_error_every_finding_is_reported_at_its_token(self):
         model, diags = parse_model(self._GHOST)
         assert model is None
         assert positioned(diags) == [
-            ("unknown component 'ghost'", 89, 94, 3, 20),
-            ("component 'c' is never used", 45, 46, 2, 11),
+            ("unknown component 'ghost'", 3, 20),
+            ("component 'c' is never used", 2, 11),
         ]
         assert [d.severity for d in diags] == ["error", "warning"]
         # a warning alone leaves the model
         model, diags = parse_model(self._GHOST.replace("ghost", "a"))
         assert model is not None
-        assert positioned(diags) == [("component 'c' is never used", 45, 46, 2, 11)]
+        assert positioned(diags) == [("component 'c' is never used", 2, 11)]
         assert diags[0].severity == "warning"
 
     def test_a_source_that_is_its_terminal_is_an_error_at_the_network(self):
@@ -435,7 +427,7 @@ class TestDiagnostics:
             "network { source = s, terminal = s, edge(s, t, c) }\n"
         )
         assert model is None
-        assert positioned(diags) == [("source and terminal must differ", 35, 42, 2, 1)]
+        assert positioned(diags) == [("source and terminal must differ", 2, 1)]
 
     def test_edge_findings_sit_at_the_component_and_at_the_edge(self):
         _, diags = parse_model(
@@ -463,16 +455,16 @@ class TestDiagnostics:
         bad = [d for d in errors(diags) if "out of [0, 1]" in d.message]
         assert len(bad) == 2
 
-    def test_spans_use_utf8_byte_offsets(self):
-        # the ä is two bytes in UTF-8, so byte offsets shift while
-        # line/column keep counting characters
+    def test_columns_count_code_points(self):
+        # the ü is two bytes in UTF-8 and one code point; the value's
+        # column is its code-point offset in its line, plus one
         text = "# über\ncomponent c1 { availability = 1.5 }\nsystem = c1"
         _, diags = parse_model(text)
         [d] = errors(diags)
-        assert d.span.line == 2
-        assert d.span.column == 31
-        value_byte = text.encode("utf-8").index(b"1.5")
-        assert d.span.start == value_byte
+        assert (d.span.line, d.span.column) == (2, 31)
+        assert d.span.column == text.index("1.5") - text.index("\n")
+        _, diags = parse_model(text.replace("c1 {", "ü {").replace("= c1", "= ü"))
+        assert positioned(errors(diags)) == [("availability 1.5 out of [0, 1]", 2, 30)]
 
 
 # The lexer as it was when tokens carried their kind, one named group per
@@ -522,8 +514,8 @@ class TestLexing:
     @example("")
     def test_findall_texts_equal_the_walk(self, text):
         ref, ref_bad = reference_lex(text)
-        walked, spans, bad = modelfile._walk(text)
-        assert [(kind_of(t), t, *span) for t, span in zip(walked, spans)] == ref
+        walked, starts, bad = modelfile._walk(text)
+        assert [(kind_of(t), t, start, start + len(t)) for t, start in zip(walked, starts)] == ref
         assert bad == ref_bad
         # findall is trusted exactly when the text has no bad character,
         # and then it yields the walk's texts, plus a second empty match
@@ -534,10 +526,11 @@ class TestLexing:
             # in ASCII text only a lone character can start no token
             assert modelfile._IRREGULAR_ASCII.isdisjoint(toks) == (not bad)
         if not bad:
-            trailing = text[spans[-2][1] if len(spans) > 1 else 0:]  # after the last token
+            # after the last token
+            trailing = text[starts[-2] + len(walked[-2]) if len(starts) > 1 else 0:]
             assert toks == walked + ([""] if trailing else [])
             offsets = modelfile._offsets(text)
-            assert offsets == spans + ([(len(text), len(text))] if trailing else [])
+            assert offsets == starts + ([len(text)] if trailing else [])
 
     def test_a_well_formed_file_builds_no_span(self, monkeypatch):
         lines = []
@@ -575,7 +568,7 @@ class TestLexing:
         model, diags = parse_model(text)
         assert model is None
         assert positioned(diags) == [
-            ("component 'a': mean down time must be a finite value >= 0, got inf", 10, 11, 1, 11),
+            ("component 'a': mean down time must be a finite value >= 0, got inf", 1, 11),
         ]
 
 

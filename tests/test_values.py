@@ -60,11 +60,10 @@ CASES = [
         Diagnostic("warning", "components.x", "component 'x' is never used"),
         "Diagnostic(severity='warning', path='components.x', message=\"component 'x' is never used\")",
     ),
-    (SourceSpan(3, 7, 1, 4), "SourceSpan(start=3, end=7, line=1, column=4)"),
+    (SourceSpan(1, 4), "SourceSpan(line=1, column=4)"),
     (
-        ParseDiagnostic("error", "bad", SourceSpan(3, 7, 1, 4)),
-        "ParseDiagnostic(severity='error', message='bad',"
-        " span=SourceSpan(start=3, end=7, line=1, column=4))",
+        ParseDiagnostic("error", "bad", SourceSpan(1, 4)),
+        "ParseDiagnostic(severity='error', message='bad', span=SourceSpan(line=1, column=4))",
     ),
     (Edge("e1", "s", "t", "a"), "Edge(id='e1', a='s', b='t', component_id='a')"),
     (
