@@ -1,9 +1,9 @@
 """The model file format: declare components, wire them up, report.
 
 A file holds component declarations plus exactly one system — either a
-block expression or a two-terminal network. The parser returns byte-
-accurate source spans with every diagnostic, and the formatter emits a
-canonical form that parses back to the identical model.
+block expression or a two-terminal network. The parser places every
+diagnostic at a line and column, and the formatter emits a canonical
+form that parses back to the identical model.
 """
 
 from availkit import (
