@@ -4,6 +4,14 @@ A value type lists its constructor's arguments, in order, as ``_fields``
 and stores each one with ``setfield``, past the frozen ``__setattr__``.
 Equality, hashing, ``repr``, pickling and ``replace`` key on ``_fields``,
 so slots outside it (derived numbers) take part in none of them.
+
+A value built once per component or per report row (``Component``,
+``report.ComponentLine``) stores its slots through the slots' own
+descriptors instead, each ``__set__`` bound once at import beside its
+class, as ``_set_id = Component.id.__set__``. That skips the look-up of
+the slot by name that ``setfield`` makes on every store. Reading the
+descriptor off the class at each store (``Component.id.__set__(self, v)``)
+saves nothing on CPython 3.10 to 3.13, so the bound form is the one used.
 """
 
 from __future__ import annotations

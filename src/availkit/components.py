@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
-from ._frozen import Frozen, setfield
+from ._frozen import Frozen
 from .blocks import check_string
 from .maintainability import availability_from_times, mean_down_time
 from .probability import Probability
@@ -105,13 +105,20 @@ class Component(Frozen):
             if mdt_h == math.inf:  # every term is finite, but their sum can overflow
                 raise ValueError(f"component {id!r}: {check_field('mean down time', mdt_h)}")
             availability = availability_from_times(values[0], mdt_h)
-        setfield(self, "id", id)
-        setfield(self, "fields", fields)
-        setfield(self, "availability", availability)
-        setfield(self, "mdt_h", mdt_h)
+        _set_id(self, id)
+        _set_fields(self, fields)
+        _set_availability(self, availability)
+        _set_mdt_h(self, mdt_h)
 
     def __hash__(self) -> int:
         return hash((self.id, *self.fields.values()))
+
+
+# One per component read: stored through the slots' own descriptors (see ``_frozen``).
+_set_id = Component.id.__set__
+_set_fields = Component.fields.__set__
+_set_availability = Component.availability.__set__
+_set_mdt_h = Component.mdt_h.__set__
 
 
 def derive_environment(

@@ -37,11 +37,13 @@ class Diagnostic(Frozen):
 
 
 KEY_NOT_ID = "component table key {!r} is not its component's id {!r}"
+NOT_A_COMPONENT = "not a component: {!r}"
 
 
 class Model(Frozen):
     """A component table (declaration order preserved) and the system it
-    feeds — either a block tree or a two-terminal network. Each key is its
+    feeds — either a block tree or a two-terminal network. Each value is a
+    ``Component``, or the model is a TypeError, and each key is its
     component's id, or the model is a ValueError. Its hash is the system's,
     since the table is a dict."""
 
@@ -49,6 +51,8 @@ class Model(Frozen):
 
     def __init__(self, components: dict[str, Component], system: Union[Block, Network]) -> None:
         for key, comp in components.items():
+            if not isinstance(comp, Component):
+                raise TypeError(NOT_A_COMPONENT.format(comp))
             if key != comp.id:
                 raise ValueError(KEY_NOT_ID.format(key, comp.id))
         setfield(self, "components", components)

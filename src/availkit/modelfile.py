@@ -37,23 +37,29 @@ Tokens are plain strings from one ``findall``, and a token's kind
 follows from its text. After whitespace and comments the pattern tries
 punctuation (about half the tokens of a typical file), an id, a number,
 any other character and the end of the text, in that order; no id or
-number starts with punctuation, so the order changes no token. Offsets
-are found only when something is reported, by one more pass of the same
-pattern, so a well-formed file never builds a span.
+number starts with punctuation, so the order changes no token. ASCII
+text is scanned by the pattern compiled a second time with ``re.ASCII``,
+which finds the same tokens there and runs faster; any other text by the
+Unicode pattern. Offsets are found only when something is reported, by
+one more pass of the same pattern, so a well-formed file never builds a
+span.
 
 A character that starts no token comes out as a lone "any other
 character" token, or starts a word when it is a word character that is
 neither a letter nor a digit, such as '²'. ASCII has no such word
 character, so in ASCII text one C-level ``isdisjoint`` with the set of
-those lone characters finds them; other text tests each distinct token.
-A text with one is lexed instead by a positioned walk, which reports the
-character and scans again after it.
+those lone characters finds them. ``findall`` resumed right after each,
+so dropping them, and their offsets, gives the tokens. Other text tests
+each distinct token, and a text with one is lexed instead by a
+positioned walk, which reports the character and scans again after it;
+only the walk handles a word such as '²0'.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from itertools import compress
 from operator import attrgetter
 from typing import Literal, NoReturn
 
@@ -121,6 +127,9 @@ _TOKEN_RE = re.compile(
     r"|.|\Z)",
     re.DOTALL,
 )
+# The same pattern for ASCII text, where ``\w``, ``\d`` and ``[^\W\d]``
+# match the same characters either way, and the ASCII form scans faster.
+_ASCII_TOKEN_RE = re.compile(_TOKEN_RE.pattern, re.DOTALL | re.ASCII)
 
 
 # A token is its text, and its kind follows from that: "" is the end of
@@ -150,9 +159,24 @@ _IRREGULAR_ASCII = frozenset(c for c in map(chr, range(128)) if not _regular(c))
 
 
 def _offsets(text: str) -> list[int]:
-    """The char offsets of the tokens of a text in which every character
-    starts a token."""
-    return [m.start(1) for m in _TOKEN_RE.finditer(text)]
+    """The char offsets of the tokens that ``findall`` gives for ``text``."""
+    pattern = _ASCII_TOKEN_RE if text.isascii() else _TOKEN_RE
+    return [m.start(1) for m in pattern.finditer(text)]
+
+
+def _ascii_strays(text: str, toks: list[str]) -> tuple[list[str], list[int], list[int]]:
+    """``_walk``'s result for an ASCII text from its ``findall`` tokens ``toks``.
+
+    In ASCII text every character that starts no token is a lone token of
+    its own, and ``findall`` resumes right after it, as the walk does; so
+    the walk's tokens and offsets are ``findall``'s without those, and its
+    bad offsets are theirs. Only after text ending in whitespace or a
+    comment do the tokens go on, by a second empty one, past the walk's.
+    """
+    offsets = _offsets(text)
+    keep = [tok not in _IRREGULAR_ASCII for tok in toks]
+    bad = [start for start, kept in zip(offsets, keep) if not kept]
+    return list(compress(toks, keep)), list(compress(offsets, keep)), bad
 
 
 def _walk(text: str) -> tuple[list[str], list[int], list[int]]:
@@ -235,14 +259,19 @@ class _Parser:
         self.diagnostics: list[ParseDiagnostic] = []
         # After text ending in whitespace or a comment, findall also yields
         # a second, empty match at the end; parsing stops at the first.
-        toks = _TOKEN_RE.findall(text)
-        if not (_IRREGULAR_ASCII.isdisjoint(toks) if text.isascii()
-                else all(map(_regular, set(toks)))):
-            toks, self.spans.offsets, bad = _walk(text)
-            for start in bad:
-                self.diagnostics.append(ParseDiagnostic(
-                    "error", f"unexpected character {text[start]!r}", self.spans.at(start),
-                ))
+        bad: list[int] = []
+        if text.isascii():
+            toks = _ASCII_TOKEN_RE.findall(text)
+            if not _IRREGULAR_ASCII.isdisjoint(toks):
+                toks, self.spans.offsets, bad = _ascii_strays(text, toks)
+        else:
+            toks = _TOKEN_RE.findall(text)
+            if not all(map(_regular, set(toks))):
+                toks, self.spans.offsets, bad = _walk(text)
+        for start in bad:
+            self.diagnostics.append(ParseDiagnostic(
+                "error", f"unexpected character {text[start]!r}", self.spans.at(start),
+            ))
         self.toks = toks
         self.i = 0
         self.components: dict[str, Component] = {}

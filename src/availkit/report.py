@@ -49,9 +49,15 @@ class ComponentLine(Frozen):
     __slots__ = _fields = ("id", "availability", "mdt_h")
 
     def __init__(self, id: str, availability: float, mdt_h: float | None) -> None:
-        setfield(self, "id", id)
-        setfield(self, "availability", availability)
-        setfield(self, "mdt_h", mdt_h)
+        _set_line_id(self, id)
+        _set_line_availability(self, availability)
+        _set_line_mdt_h(self, mdt_h)
+
+
+# One per report row: stored through the slots' own descriptors (see ``_frozen``).
+_set_line_id = ComponentLine.id.__set__
+_set_line_availability = ComponentLine.availability.__set__
+_set_line_mdt_h = ComponentLine.mdt_h.__set__
 
 
 class AvailabilityReport(Frozen):
@@ -138,7 +144,12 @@ def _inline(value: object) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, dict):
-        fields = ", ".join([f"{_quote(k)}: {_inline(v)}" for k, v in value.items()])
+        # a float, the common value, is written without a call; a subclass
+        # goes through the call, which writes its float value, not its repr
+        fields = ", ".join([
+            f"{_quote(k)}: {v!r}" if type(v) is float else f"{_quote(k)}: {_inline(v)}"
+            for k, v in value.items()
+        ])
         return "{" + fields + "}"
     return "[" + ", ".join([_inline(v) for v in value]) + "]"
 

@@ -311,6 +311,16 @@ class TestValidateBlocks:
             m.replace(components={"b": c})
         assert str(info.value) == message.format("b")
 
+    def test_a_table_value_that_is_not_a_component_is_refused(self):
+        # refused before its key is compared with an id it does not have
+        with pytest.raises(TypeError) as info:
+            Model({"a": 0.9}, Leaf("a"))
+        assert str(info.value) == "not a component: 0.9"
+        m = Model({"a": Component("a", {"availability": 0.9})}, Leaf("a"))
+        with pytest.raises(TypeError) as info:
+            m.replace(components={"a": 0.9})
+        assert str(info.value) == "not a component: 0.9"
+
     def test_unused_component_warning(self):
         m = Model(comps("a", "b", "z"), Series((Leaf("a"), Leaf("b"))))
         [diag] = validate(m)

@@ -503,11 +503,13 @@ def kind_of(tok):
 
 
 class TestLexing:
-    @given(st.text() | st.lists(_FRAGMENTS | _SURROGATES | st.sampled_from(
-        ["²", "½", "Ⅳ", "\u0663", "五", "𝔘", "\xa0", "\r\n", "# tail", "\t", "-", ".",
-         "\x00", "\x7f", "!", "\f", "@", "-x", ".e"]
-    )).map("".join))
+    @given(st.text() | st.text(st.characters(max_codepoint=127)) | st.lists(
+        _FRAGMENTS | _SURROGATES | st.sampled_from(
+            ["²", "½", "Ⅳ", "\u0663", "五", "𝔘", "\xa0", "\r\n", "# tail", "\t", "-", ".",
+             "\x00", "\x7f", "!", "\f", "@", "-x", ".e", "$", "\x0b", "\x1f", "-e"]
+        )).map("".join))
     @example("component c { availability = 0.9 } # tail")
+    @example("component $c { availability = -e0.9 }\x0b\x1fsystem = @c # $\n ")
     @example("system = c \n")
     @example("")
     def test_findall_texts_equal_the_walk(self, text):
@@ -520,15 +522,24 @@ class TestLexing:
         # after trailing space or a trailing comment; so does _offsets
         toks = modelfile._TOKEN_RE.findall(text)
         assert all(map(modelfile._regular, set(toks))) == (not bad)
+        unicode_starts = [m.start(1) for m in modelfile._TOKEN_RE.finditer(text)]
+        assert modelfile._offsets(text) == unicode_starts
         if text.isascii():
-            # in ASCII text only a lone character can start no token
+            # the ASCII-compiled pattern scans ASCII text as the Unicode one does
+            ascii_re = modelfile._ASCII_TOKEN_RE
+            assert ascii_re.findall(text) == toks
+            assert [m.start(1) for m in ascii_re.finditer(text)] == unicode_starts
+            # in ASCII text only a lone character can start no token, and
+            # dropping those gives the walk's tokens up to the first end
             assert modelfile._IRREGULAR_ASCII.isdisjoint(toks) == (not bad)
+            kept, kept_starts, stray = modelfile._ascii_strays(text, toks)
+            end = kept.index("") + 1
+            assert (kept[:end], kept_starts[:end], stray) == (walked, starts, bad)
         if not bad:
             # after the last token
             trailing = text[starts[-2] + len(walked[-2]) if len(starts) > 1 else 0:]
             assert toks == walked + ([""] if trailing else [])
-            offsets = modelfile._offsets(text)
-            assert offsets == starts + ([len(text)] if trailing else [])
+            assert unicode_starts == starts + ([len(text)] if trailing else [])
 
     def test_a_well_formed_file_builds_no_span(self, monkeypatch):
         lines = []

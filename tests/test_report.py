@@ -160,14 +160,21 @@ class TestRenderJson:
 
 class TestToJson:
     def test_layout(self):
+        class Loud(float):  # a float subclass is written as its float value, not its repr
+            def __repr__(self):
+                return "LOUD"
+
+        mixed = {"f": 0.1, "sub": Loud(0.5), "i": 3, "b": True, "s": "x",
+                 "d": {"g": 0.25, "h": Loud(1.5)}, "l": [0.75, Loud(2.5), 1, False, "y"]}
         obj = {
             "flag": True,
             "count": 3,
             "name": "caf\u00e9",
             "tags": ["a", "b"],
             "none": [],
-            "rows": [{"x": 0.1, "ok": False}, {"x": 1e-09}],
-            "nested": {"y": 2.5},
+            "rows": [{"x": 0.1, "ok": False}, {"x": 1e-09}, mixed],
+            "nested": {"y": 2.5, "loud": Loud(-0.0)},
+            "mixed": [0.1, Loud(3.5), 2, True, "z", {"k": Loud(4.5)}, [1e300]],
         }
         assert to_json(obj) == (
             "{\n"
@@ -178,11 +185,15 @@ class TestToJson:
             '  "none": [],\n'
             '  "rows": [\n'
             '    {"x": 0.1, "ok": false},\n'
-            '    {"x": 1e-09}\n'
+            '    {"x": 1e-09},\n'
+            '    {"f": 0.1, "sub": 0.5, "i": 3, "b": true, "s": "x", "d": {"g": 0.25, "h": 1.5},'
+            ' "l": [0.75, 2.5, 1, false, "y"]}\n'
             "  ],\n"
             '  "nested": {\n'
-            '    "y": 2.5\n'
-            "  }\n"
+            '    "y": 2.5,\n'
+            '    "loud": -0.0\n'
+            "  },\n"
+            '  "mixed": [0.1, 3.5, 2, true, "z", {"k": 4.5}, [1e+300]]\n'
             "}\n"
         )
         assert json.loads(to_json(obj)) == obj
