@@ -112,12 +112,13 @@ def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str)
     passed over. A node with two edges to different far ends has no
     parallel pair, so its visit fuses them directly, the smaller id first
     in the name. Any other visit sorts the node's edges by id and merges
-    its parallel ones in that order; a node whose edges merged is visited
-    again at once, so its edges are sorted again only after a merge. The
-    source and the terminal are never fused or pruned. Every node at the
-    far end of a change is queued again. The visiting order is fixed, so
-    the result, its insertion order and any synthetic edge names are
-    deterministic.
+    its parallel ones in that order. After that no two of its edges share
+    a far end, so a node left with more than two has nothing more to
+    merge; one that merges down to two edges or fewer is visited again at
+    once, to fuse or prune them. The source and the terminal are never
+    fused or pruned. Every node at the far end of a change is queued
+    again. The visiting order is fixed, so the result, its insertion
+    order and any synthetic edge names are deterministic.
     """
     queue = deque(sorted(incident))
     idle: set[str] = set()  # the nodes off the worklist; every node starts on it
@@ -179,7 +180,7 @@ def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str)
             if far in idle:
                 idle.discard(far)
                 queue.append(far)
-        if len(ids) < len(order) and node not in ends:  # merged: visit again before anything else
+        if len(ids) < len(order) and len(ids) <= 2 and node not in ends:  # merged: fuse or prune next
             queue.appendleft(node)
     return edges
 

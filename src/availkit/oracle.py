@@ -8,10 +8,11 @@ two routes is meaningful evidence.
 One structure evaluator serves both oracles. It works on Python ints as
 bitsets, where bit r of an instance's int is its state in row r: series
 is ``&``, parallel ``|``, k-of-n a bit-sliced binary counter, and a
-network's reached rows are carried across every edge, both ways, until
-nothing changes. Enumeration feeds it the 2**n states in chunks of at
-most 2**16 rows and sums the up rows' probabilities with ``math.fsum``,
-so the result is correctly rounded and independent of summation order.
+network's reached rows are carried across every edge, both ways, in
+sweeps that alternate direction until one changes nothing. Enumeration
+feeds it the 2**n states in chunks of at most 2**16 rows and sums the up
+rows' probabilities with ``math.fsum``, so the result is correctly
+rounded and independent of summation order.
 Monte Carlo feeds it sampled states in chunks of the same size, and is
 the one user of numpy, to hash its draws; numpy is the ``[mc]`` extra.
 
@@ -32,7 +33,9 @@ Sample j consumes draws j*m .. j*m+m-1, one per instance in canonical
 order (see ``instances``); instance k is up when u < availability_k.
 Each instance's draws are hashed as one row and compared as integers:
 u < a exactly when (z >> 11) < ceil(a * 2**53), since scaling a in
-[0, 1] by 2**53 is exact and the left side is an integer.
+[0, 1] by 2**53 is exact and the left side is an integer, and so exactly
+when z < ceil(a * 2**53) * 2**11, without the shift. At a = 1 that bound
+is 2**64, past every z: the instance is up in every row.
 Results are a pure function of (structure, environment, samples, seed).
 The whole budget runs on one stream — there is no worker splitting.
 """
@@ -120,6 +123,10 @@ def _up_rows(seed: int, start: int, count: int, avails: Sequence[float]) -> np.n
     base = base * np.uint64(_GAMMA) + np.uint64(seed & _MASK64)
     z, t = np.empty_like(base), np.empty_like(base)
     for k, a in enumerate(avails):
+        bound = math.ceil(a * 2.0**53) << 11
+        if bound > _MASK64:  # a = 1
+            up[k] = True
+            continue
         np.add(base, np.uint64(k * _GAMMA & _MASK64), out=z)
         np.right_shift(z, np.uint64(30), out=t)
         z ^= t
@@ -129,8 +136,7 @@ def _up_rows(seed: int, start: int, count: int, avails: Sequence[float]) -> np.n
         z *= np.uint64(_MIX2)
         np.right_shift(z, np.uint64(31), out=t)
         z ^= t
-        z >>= np.uint64(11)
-        np.less(z, np.uint64(math.ceil(a * 2.0**53)), out=up[k])
+        np.less(z, np.uint64(bound), out=up[k])
     return up
 
 
@@ -150,15 +156,19 @@ def _evaluate(structure: Structure, columns: Iterable[int], rows: int) -> int:
     ]
     reach = [full] + [0] * (len(index) - 1)
     # Carry the reached rows across every up edge, both ways, until a
-    # whole sweep changes nothing.
+    # whole sweep changes nothing. The fixpoint does not depend on edge
+    # order, so sweeps alternate direction: a backward sweep carries what
+    # the forward one reached late back to the edges it passed early.
+    sweep, other = ends, ends[::-1]
     changed = True
     while changed:
         changed = False
-        for a, b, up in ends:
+        for a, b, up in sweep:
             ra, rb = reach[a], reach[b]
             if (ra ^ rb) & up:
                 reach[a], reach[b] = ra | rb & up, rb | ra & up
                 changed = True
+        sweep, other = other, sweep
     return reach[terminal]
 
 
@@ -207,7 +217,9 @@ def _products(prefixes: list[float], avails: Sequence[float]) -> list[float]:
     state of ``avails[j]`` is bit j of an entry's index // len(prefixes)."""
     for a in avails:
         q = 1.0 - a
-        prefixes = [x * q for x in prefixes] + [x * a for x in prefixes]
+        doubled = [x * q for x in prefixes]
+        doubled += [x * a for x in prefixes]
+        prefixes = doubled
     return prefixes
 
 

@@ -2,7 +2,6 @@ import math
 import random
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -217,6 +216,47 @@ class TestStructureFunction:
         assert not structure_function(net, [True, False, False, False, True])
         assert structure_function(net, [True, False, True, False, True])
 
+    def test_network_reach_does_not_depend_on_edge_order(self):
+        # Seeded multigraphs with parallel and reversed edges, self-loops
+        # and a terminal that may touch no edge, on 64 random rows: the
+        # reached rows are each row's breadth-first reach, and they stay
+        # the same with the edges, and their columns, in reverse order.
+        rng = random.Random(2024)
+        rows = 64
+        for _ in range(400):
+            nodes = [f"n{i}" for i in range(rng.randint(2, 8))]
+            pairs = []
+            for _ in range(rng.randint(0, 14)):
+                roll = rng.random()
+                if pairs and roll < 0.2:
+                    a, b = rng.choice(pairs)  # parallel
+                elif pairs and roll < 0.4:
+                    b, a = rng.choice(pairs)  # reversed
+                else:
+                    a, b = rng.choice(nodes), rng.choice(nodes)  # a self-loop when equal
+                pairs.append((a, b))
+            edges = [Edge(f"e{i}", a, b, "x") for i, (a, b) in enumerate(pairs)]
+            source, terminal = rng.choice(nodes), rng.choice(nodes + ["away"])
+            p = rng.random()
+            columns = [sum((rng.random() < p) << r for r in range(rows)) for _ in edges]
+
+            def joined(r):
+                seen, frontier = {source}, [source]
+                for node in frontier:
+                    for (a, b), up in zip(pairs, columns):
+                        if up >> r & 1 and node in (a, b):
+                            far = b if node == a else a
+                            if far not in seen:
+                                seen.add(far)
+                                frontier.append(far)
+                return terminal in seen
+
+            expected = sum(joined(r) << r for r in range(rows))
+            net = Network(edges, source, terminal)
+            assert oracle._evaluate(net, columns, rows) == expected
+            flipped = Network(edges[::-1], source, terminal)
+            assert oracle._evaluate(flipped, columns[::-1], rows) == expected
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="entries"):
             structure_function(BRIDGE, [True, True])
@@ -372,6 +412,12 @@ class TestEnumeration:
             ("special_tiny_parallel", "0x1.0000000000000p-59"),
             ("special_near_one_series", "0x1.ffffffffffffdp-1"),
             ("special_kofn_mixed", "0x1.fffffffffffffp-1"),
+            # Sizes enumerated in one chunk, recorded before the sweeps alternated.
+            ("tree13", "0x1.9f15f6a1a3551p-1"),
+            ("tree16", "0x1.d5ef9d4bee950p-1"),
+            ("net10", "0x1.e85adff7ea9fap-1"),
+            ("net13", "0x1.fcc6a7dd43996p-1"),
+            ("net16", "0x1.fee5673dd6a8cp-1"),
         ],
     )
     def test_pinned_bits(self, name, expected):
@@ -436,15 +482,18 @@ class TestSplitmix:
         # Availability 5 is the u of element [5, 10], so that tie must
         # read as down. Availability 6 is the next float above the u of
         # element [6, 10], which is below 0.5, so a * 2**53 is no integer
-        # and must round up for that draw to read as up.
-        m, start, count = 7, 3, 64
+        # and must round up for that draw to read as up. Availability 7,
+        # the least float, rounds up to one step of u: only a u of 0 is up.
+        import numpy as np
+
+        m, start, count = 8, 3, 64
 
         def u(k, j):
             return (_splitmix64(42, (start + j) * m + k) >> 11) * 2.0**-53
 
         assert u(6, 10) < 0.5
         avails = [0.0, 0.3, 1.0, 1.0 - 2.0**-53, 2.0**-60]
-        avails += [u(5, 10), math.nextafter(u(6, 10), 1)]
+        avails += [u(5, 10), math.nextafter(u(6, 10), 1), 5e-324]
         up = _up_rows(42, start, count, avails)
         assert up.shape == (m, count) and up.dtype == np.bool_
         for k, a in enumerate(avails):
