@@ -12,18 +12,21 @@ nodes. An edge-ordered frontier sweep (Hardy, Lucet & Limnios, IEEE
 Trans. Reliability 56(3), 2007) then evaluates the irreducible core that
 remains. It takes the core's edges in breadth-first order from the
 source and carries, for each partition of the frontier vertices into
-connected blocks, each labelled by its least frontier vertex, the
-probability mass of reaching it. A vertex enters the frontier on its
-first edge: as a block of its own if the edge is down, in the block of
-the edge's other end if it is up. Mass is banked when a working edge
-joins the source's block to the terminal's, and a state is dropped once
-it can no longer connect them. The sweep's cost grows with the number of
-live states, which ``max_states`` bounds.
+connected blocks, each labelled in a byte by the frontier position of
+its least vertex, the probability mass of reaching it. A vertex enters
+the frontier on its first edge: as a block of its own if the edge is
+down, in the block of the edge's other end if it is up. Mass is banked
+when a working edge joins the source's block to the terminal's, and a
+state is dropped once it can no longer connect them. The sweep's cost
+grows with the number of live states, which ``max_states`` bounds, and
+its frontier may hold no more than MAX_FRONTIER vertices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -36,14 +39,16 @@ __all__ = ["Edge", "Network", "ReducedNetwork", "StateBudgetError", "reduce_netw
 
 # (node a, node b, availability) per edge id — the working representation.
 _EdgeTable = dict[str, tuple[str, str, float]]
-# The ids of the edges at each node, for the edges in the table.
-_Incidence = dict[str, set[str]]
+# The edges at each node, for the edges in the table: edge id -> far end.
+_Incidence = dict[str, dict[str, str]]
 
 DEFAULT_MAX_STATES = 1 << 17
+MAX_FRONTIER = 254  # the widest frontier the sweep takes: positions 0 to 253 are labels 2 to 255
+_ONE = [bytes([label]) for label in range(256)]  # each label as a one-byte string
 
 
 class StateBudgetError(EvaluationError):
-    """Raised when the frontier sweep holds more live states than its budget."""
+    """Raised when the frontier sweep passes its live-state budget or its frontier limit."""
 
 
 class Edge(Frozen):
@@ -105,20 +110,21 @@ def _bfs_order(pairs: Iterable[tuple[str, str]], source: str) -> dict[str, int]:
 def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str) -> _EdgeTable:
     """Apply the reduction rules to a fixpoint, in place.
 
-    It takes the loop-free table and the incidence sets that _edge_table
-    builds and changes both. A worklist holds the nodes whose incident
-    edges changed, seeded in sorted node order. A node with fewer than two
-    edges sorts nothing: its one edge is pruned, and a node with none is
-    passed over. A node with two edges to different far ends has no
-    parallel pair, so its visit fuses them directly, the smaller id first
-    in the name. Any other visit sorts the node's edges by id and merges
-    its parallel ones in that order. After that no two of its edges share
-    a far end, so a node left with more than two has nothing more to
-    merge; one that merges down to two edges or fewer is visited again at
-    once, to fuse or prune them. The source and the terminal are never
-    fused or pruned. Every node at the far end of a change is queued
-    again. The visiting order is fixed, so the result, its insertion
-    order and any synthetic edge names are deterministic.
+    It takes the loop-free table and the incidence dicts that _edge_table
+    builds, which give each edge's far end, and changes both. A worklist
+    holds the nodes whose incident edges changed, seeded in sorted node
+    order. A node with fewer than two edges sorts nothing: its one edge is
+    pruned, and a node with none is passed over. A node with two edges to
+    different far ends has no parallel pair, so its visit fuses them
+    directly, the smaller id first in the name. Any other visit sorts the
+    node's edges by id and merges its parallel ones in that order. After
+    that no two of its edges share a far end, so a node left with more
+    than two has nothing more to merge; one that merges down to two edges
+    or fewer is visited again at once, to fuse or prune them. The source
+    and the terminal are never fused or pruned. Every node at the far end
+    of a change is queued again. The visiting order is fixed and a node's
+    edges are taken in id order, so the result, its insertion order and
+    any synthetic edge names are deterministic.
     """
     queue = deque(sorted(incident))
     idle: set[str] = set()  # the nodes off the worklist; every node starts on it
@@ -129,10 +135,8 @@ def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str)
         ids = incident[node]
         if len(ids) < 2:
             if ids and node not in ends:
-                eid = ids.pop()
-                u, v, _ = edges.pop(eid)
-                far = v if u == node else u
-                incident[far].discard(eid)
+                eid, far = ids.popitem()
+                del edges[eid], incident[far][eid]
                 if far in idle:
                     idle.discard(far)
                     queue.append(far)
@@ -141,20 +145,15 @@ def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str)
             first, second = ids
             if second < first:
                 first, second = second, first
-            u1, v1, a1 = edges[first]
-            u2, v2, a2 = edges[second]
-            far1 = u1 if v1 == node else v1
-            far2 = u2 if v2 == node else v2
+            far1, far2 = ids[first], ids[second]
             if far1 != far2:
                 if node not in ends:
-                    del edges[first], edges[second]
                     ids.clear()
                     new_id = f"ser({first},{second})"
-                    edges[new_id] = (far1, far2, a1 * a2)
-                    for far, eid in ((far1, first), (far2, second)):
-                        at_far = incident[far]
-                        at_far.discard(eid)
-                        at_far.add(new_id)
+                    edges[new_id] = (far1, far2, edges.pop(first)[2] * edges.pop(second)[2])
+                    del incident[far1][first], incident[far2][second]
+                    incident[far1][new_id], incident[far2][new_id] = far2, far1
+                    for far in (far1, far2):
                         if far in idle:
                             idle.discard(far)
                             queue.append(far)
@@ -162,21 +161,19 @@ def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str)
         order = sorted(ids)
         by_far: dict[str, str] = {}
         for eid in order:
-            u, v, a = edges[eid]
-            far = v if u == node else u
+            far = ids[eid]
             first = by_far.get(far)
             if first is None:
                 by_far[far] = eid
                 continue
             fu, fv, fa = edges.pop(first)
-            del edges[eid]
+            a = edges.pop(eid)[2]
             new_id = f"par({first},{eid})"
             edges[new_id] = (fu, fv, 1.0 - (1.0 - fa) * (1.0 - a))
             by_far[far] = new_id
-            for at in (ids, incident[far]):
-                at.discard(first)
-                at.discard(eid)
-                at.add(new_id)
+            at_far = incident[far]
+            del ids[first], ids[eid], at_far[first], at_far[eid]
+            ids[new_id], at_far[new_id] = far, node
             if far in idle:
                 idle.discard(far)
                 queue.append(far)
@@ -185,20 +182,37 @@ def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str)
     return edges
 
 
+@lru_cache(maxsize=4096)
+def _leave_plan(width: int, leaving: tuple[int, ...]) -> tuple:
+    """The plan for dropping the ``leaving`` positions of a frontier ``width``
+    wide: the kept positions, the cut that drops them when they are one run,
+    else an itemgetter of the kept, a shift table to the new positions, and
+    the labels past those that it gives the leaving positions."""
+    kept = tuple([j for j in range(width) if j not in leaving])
+    pick = None
+    if leaving[-1] - leaving[0] >= len(leaving):  # itemgetter of one index returns the bare item
+        pick = itemgetter(*kept) if len(kept) > 1 else itemgetter(slice(kept[0], kept[0] + 1))
+    shift = bytes.maketrans(bytes([j + 2 for j in kept + leaving]), bytes(range(2, width + 2)))
+    return kept, (leaving[0], leaving[-1] + 1), pick, shift, tuple(range(len(kept) + 2, width + 2))
+
+
 def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> float:
     """Source-terminal availability of a core by an edge-ordered frontier sweep.
 
-    A state labels each frontier vertex with its block: 0 is the source's
-    block, 1 the terminal's, any other 2 plus the rank of its least frontier
-    vertex, so each partition has one key. Edges come by the larger, then
-    the smaller breadth-first rank of their endpoints, so the lower one is
-    known and the frontier stays in rank order: a merge keeps the smaller
-    label, and a block whose least vertex leaves takes its next member's.
-    A vertex enters in its first edge's own pass over the states. Its rank
-    is the highest yet, so joining the lower end's block keeps that block's
-    label; only the terminal, entering, turns the lower end's block into 1.
-    A vertex leaves after its last edge, and only the steps where one does
-    rebuild the frontier and drop or relabel states.
+    A state is a ``bytes`` that labels each frontier vertex with its block:
+    0 is the source's block, 1 the terminal's, any other 2 plus the frontier
+    position of its least vertex, so each partition has one key. Edges come
+    by the larger, then the smaller breadth-first rank of their endpoints,
+    so the lower one is known and the frontier stays in rank order: a merge
+    keeps the smaller label, by one ``replace``. A vertex enters in its
+    first edge's own pass over the states, as one byte more, and joining
+    the lower end's block keeps that block's label; only the terminal,
+    entering, turns the lower end's block into 1. Only the steps after
+    which a vertex leaves rebuild the frontier and drop or relabel states,
+    by a plan cached per frontier width and leaving positions: a cut, a
+    ``translate`` to the new positions and, for a block whose least vertex
+    left, a ``replace``. The widest frontier follows from the edge order,
+    so one past MAX_FRONTIER is refused before any state is built.
     """
     if len(edges) == 1:  # reduction leaves a lone edge only between source and terminal
         ((_, _, p),) = edges.values()
@@ -215,27 +229,35 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
     for i, (hi, lo, _, _) in enumerate(core):
         last[hi] = last[lo] = i
     leaves_after = set(last.values())  # the steps after which a vertex leaves the frontier
+    if len(rank) > MAX_FRONTIER:  # only then can the frontier be too wide for a byte label
+        gone = sorted(last.values())  # in step i the ranks up to hi have entered, less those gone
+        widest = max(hi + 1 - bisect_left(gone, i) for i, (hi, _, _, _) in enumerate(core))
+        if widest > MAX_FRONTIER:
+            raise StateBudgetError(
+                f"network sweep needs a frontier of {widest} vertices, past its limit of "
+                f"{MAX_FRONTIER}; estimate with the Monte Carlo oracle"
+            )
     t = rank[terminal]
     frontier = [0]
-    states = {(0,): 1.0}
+    states = {b"\0": 1.0}
     banked = 0.0
     for i, (hi, lo, _, p) in enumerate(core):
         iu = frontier.index(lo)
         q = 1.0 - p
-        nxt: dict[tuple[int, ...], float] = {}
+        nxt: dict[bytes, float] = {}
         if hi not in frontier:  # hi enters on its first edge, so every key made here is new
+            b = 1 if hi == t else len(frontier) + 2
             frontier.append(hi)
-            b = 1 if hi == t else hi + 2
-            down = (b,)
+            down = _ONE[b]
             for s, m in states.items():
                 a = s[iu]
                 nxt[s + down] = m * q  # m and q are never -0.0, so this is 0.0 + m * q
                 if b > 1:  # hi joins a's block and has the largest label, so it keeps a's
-                    nxt[s + (a,)] = 0.0 + m * p
+                    nxt[s + _ONE[a]] = 0.0 + m * p
                 elif a == 0:
                     banked += m * p
                 else:  # the terminal enters: a's block becomes the terminal's
-                    nxt[tuple([1 if x == a else x for x in s]) + down] = 0.0 + m * p
+                    nxt[s.replace(_ONE[a], b"\1") + down] = 0.0 + m * p
         else:
             iv = frontier.index(hi)
             for s, m in states.items():
@@ -247,26 +269,22 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
                 if a + b == 1:  # an up edge joins the source's block to the terminal's
                     banked += m * p
                     continue
-                keep, drop = (a, b) if a < b else (b, a)
-                merged = tuple([keep if x == drop else x for x in s])
+                merged = s.replace(_ONE[b], _ONE[a]) if a < b else s.replace(_ONE[a], _ONE[b])
                 nxt[merged] = nxt.get(merged, 0.0) + m * p
         if i in leaves_after:
-            keep_at = [j for j, w in enumerate(frontier) if last[w] != i]
-            leaving = [(j, w + 2) for j, w in enumerate(frontier) if last[w] == i]
-            frontier = [frontier[j] for j in keep_at]
-            if len(keep_at) > 1:
-                pick = itemgetter(*keep_at)
-            else:  # itemgetter of one index returns the bare item, not a tuple
-                pick = lambda s: tuple([s[j] for j in keep_at])  # noqa: E731
+            leaving = tuple([j for j, w in enumerate(frontier) if last[w] == i])
+            kept, (start, stop), pick, shift, led = _leave_plan(len(frontier), leaving)
+            frontier = [frontier[j] for j in kept]
             states = {}
             for s, m in nxt.items():
-                rest = pick(s)
+                rest = s[:start] + s[stop:] if pick is None else bytes(pick(s))
                 if 0 not in rest or (t <= hi and 1 not in rest):  # t <= hi: the terminal was seen
                     continue
-                for j, own in leaving:
-                    if s[j] == own and own in rest:
-                        new = frontier[rest.index(own)] + 2
-                        rest = tuple([new if x == own else x for x in rest])
+                rest = rest.translate(shift)
+                for x in led:
+                    n = rest.find(x)
+                    if n >= 0:  # x's block lost its least vertex: the next one leads it
+                        rest = rest.replace(_ONE[x], _ONE[n + 2])
                 states[rest] = states.get(rest, 0.0) + m
         else:
             states = nxt
@@ -280,11 +298,11 @@ def _sweep(edges: _EdgeTable, source: str, terminal: str, max_states: int) -> fl
 
 def _edge_table(net: Network, env: Mapping[str, float]) -> tuple[_EdgeTable, _Incidence]:
     """The one pass from a network to what _reduce takes: the edge table
-    in the network's order and each node's set of incident edge ids.
+    in the network's order and each node's dict of edge id to far end.
 
     Every edge's id is checked against the ids before it and the merge
     names, and its availability read, a self-loop's too, but a self-loop
-    enters neither the table nor the incidence sets: it never joins its
+    enters neither the table nor the incidence dicts: it never joins its
     ends to anything else. Ids and nodes are strings, as ``Edge`` and
     ``Network`` check when built, so every node hashes and sorts.
     """
@@ -307,16 +325,16 @@ def _edge_table(net: Network, env: Mapping[str, float]) -> tuple[_EdgeTable, _In
             loops.add(eid)
             continue
         table[eid] = (u, v, a)
-        at = incident.get(u)  # not setdefault, which would make a set on every call
+        at = incident.get(u)  # not setdefault, which would make a dict on every call
         if at is None:
-            incident[u] = {eid}
+            incident[u] = {eid: v}
         else:
-            at.add(eid)
+            at[eid] = v
         at = incident.get(v)
         if at is None:
-            incident[v] = {eid}
+            incident[v] = {eid: u}
         else:
-            at.add(eid)
+            at[eid] = u
     return table, incident
 
 
@@ -352,10 +370,10 @@ def eval_network(
     """Availability of the source-terminal connection.
 
     ``max_states`` bounds the live states of the frontier sweep over the
-    irreducible core; exceeding it raises StateBudgetError, which suggests
-    the Monte Carlo oracle for meshes too wide to sweep. A network that
-    reduction alone solves needs one state. A budget below 1, or NaN, is
-    a ValueError, whatever the network.
+    irreducible core; exceeding it, or a core whose frontier would pass
+    MAX_FRONTIER vertices, raises StateBudgetError, which suggests the
+    Monte Carlo oracle. A network that reduction alone solves needs one
+    state. A budget below 1, or NaN, is a ValueError, whatever the network.
     """
     if not max_states >= 1:  # written so that NaN fails too
         raise ValueError(f"max_states must be >= 1, got {max_states}")

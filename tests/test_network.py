@@ -15,7 +15,7 @@ from availkit import (
     monte_carlo_availability,
     reduce_network,
 )
-from availkit.network import _edge_table, _reduce
+from availkit.network import DEFAULT_MAX_STATES, _edge_table, _reduce
 from conftest import random_network
 
 
@@ -351,6 +351,26 @@ class TestEvalNetwork:
         )
         assert abs(float(eval_network(net, {"a": 0.9, "b": 0.9}, max_states=1)) - 0.81) < 1e-15
 
+    @staticmethod
+    def hubs_network(n):
+        # K(3,n): hubs s, h and t, each joined to n middle nodes. Nothing
+        # reduces, and the sweep's frontier holds the n middles and h at once
+        edges = [Edge(f"{hub}{i}", hub, f"m{i}", "c") for i in range(n) for hub in "sht"]
+        return Network(edges, "s", "t")
+
+    @pytest.mark.parametrize("budget", [DEFAULT_MAX_STATES, 10**12])
+    def test_a_frontier_past_the_byte_labels_is_refused_before_any_state(self, budget):
+        # at 10**12 the states would double on every middle that enters
+        with pytest.raises(StateBudgetError, match="frontier of 261 vertices, past its limit of 254"):
+            eval_network(self.hubs_network(260), {"c": 0.9}, max_states=budget)
+
+    def test_a_frontier_at_the_byte_labels_limit_is_swept(self):
+        # 254 vertices take labels 2 to 255; the sweep starts, and its state budget stops it
+        with pytest.raises(StateBudgetError, match="exceeded 1000 live states"):
+            eval_network(self.hubs_network(253), {"c": 0.9}, max_states=1000)
+        with pytest.raises(StateBudgetError, match="frontier of 255 vertices"):
+            eval_network(self.hubs_network(254), {"c": 0.9}, max_states=1000)
+
     def test_edge_order_and_node_names_do_not_change_the_answer(self):
         rng = random.Random(777)
         for _ in range(60):
@@ -563,6 +583,27 @@ class TestPinnedSweep:
         eval_network(net, env, max_states=budget)
         with pytest.raises(StateBudgetError):
             eval_network(net, env, max_states=budget - 1)
+
+    @pytest.mark.parametrize(
+        "rows,cols,want",
+        [
+            (3, 150, "0x1.a6a5069b31e74p-1"),
+            (5, 5, "0x1.e1c83c5a9a42bp-1"),
+            (6, 6, "0x1.f1f34b058c874p-1"),
+            (7, 7, "0x1.f29d350363de0p-1"),
+            (8, 8, "0x1.f62d72e298161p-1"),
+        ],
+    )
+    def test_pinned_bits_of_wide_grids(self, rows, cols, want):
+        # the 3x150 core has more breadth-first ranks than a byte holds and a
+        # narrow frontier, so its states' labels must be frontier positions
+        net = grid_network(rows, cols)
+        rng = random.Random(rows * 1000 + cols)
+        env = {e.component_id: 0.8 + 0.2 * rng.random() for e in net.edges}
+        if rows == 3:
+            core = reduce_network(net, env).network.edges
+            assert len({node for e in core for node in (e.a, e.b)}) > 256
+        assert float(eval_network(net, env)).hex() == want
 
     # s, a, b, c and t take breadth-first ranks 0 to 4, and e0, e1, e3 and
     # e5 are the first edges of a, b, c and t, so each brings a new vertex
