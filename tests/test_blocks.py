@@ -214,6 +214,10 @@ class TestValidateBlocks:
         assert diags[0].path == "system.children[1]"
         assert "ghost" in diags[0].message
 
+    def test_a_child_that_is_not_a_block_is_one_error_at_its_path(self):
+        m = Model(comps("a"), Series((Leaf("a"), "x")))
+        assert validate(m) == [Diagnostic("error", "system.children[1]", "not a block: 'x'")]
+
     def test_kofn_bounds(self):
         m = Model(comps("a", "b"), KofN(3, (Leaf("a"), Leaf("b"))))
         [diag] = validate(m)

@@ -359,6 +359,11 @@ class TestWhatif:
         assert code == 1
         assert "does not apply" in err
 
+    def test_override_value_that_is_not_a_number(self, capsys):
+        code, out, err = run(capsys, "whatif", BRIDGE, "--set", "c1.availability=abc")
+        assert (code, out) == (1, "")
+        assert err == "error: override value 'abc' is not a number\n"
+
     def test_override_out_of_range(self, capsys):
         code, _, err = run(capsys, "whatif", BRIDGE, "--set", "c1.availability=2.0")
         assert code == 1

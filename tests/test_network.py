@@ -605,6 +605,33 @@ class TestPinnedSweep:
             assert len({node for e in core for node in (e.a, e.b)}) > 256
         assert float(eval_network(net, env)).hex() == want
 
+    # Its core keeps ten edges, every inner vertex of degree three or more,
+    # and one of its sweep's steps drops positions 1 and 3 of a frontier four
+    # wide: the leave plan that is not one cut, so its kept positions are picked.
+    LEAVE_APART_PAIRS = (
+        ("v1", "v0"), ("v7", "v3"), ("v5", "v4"), ("v1", "v2"), ("v1", "v5"), ("v0", "v2"),
+        ("v7", "v1"), ("v4", "v2"), ("v2", "v3"), ("v0", "v3"), ("v0", "v4"),
+    )
+
+    def test_pinned_leave_step_that_drops_positions_apart(self):
+        net = Network(
+            edges=tuple(
+                Edge(f"e{i}", a, b, f"c{i}") for i, (a, b) in enumerate(self.LEAVE_APART_PAIRS)
+            ),
+            source="v0",
+            terminal="v7",
+        )
+        env = {f"c{i}": 0.5 + 0.01 * i for i in range(len(self.LEAVE_APART_PAIRS))}
+        core = reduce_network(net, env).network.edges
+        assert len(core) == 10
+        degree = {}
+        for e in core:
+            for node in (e.a, e.b):
+                degree[node] = degree.get(node, 0) + 1
+        assert min(d for node, d in degree.items() if node not in ("v0", "v7")) >= 3
+        assert float(eval_network(net, env)).hex() == "0x1.4cd549a47a37cp-1"
+        assert float(enumerate_availability(net, env)).hex() == "0x1.4cd549a47a37cp-1"
+
     # s, a, b, c and t take breadth-first ranks 0 to 4, and e0, e1, e3 and
     # e5 are the first edges of a, b, c and t, so each brings a new vertex
     # into the frontier. When e5 brings the terminal in, a's block can be

@@ -9,6 +9,7 @@ from availkit import (
     Component,
     Leaf,
     Model,
+    Network,
     Parallel,
     build_report,
     derive_environment,
@@ -220,6 +221,15 @@ class TestRenderText:
 
     def test_infinite_nines(self):
         assert "nines                    inf" in render_text(report_for(1.0))
+
+    def test_pinned_bytes_without_components(self):
+        empty = build_report(Model({}, Network((), "s", "t")), {}, 0.0)
+        assert render_text(empty) == (
+            "availability             0.0\n"
+            "unavailability           1.0\n"
+            "nines                    0\n"
+            "downtime (minutes/year)  525600.0\n"
+        )
 
     def test_component_table_alignment(self):
         comps = {
