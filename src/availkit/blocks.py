@@ -73,6 +73,7 @@ class Series(Frozen):
     """Up only if every child is up."""
 
     __slots__ = _fields = ("children",)
+    kind = "series"
 
     def __init__(self, children: Iterable["Block"]) -> None:
         setfield(self, "children", tuple(children))
@@ -82,6 +83,7 @@ class Parallel(Frozen):
     """Up if any child is up."""
 
     __slots__ = _fields = ("children",)
+    kind = "parallel"
 
     def __init__(self, children: Iterable["Block"]) -> None:
         setfield(self, "children", tuple(children))
@@ -91,6 +93,7 @@ class KofN(Frozen):
     """Up if at least k of the children are up."""
 
     __slots__ = _fields = ("k", "children")
+    kind = "kofn"
 
     def __init__(self, k: int, children: Iterable["Block"]) -> None:
         setfield(self, "k", k)
@@ -102,6 +105,7 @@ class Bridge(Frozen):
     column, and b3 is the cross-link between the two mid-points."""
 
     __slots__ = _fields = ("b1", "b2", "b3", "b4", "b5")
+    kind = "bridge"
 
     def __init__(self, b1: "Block", b2: "Block", b3: "Block", b4: "Block", b5: "Block") -> None:
         setfield(self, "b1", b1)
@@ -117,12 +121,10 @@ class Bridge(Frozen):
 
 Block = Union[Leaf, Series, Parallel, KofN, Bridge]
 _T = TypeVar("_T")
-_KINDS = {Series: "series", Parallel: "parallel", KofN: "kofn", Bridge: "bridge"}
-
-
-def _kind(block: Block) -> str:
-    """A composite's keyword in model files; a subclass of one takes its base's."""
-    return next(name for base, name in _KINDS.items() if isinstance(block, base))
+# Each composite by its ``kind``, its keyword in model files. A subclass
+# inherits its base's ``kind``, so every walker that reads it takes it as the base.
+COMPOSITES = {cls.kind: cls for cls in (Series, Parallel, KofN, Bridge)}
+_COMPOSITE_TYPES = tuple(COMPOSITES.values())
 
 
 def fold(
@@ -134,7 +136,7 @@ def fold(
     MAX_NESTING an EvaluationError. ``block`` sits ``_depth`` composites down."""
     if type(block) is Leaf:
         return leaf(block)
-    if not isinstance(block, (Series, Parallel, KofN, Bridge)):
+    if not isinstance(block, _COMPOSITE_TYPES):
         if isinstance(block, Leaf):  # a subclass of Leaf is a leaf, as validate reads it
             return leaf(block)
         raise TypeError(NOT_A_BLOCK.format(block))

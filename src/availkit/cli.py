@@ -32,7 +32,8 @@ from .oracle import (
     enumerate_availability,
     monte_carlo_availability,
 )
-from .report import MINUTES_PER_YEAR, build_report, headline, render_json, render_text, to_json
+from .report import (MINUTES_PER_YEAR, build_report, headline, render_json, render_text, to_json,
+                     to_text)
 
 __all__ = ["main"]
 
@@ -184,10 +185,7 @@ def _cmd_oracle(args, model: Model, env) -> int:
     else:
         shown = {"mode": args.mode, "exact": exact, "oracle": estimate, "difference": difference}
         shown.update(extra)
-        width = max(map(len, shown)) + 1
-        rows = [f"{key.ljust(width)} {value}" for key, value in shown.items()]
-        rows.append(f"within tolerance: {'yes' if within else 'no'}")
-        sys.stdout.write("\n".join(rows) + "\n")
+        sys.stdout.write(to_text(shown) + f"within tolerance: {'yes' if within else 'no'}\n")
     return EXIT_OK if within else EXIT_MISMATCH
 
 
@@ -219,16 +217,13 @@ def _apply_override(component: Component, field: str, value: float) -> Component
 
 
 def _cmd_whatif(args, model: Model, env) -> int:
-    try:
-        parsed = [_parse_override(text) for text in args.overrides]
-        components = dict(model.components)
-        for cid, field, value in parsed:
-            if cid not in components:
-                raise ValueError(f"unknown component {cid!r} in override")
-            components[cid] = _apply_override(components[cid], field, value)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    # a bad override is a ValueError, which main reports as an error line
+    parsed = [_parse_override(text) for text in args.overrides]
+    components = dict(model.components)
+    for cid, field, value in parsed:
+        if cid not in components:
+            raise ValueError(f"unknown component {cid!r} in override")
+        components[cid] = _apply_override(components[cid], field, value)
     modified = Model(components=components, system=model.system)
     modified_env = derive_environment(components)
     minutes = args.minutes_per_year
@@ -246,13 +241,13 @@ def _cmd_whatif(args, model: Model, env) -> int:
         }
         sys.stdout.write(to_json(fields))
     else:
-        rows = [
-            f"overrides                {'; '.join(args.overrides)}",
-            f"baseline availability    {base.availability!r}",
-            f"modified availability    {after.availability!r}",
-            f"downtime delta (min/yr)  {delta!r}",
-        ]
-        sys.stdout.write("\n".join(rows) + "\n")
+        rows = {
+            "overrides": "; ".join(args.overrides),
+            "baseline availability": base.availability,
+            "modified availability": after.availability,
+            "downtime delta (min/yr)": delta,
+        }
+        sys.stdout.write(to_text(rows))
     return EXIT_OK
 
 

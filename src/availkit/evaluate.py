@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from .blocks import Block, Bridge, EvaluationError, KofN, Parallel, Series, fold, kofn_problem
+from .blocks import Block, EvaluationError, fold, kofn_problem
 from .probability import Probability
 
 __all__ = [
@@ -91,20 +91,15 @@ def eval_block(block: Block, env: Environment) -> float:
     MAX_NESTING are EvaluationErrors; a non-block is a TypeError (``fold``).
     """
     return fold(block, lambda leaf: _availability(env, leaf.component_id),
-                lambda block, avails: _RULES[type(block)](block, avails))
+                lambda block, avails: _RULES[block.kind](block, avails))
 
 
-class _Rules(dict):
-    def __missing__(self, kind: type):  # a subclass of a composite takes its base's rule
-        return next(rule for base, rule in self.items() if issubclass(kind, base))
-
-
-_RULES = _Rules({
-    Series: lambda block, avails: eval_series(avails),
-    Parallel: lambda block, avails: eval_parallel(avails),
-    KofN: lambda block, avails: eval_kofn(block.k, avails),
-    Bridge: lambda block, avails: eval_bridge(*avails),
-})
+_RULES = {  # by kind, which a subclass of a composite inherits with its base's rule
+    "series": lambda block, avails: eval_series(avails),
+    "parallel": lambda block, avails: eval_parallel(avails),
+    "kofn": lambda block, avails: eval_kofn(block.k, avails),
+    "bridge": lambda block, avails: eval_bridge(*avails),
+}
 
 
 def _availability(env: Environment, component_id: str, edge_id: str | None = None) -> float:

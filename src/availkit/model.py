@@ -20,7 +20,7 @@ from typing import Container, Literal, Union
 
 from ._frozen import Frozen, setfield
 from .blocks import (DUPLICATE_EDGE, MAX_NESTING, NESTING_ERROR, NOT_A_BLOCK, SAME_ENDS, Block,
-                     Bridge, KofN, Leaf, Parallel, Series, _kind, kofn_problem)
+                     Leaf, _COMPOSITE_TYPES, kofn_problem)
 from .components import Component
 from .network import Network, _bfs_order
 
@@ -65,7 +65,6 @@ class Model(Frozen):
 # A finding is (severity, message, trail, field): ``trail`` holds the child
 # or edge indices down to the block or edge at fault, made a path only for a
 # finding, and ``field`` names the part of it at fault, or is None.
-_COMPOSITES = (Series, Parallel, KofN, Bridge)
 NEVER_USED = "component {!r} is never used"
 
 
@@ -80,7 +79,7 @@ def _unknown(cid: str, known: Container[str], used: set[str]) -> str | None:
 def _check_block(block: Block, trail: tuple, known: Container[str], used: set[str],
                  out: list) -> None:
     """Check ``block``, at ``trail``, and every block below it."""
-    if not isinstance(block, _COMPOSITES):
+    if not isinstance(block, _COMPOSITE_TYPES):
         if not isinstance(block, Leaf):
             out.append(("error", NOT_A_BLOCK.format(block), trail, None))
         elif message := _unknown(block.component_id, known, used):
@@ -94,16 +93,16 @@ def _check_block(block: Block, trail: tuple, known: Container[str], used: set[st
         below = [block]
         while below:
             node = below.pop()
-            if isinstance(node, _COMPOSITES):
+            if isinstance(node, _COMPOSITE_TYPES):
                 below.extend(node.children)
             elif isinstance(node, Leaf):
                 _unknown(node.component_id, known, used)
         return
-    if not isinstance(block, Bridge):
+    kind = block.kind
+    if kind != "bridge":
         if len(block.children) < 2:
-            message = f"{_kind(block)} requires at least two sub-blocks"
-            out.append(("error", message, trail, None))
-        if isinstance(block, KofN) and (problem := kofn_problem(block.k, len(block.children))):
+            out.append(("error", f"{kind} requires at least two sub-blocks", trail, None))
+        if kind == "kofn" and (problem := kofn_problem(block.k, len(block.children))):
             out.append(("error", problem, trail, "k"))
     for i, child in enumerate(block.children):
         if type(child) is Leaf and child.component_id in known:
@@ -146,7 +145,7 @@ def _path(system: Union[Block, Network], trail: tuple) -> str:
         return "system" + "".join(f".edges[{i}]" for i in trail)
     parts = ["system"]
     for i in trail:
-        parts.append(f".b{i + 1}" if isinstance(system, Bridge) else f".children[{i}]")
+        parts.append(f".b{i + 1}" if system.kind == "bridge" else f".children[{i}]")
         system = system.children[i]
     return "".join(parts)
 

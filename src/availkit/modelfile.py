@@ -64,8 +64,7 @@ from operator import attrgetter
 from typing import Literal, NoReturn
 
 from ._frozen import Frozen, setfield
-from .blocks import (INTEGER_K, MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, Parallel, Series,
-                     _kind, fold)
+from .blocks import COMPOSITES, INTEGER_K, MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, fold
 from .components import FIELD_NAMES, FORM_HINT, FORM_OF, FORMS, Component, check_field
 from .model import NEVER_USED, Model, _check
 from .network import Edge, Network
@@ -92,28 +91,14 @@ class ParseDiagnostic(Frozen):
         setfield(self, "span", span)
 
 
-_KEYWORDS = frozenset(
-    {
-        "component",
-        "system",
-        "network",
-        "source",
-        "terminal",
-        "edge",
-        "series",
-        "parallel",
-        "kofn",
-        "bridge",
-    }
-)
-
 _INT_RE = re.compile(r"-?\d+$")
 
 _PUNCT = frozenset("{}()=,;")
 # A finding's token after its block's or edge's first: 'kofn ( k', 'edge ( a , b , c'.
 _FIELD_TOKEN = {None: 0, "k": 2, "component_id": 6}
 _TOP_WORDS = frozenset({"component", "system", "network"})
-_COMPOSITES = frozenset({"series", "parallel", "kofn", "bridge"})
+# The reserved words; ``frozenset | dict_keys`` is a plain set.
+_KEYWORDS = frozenset(_TOP_WORDS | {"source", "terminal", "edge"} | COMPOSITES.keys())
 
 # Whitespace and comments, then one token, whose alternatives are tried in
 # this order: punctuation, id, number, any other character, end of text.
@@ -469,7 +454,7 @@ class _Parser:
             self._fail("expected a block", i)
         self.i = i + 1
         self.starts[trail] = i
-        if tok not in _COMPOSITES:
+        if tok not in COMPOSITES:
             if tok in _KEYWORDS:
                 self._fail(f"{tok!r} is a reserved word and cannot name a component", i)
             return Leaf(tok)
@@ -490,7 +475,7 @@ class _Parser:
             return Bridge(*children)
         if tok == "kofn":
             return KofN(int(toks[k_i]), children)
-        return (Series if tok == "series" else Parallel)(children)
+        return COMPOSITES[tok](children)
 
     def _block_items(self, trail: tuple) -> list:
         """The blocks up to and with the closing ')'."""
@@ -552,9 +537,10 @@ _COMPONENT_LINES = {
 
 def _block_text(block, texts: list[str]) -> str:
     inner = ", ".join(texts)
-    if isinstance(block, KofN):
+    kind = block.kind
+    if kind == "kofn":
         inner = f"{block.k!r}; {inner}"
-    return f"{_kind(block)}({inner})"
+    return f"{kind}({inner})"
 
 
 def format_model(model: Model) -> str:

@@ -122,9 +122,12 @@ def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str)
     than two has nothing more to merge; one that merges down to two edges
     or fewer is visited again at once, to fuse or prune them. The source
     and the terminal are never fused or pruned. Every node at the far end
-    of a change is queued again. The visiting order is fixed and a node's
-    edges are taken in id order, so the result, its insertion order and
-    any synthetic edge names are deterministic.
+    of a prune or a fuse is queued again. A merge queues no far end: after a
+    visit a node has no parallel pair, only a fuse makes a new pair, and a
+    fuse queues both of its ends, so the far end of a pair that a visit
+    merges is still on the worklist. The visiting order is fixed and a
+    node's edges are taken in id order, so the result, its insertion order
+    and any synthetic edge names are deterministic.
     """
     queue = deque(sorted(incident))
     idle: set[str] = set()  # the nodes off the worklist; every node starts on it
@@ -174,9 +177,6 @@ def _reduce(edges: _EdgeTable, incident: _Incidence, source: str, terminal: str)
             at_far = incident[far]
             del ids[first], ids[eid], at_far[first], at_far[eid]
             ids[new_id], at_far[new_id] = far, node
-            if far in idle:
-                idle.discard(far)
-                queue.append(far)
         if len(ids) < len(order) and len(ids) <= 2 and node not in ends:  # merged: fuse or prune next
             queue.appendleft(node)
     return edges

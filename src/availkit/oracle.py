@@ -48,7 +48,7 @@ from itertools import chain, compress, repeat
 from operator import and_, mul, or_
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .blocks import INTEGER_K, Block, Bridge, EvaluationError, Parallel, Series, fold, leaves
+from .blocks import INTEGER_K, Block, EvaluationError, fold, leaves
 from .evaluate import _availability
 from .network import Network
 from .probability import Probability
@@ -174,11 +174,12 @@ def _evaluate(structure: Structure, columns: Iterable[int], rows: int) -> int:
 
 def _block_up(full: int, block: Block, ups: list[int]) -> int:
     """The rows in which a composite is up, from its children's rows."""
-    if isinstance(block, Series):  # childless, it is up in every row
+    kind = block.kind
+    if kind == "series":  # childless, it is up in every row
         return reduce(and_, ups, full)
-    if isinstance(block, Parallel):
+    if kind == "parallel":
         return reduce(or_, ups, 0)
-    if isinstance(block, Bridge):
+    if kind == "bridge":
         b1, b2, b3, b4, b5 = ups
         return (b1 & b4) | (b2 & b5) | (b3 & ((b1 & b5) | (b2 & b4)))
     # k-of-n: a bit-sliced counter, count[b] holding bit b of each row's

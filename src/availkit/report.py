@@ -27,6 +27,7 @@ __all__ = [
     "render_text",
     "render_json",
     "to_json",
+    "to_text",
 ]
 
 MINUTES_PER_YEAR = 525600.0
@@ -175,20 +176,27 @@ def render_json(report: AvailabilityReport) -> str:
     return to_json(fields)
 
 
+def to_text(rows: dict) -> str:
+    """The one text layout of labelled values, the text twin of ``to_json``:
+    a line per entry, its label padded to one past the longest label, then
+    a space and ``f"{value}"``, which for a float is its repr."""
+    width = max(map(len, rows)) + 1
+    return "".join([f"{label.ljust(width)} {value}\n" for label, value in rows.items()])
+
+
+# headline's figures in order, as render_text labels them
+_TEXT_LABELS = ("availability", "unavailability", "nines", "downtime (minutes/year)")
+
+
 def render_text(report: AvailabilityReport) -> str:
-    nines_text = "inf" if math.isinf(report.nines) else str(int(report.nines))
-    lines = [
-        f"availability             {report.availability!r}",
-        f"unavailability           {report.unavailability!r}",
-        f"nines                    {nines_text}",
-        f"downtime (minutes/year)  {report.downtime_minutes_per_year!r}",
-    ]
+    text = to_text(dict(zip(_TEXT_LABELS, headline(report).values())))
     if report.per_component:
-        lines.append("components:")
+        lines = ["components:"]
         width = max(len(line.id) for line in report.per_component)
         for line in report.per_component:
             row = f"  {line.id.ljust(width)}  availability {line.availability!r}"
             if line.mdt_h is not None:
                 row += f"  mdt {line.mdt_h!r} h"
             lines.append(row)
-    return "\n".join(lines) + "\n"
+        text += "\n".join(lines) + "\n"
+    return text
