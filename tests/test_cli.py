@@ -122,6 +122,15 @@ class TestExitCodes:
             2, "", f"error: {str(latin)!r} is not UTF-8: 'utf-8' codec can't decode byte 0xe9 "
             "in position 13: invalid continuation byte\n")
 
+    @pytest.mark.parametrize("command", ["check", "eval"])
+    def test_a_byte_order_mark_reads_as_the_plain_file(self, capsys, tmp_path, command):
+        # as some editors save UTF-8
+        marked = tmp_path / "bridge.avail"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(BRIDGE).read_bytes())
+        plain = run(capsys, command, BRIDGE)
+        assert run(capsys, command, str(marked))[:2] == plain[:2]
+        assert plain[0] == 0
+
     def test_enum_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "oracle", BRIDGE, "--enum-cap", "3")
         assert code == 4

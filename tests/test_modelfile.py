@@ -210,6 +210,51 @@ _SYSTEM_LINES = [
      [("expected a block", 2, 10), ("availability 2.0 out of [0, 1]", 3, 30)]),
 ]
 
+# Comments wherever a token boundary allows one, as (text, canonical text of
+# the model or None, [(message, line, column)]): no space before a comment,
+# a last line that is a comment, CRLF line ends, characters in a comment that
+# would start no token outside one, and non-ASCII characters only in comments.
+_COMMENTED = [
+    ("component a{availability=0.9}# x\nsystem=a#y",
+     "component a { availability = 0.9 }\nsystem = a\n", []),
+    ("component a { availability = 0.9 }\ncomponent b { availability = 2 }\nsystem = a # end",
+     None, [("availability 2.0 out of [0, 1]", 2, 30)]),
+    ("# c\ncomponent a {availability=0.9} # x\ncomponent b {availability=0.9}\nsystem = a # y",
+     "component a { availability = 0.9 }\ncomponent b { availability = 0.9 }\nsystem = a\n",
+     [("component 'b' is never used", 3, 11)]),
+    ("# head\r\ncomponent a { availability = 0.9 } # c\r\n"
+     "component b { mtbf_h = 10, mdt_h = -1 }\r\nsystem = series(a, b) # t\r\n",
+     None, [("mdt_h must be a finite value >= 0, got -1.0", 3, 36)]),
+    ("component a { availability = 0.9 } # ² @ $ \x0b ü\nsystem = series(a, b)\n",
+     None, [("unknown component 'b'", 2, 20)]),
+    ("component a { availability = 0.9 } # note\n@ system = a\n",
+     None, [("unexpected character '@'", 2, 1)]),
+    ("# über\ncomponent c1 { availability = 1.5 }\nsystem = c1 # Ende ²\n",
+     None, [("availability 1.5 out of [0, 1]", 2, 31)]),
+    ("# über\ncomponent c1 { availability = 0.9 }\nsystem = c1 # Ende ²",
+     "component c1 { availability = 0.9 }\nsystem = c1\n", []),
+]
+
+# Findings far down a system or a network, each at its token:
+# (text, [(message, line, column)]).
+_DEEP_EDGES = ",\n".join(
+    f"  edge({'s' if i == 0 else f'n{i}'}, {'t' if i == 49 else f'n{i + 1}'}, "
+    f"{'zz' if i == 37 else 'c'})" for i in range(50)
+)
+_DEEP_FINDINGS = [
+    (_A + "system = " + "series(a, " * 150 + "zz" + ")" * 150,
+     [("unknown component 'zz'", 2, 1510)]),
+    (_A + "system = " + "series(a, " * 40 + "kofn(9; a, a)" + ")" * 40,
+     [("k=9 exceeds the 2 sub-blocks", 2, 415)]),
+    (_A + "system = parallel(a, series(a, bridge(a, a, a, a)))",
+     [("bridge requires exactly five sub-blocks, got 4", 2, 32)]),
+    (_A + "system = parallel(a, series(a, bridge(a, a, zz, a, a)))",
+     [("unknown component 'zz'", 2, 45)]),
+    ("component c { availability = 0.9 }\nnetwork {\n  source = s,\n  terminal = t,\n"
+     + _DEEP_EDGES + "\n}\n",
+     [("unknown component 'zz'", 42, 18)]),
+]
+
 
 def positioned(diags):
     return [(d.message, d.span.line, d.span.column) for d in diags]
@@ -260,6 +305,28 @@ class TestDiagnostics:
         assert model is None and len(diags) == 80_000
         last = text.rindex("ü")
         assert positioned(diags[-1:]) == [("unknown component 'ü'", 2, last - text.index("\n"))]
+
+    @pytest.mark.parametrize("text, expected", _DEEP_FINDINGS)
+    def test_findings_deep_in_a_read_structure(self, text, expected):
+        model, diags = parse_model(text)
+        assert model is None
+        assert positioned(diags) == expected
+
+    def test_findings_stay_linear_in_the_tree(self):
+        # 20,000 unknown leaves under two levels of 20 composites each:
+        # every finding is placed at its token from one walk of the tree
+        leaf = iter(range(20_000))
+        mid = lambda: "parallel(" + ", ".join(f"u{next(leaf)}" for _ in range(50)) + ")"
+        top = lambda: "series(" + ", ".join(mid() for _ in range(20)) + ")"
+        text = _A + "system = parallel(a, " + ", ".join(top() for _ in range(20)) + ")\n"
+        started = time.perf_counter()
+        model, diags = parse_model(text)
+        assert time.perf_counter() - started < 5.0
+        assert model is None and len(diags) == 20_000
+        assert positioned(diags[:1] + diags[-1:]) == [
+            ("unknown component 'u0'", 2, 38),
+            ("unknown component 'u19999'", 2, text.rindex("u19999") - text.index("\n")),
+        ]
 
     def test_nesting_past_the_cap_is_a_positioned_error(self):
         head = "component a { availability = 0.9 }\nsystem = "
@@ -540,6 +607,12 @@ class TestLexing:
             trailing = text[starts[-2] + len(walked[-2]) if len(starts) > 1 else 0:]
             assert toks == walked + ([""] if trailing else [])
             assert unicode_starts == starts + ([len(text)] if trailing else [])
+
+    @pytest.mark.parametrize("text, canonical, expected", _COMMENTED)
+    def test_findall_comments_everywhere(self, text, canonical, expected):
+        model, diags = parse_model(text)
+        assert (None if model is None else format_model(model)) == canonical
+        assert positioned(diags) == expected
 
     def test_a_well_formed_file_builds_no_span(self, monkeypatch):
         lines = []
