@@ -254,7 +254,7 @@ def _cmd_whatif(args, model: Model, env) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with open(args.model, encoding="utf-8") as f:
+        with open(args.model, encoding="utf-8-sig") as f:  # a byte-order mark is not text
             text = f.read()
     except OSError as exc:
         print(f"error: cannot read {args.model!r}: {exc}", file=sys.stderr)

@@ -34,7 +34,8 @@ a syntax error, only its errors are reported. A diagnostic's line and
 column are 1-based, and columns count code points.
 
 Tokens are plain strings from one ``findall``, and a token's kind
-follows from its text. After whitespace and comments the pattern tries
+follows from its text. Each comment is first blanked to as many spaces,
+so every offset and column holds, and after whitespace the pattern tries
 punctuation (about half the tokens of a typical file), an id, a number,
 any other character and the end of the text, in that order; no id or
 number starts with punctuation, so the order changes no token. ASCII
@@ -100,13 +101,14 @@ _TOP_WORDS = frozenset({"component", "system", "network"})
 # The reserved words; ``frozenset | dict_keys`` is a plain set.
 _KEYWORDS = frozenset(_TOP_WORDS | {"source", "terminal", "edge"} | COMPOSITES.keys())
 
-# Whitespace and comments, then one token, whose alternatives are tried in
-# this order: punctuation, id, number, any other character, end of text.
+# A comment, blanked before the scan: no id or number holds a '#', so each starts one.
+_COMMENT_RE = re.compile(r"#[^\n]*")
+# Whitespace, then one token, whose alternatives are tried in this order:
+# punctuation, id, number, any other character, end of text.
 # ``[^\W\d]`` also admits word characters that are neither letters nor
 # digits, such as '²', which start no token (see ``_regular``).
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
-    r"([{}()=,;]"
+    r"[ \t\r\n]*([{}()=,;]"
     r"|[^\W\d]\w*"
     r"|-?(?:\d+(?:\.\d+)?|\.\d+)(?:[eE][+-]?\d+)?"
     r"|.|\Z)",
@@ -155,8 +157,8 @@ def _ascii_strays(text: str, toks: list[str]) -> tuple[list[str], list[int], lis
     In ASCII text every character that starts no token is a lone token of
     its own, and ``findall`` resumes right after it, as the walk does; so
     the walk's tokens and offsets are ``findall``'s without those, and its
-    bad offsets are theirs. Only after text ending in whitespace or a
-    comment do the tokens go on, by a second empty one, past the walk's.
+    bad offsets are theirs. Only after text ending in whitespace do the
+    tokens go on, by a second empty one, past the walk's.
     """
     offsets = _offsets(text)
     keep = [tok not in _IRREGULAR_ASCII for tok in toks]
@@ -223,8 +225,8 @@ class _Recover(Exception):
 class _Parser:
     """Recursive descent over token texts; ``i`` is the next token's index.
 
-    Diagnostics name tokens by index; ``starts`` maps the trail (child or
-    edge indices) of each block or edge read to its first token. The hot
+    Diagnostics name tokens by index; ``starts`` lists each block's or edge's
+    first token in read order, mapped to trails only for a finding. The hot
     loops, ``_component`` and ``_block_items``, read ``toks`` directly.
 
     Recovery has two rules. A construct that cannot go on reports its
@@ -240,10 +242,12 @@ class _Parser:
     """
 
     def __init__(self, text: str) -> None:
+        if "#" in text:
+            text = _COMMENT_RE.sub(lambda m: " " * len(m[0]), text)
         self.spans = _Spans(text)
         self.diagnostics: list[ParseDiagnostic] = []
-        # After text ending in whitespace or a comment, findall also yields
-        # a second, empty match at the end; parsing stops at the first.
+        # After text ending in whitespace, findall also yields a second,
+        # empty match at the end; parsing stops at the first.
         bad: list[int] = []
         if text.isascii():
             toks = _ASCII_TOKEN_RE.findall(text)
@@ -261,8 +265,8 @@ class _Parser:
         self.i = 0
         self.components: dict[str, Component] = {}
         self.declared: dict[str, int] = {}  # each component id, even one whose body failed
-        self.starts: dict[tuple, int] = {}
-        self.read: tuple[object, dict[tuple, int]] | None = None  # the first whole structure
+        self.starts: list[int] = []
+        self.read: tuple[object, list[int]] | None = None  # the first whole structure
         # the declarations as *seen*, even when their bodies fail to
         # parse — a broken system line is not a missing one
         self.system_tok: int | None = None
@@ -353,9 +357,10 @@ class _Parser:
             # after a syntax error only errors: an unused component is likely a broken line's
             syntax_ok = not self.diagnostics
             findings, used = _check(self.read[0], self.declared)
+            at = _first_tokens(*self.read) if findings else None
             for severity, message, trail, field in findings:
                 if syntax_ok or severity == "error":
-                    self._error(message, self.read[1][trail] + _FIELD_TOKEN[field], severity)
+                    self._error(message, at[trail] + _FIELD_TOKEN[field], severity)
             for cid, i in self.declared.items() if syntax_ok else ():
                 if cid not in used:
                     self._error(NEVER_USED.format(cid), i, "warning")
@@ -441,24 +446,24 @@ class _Parser:
         else:
             self.system_tok = i
         self._expect("=")
-        self.starts = {}
-        block = self._block(())
+        self.starts = []
+        block = self._block(0)
         self.read = self.read or (block, self.starts)
 
-    def _block(self, trail: tuple):
-        """The block at the next token, at ``trail`` (a child index per composite above)."""
+    def _block(self, depth: int):
+        """The block at the next token, below ``depth`` composites."""
         toks = self.toks
         i = self.i
         tok = toks[i]
         if not _is_id(tok):
             self._fail("expected a block", i)
         self.i = i + 1
-        self.starts[trail] = i
+        self.starts.append(i)
         if tok not in COMPOSITES:
             if tok in _KEYWORDS:
                 self._fail(f"{tok!r} is a reserved word and cannot name a component", i)
             return Leaf(tok)
-        if len(trail) == MAX_NESTING:
+        if depth == MAX_NESTING:
             self._fail(NESTING_ERROR, i)
         self._expect("(")
         if tok == "kofn":
@@ -467,7 +472,7 @@ class _Parser:
                 self._fail(INTEGER_K, k_i)
             self.i = k_i + 1
             self._expect(";")
-        children = self._block_items(trail)
+        children = self._block_items(depth + 1)
         if tok == "bridge":
             n = len(children)
             if n != 5:
@@ -477,12 +482,12 @@ class _Parser:
             return KofN(int(toks[k_i]), children)
         return COMPOSITES[tok](children)
 
-    def _block_items(self, trail: tuple) -> list:
-        """The blocks up to and with the closing ')'."""
+    def _block_items(self, depth: int) -> list:
+        """The blocks, below ``depth`` composites, up to and with the closing ')'."""
         toks = self.toks
         children = []
         while True:
-            children.append(self._block(trail + (len(children),)))
+            children.append(self._block(depth))
             if toks[self.i] != ",":
                 break
             self.i += 1
@@ -506,10 +511,10 @@ class _Parser:
             self._expect(text)
         terminal = toks[self._expect_name("a node id")]
         edges: list[Edge] = []
-        starts = {(): head}
+        starts = [head]
         while toks[self.i] == ",":
             self.i += 1
-            starts[(len(edges),)] = self._expect("edge")
+            starts.append(self._expect("edge"))
             self._expect("(")
             a = self._expect_name("a node id")
             self._expect(",")
@@ -520,6 +525,21 @@ class _Parser:
             edges.append(Edge(f"e{len(edges)}", toks[a], toks[b], toks[comp]))
         self._expect("}")
         self.read = self.read or (Network(edges=edges, source=source, terminal=terminal), starts)
+
+
+def _first_tokens(system, starts: list[int]) -> dict[tuple, int]:
+    """Each trail in a read ``system`` mapped to its first token, in one walk
+    that meets its blocks, or its edges, in the order ``starts`` lists them."""
+    if isinstance(system, Network):
+        return dict(zip([()] + [(k,) for k in range(len(system.edges))], starts))
+    table: dict[tuple, int] = {}
+    todo = [((), system)]
+    for i in starts:  # depth first, as read
+        trail, block = todo.pop()
+        table[trail] = i
+        children = getattr(block, "children", ())
+        todo += [(trail + (k,), children[k]) for k in reversed(range(len(children)))]
+    return table
 
 
 def parse_model(text: str) -> tuple[Model | None, list[ParseDiagnostic]]:
