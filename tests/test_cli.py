@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -18,10 +19,21 @@ BRIDGE = str(DATA / "bridge.avail")
 MIXED = str(DATA / "mixed.avail")
 KOFN = str(DATA / "kofn.avail")
 MESH = str(DATA / "mesh.avail")
+EXIT_USAGE = 1  # a usage error is a validation failure; 2 is an I/O failure
 
 
 def run(capsys, *argv):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def outcome(capsys, *argv):
+    """Like ``run``, where a usage error or ``-h`` ends the run with its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -265,6 +277,90 @@ class TestExitCodes:
             assert result.returncode == 1
             assert "Traceback" not in result.stderr
             assert ":1:11: error: component 'a': mean down time must be" in result.stderr
+
+
+class TestUsage:
+    # The command line's contract: each usage error exits 1 with nothing on
+    # stdout and one error line last on stderr, reported in the order that
+    # argparse reports it; the other spellings of a command give its bytes.
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"],
+             "argument command: invalid choice: 'bogus' (choose from 'eval', 'check', 'oracle', 'whatif')"),
+            (["eval"], "the following arguments are required: model"),
+            (["whatif", BRIDGE], "the following arguments are required: --set"),
+            (["whatif"], "the following arguments are required: model, --set"),
+            (["eval", BRIDGE, "extra"], "unrecognized arguments: extra"),
+            (["eval", BRIDGE, "--bogus"], "unrecognized arguments: --bogus"),
+            (["--bogus", "eval", BRIDGE, "extra"], "unrecognized arguments: --bogus extra"),
+            (["eval", BRIDGE, "--", "--format", "json"], "unrecognized arguments: --format json"),
+            (["oracle", BRIDGE, "--m", "5"], "ambiguous option: --m could match --max-states, --mode"),
+            (["eval", BRIDGE, "--m", "5"],
+             "ambiguous option: --m could match --minutes-per-year, --max-states"),
+            (["oracle", BRIDGE, "--samples"], "argument --samples: expected one argument"),
+            (["oracle", BRIDGE, "--samples", "--seed", "3"], "argument --samples: expected one argument"),
+            (["oracle", BRIDGE, "--seed", "-1e3"], "argument --seed: expected one argument"),
+            (["oracle", BRIDGE, "--samples=-1"], "argument --samples: must be >= 1, got -1"),
+            (["oracle", BRIDGE, "--seed", "1e3"], "argument --seed: invalid int value: '1e3'"),
+            (["eval", BRIDGE, "--format", "xml"],
+             "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+            (["eval", BRIDGE, "--format="],
+             "argument --format: invalid choice: '' (choose from 'text', 'json')"),
+            (["oracle", BRIDGE, "--mode", "exact"],
+             "argument --mode: invalid choice: 'exact' (choose from 'enumerate', 'mc')"),
+            # a bad value is reported before a missing MODEL, and both before an unknown flag
+            (["eval", "--max-states", "0", "--bogus"], "argument --max-states: must be >= 1, got 0"),
+            (["oracle", BRIDGE, "--samples", "0", "--m", "5"],
+             "ambiguous option: --m could match --max-states, --mode"),
+            (["eval", "--bogus"], "the following arguments are required: model"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv, error):
+        code, out, err = outcome(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.splitlines()[-1] == f"error: {error}"
+
+    @pytest.mark.parametrize(
+        "argv,canonical",
+        [
+            (["eval", BRIDGE, "--format=json"], ["eval", BRIDGE, "--format", "json"]),
+            (["eval", BRIDGE, "--form", "json"], ["eval", BRIDGE, "--format", "json"]),
+            (["oracle", BRIDGE, "--e=9", "--ma", "5000"],
+             ["oracle", BRIDGE, "--enum-cap", "9", "--max-states", "5000"]),
+            (["eval", "--format", "json", BRIDGE], ["eval", BRIDGE, "--format", "json"]),
+            (["eval", "--", BRIDGE], ["eval", BRIDGE]),
+            (["eval", "--format", "json", "--", BRIDGE], ["eval", BRIDGE, "--format", "json"]),
+            (["oracle", BRIDGE, "--mode", "mc", "--samples", "1000", "--seed", "-3"],
+             ["oracle", BRIDGE, "--mode=mc", "--samples=1000", "--seed=-3"]),
+            (["eval", BRIDGE, "--format", "json", "--format", "text"], ["eval", BRIDGE]),
+            (["whatif", "--set", "c3.availability=1.0", BRIDGE],
+             ["whatif", BRIDGE, "--set", "c3.availability=1.0"]),
+        ],
+    )
+    def test_accepted_spelling(self, capsys, argv, canonical):
+        expected = outcome(capsys, *canonical)
+        assert expected[0] == 0
+        assert outcome(capsys, *argv) == expected
+
+    def test_set_is_repeated_and_applied_in_order(self, capsys):
+        def modified(*values):
+            sets = [arg for value in values for arg in ("--set", f"c3.availability={value}")]
+            code, out, err = outcome(capsys, "whatif", BRIDGE, *sets, "--format", "json")
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            assert report["overrides"] == [f"c3.availability={value}" for value in values]
+            return report["modified"]
+
+        assert modified("0.5", "1.0") == modified("1.0")
+        assert modified("1.0", "0.5") == modified("0.5")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["eval", "-h"], ["oracle", BRIDGE, "--he"]])
+    def test_help_exits_0_on_stdout(self, capsys, argv):
+        code, out, err = outcome(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "availkit" in out
 
 
 class TestCheck:
