@@ -1,24 +1,22 @@
-"""Command-line front end.
+"""Command-line front end; ``availkit -h`` prints the usage, ``_USAGE``.
 
-Subcommands::
+Arguments are read as argparse reads them (``--flag value``, ``--flag=value``,
+a unique prefix of a flag, ``--``, a negative number as a value), and each
+usage error exits 1 with argparse's ``error:`` line in argparse's order. But
+argparse is not imported: it and the gettext and locale that it loads took
+half of what a command adds to a bare interpreter's start-up.
 
-    availkit eval   MODEL   evaluate and print the availability report
-    availkit check  MODEL   parse and validate, every diagnostic at its line
-    availkit oracle MODEL   cross-check evaluation against a brute-force
-                            oracle (exhaustive enumeration or Monte Carlo)
-    availkit whatif MODEL --set id.field=value [...]
-                            compare the model before and after overrides
-
-Exit codes: 0 success, 1 validation or evaluation failure (or Monte
-Carlo without the ``[mc]`` extra), 2 I/O failure, 3 oracle disagreement,
-4 enumeration cap exceeded. Reports go to stdout; diagnostics go to
-stderr.
+Exit codes: 0 success, 1 a usage, validation or evaluation failure (or
+Monte Carlo without the ``[mc]`` extra), 2 I/O failure, 3 oracle
+disagreement, 4 enumeration cap exceeded. Reports go to stdout;
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
+from types import SimpleNamespace
 from typing import Sequence
 
 from .components import FIELD_NAMES, FORM_OF, FORMS, Component, derive_environment
@@ -46,88 +44,158 @@ EXIT_CAP = 4
 ENUMERATION_TOLERANCE = 1e-9
 MC_HALF_WIDTHS = 4.0
 
+_USAGE = """\
+availkit eval   MODEL [--format text|json] [--minutes-per-year N] [--max-states N]
+availkit check  MODEL [--format text|json]
+availkit oracle MODEL [--format text|json] [--mode enumerate|mc] [--samples N] [--seed N]
+                      [--enum-cap N] [--max-states N]
+availkit whatif MODEL --set id.field=value [--set ...] [--format text|json]
+                      [--minutes-per-year N] [--max-states N]
+"""
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse exits 2 on usage problems; here 2 means an I/O failure,
-    so bad invocations are reported as validation failures instead."""
 
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+def _integer(low: int | None = None, convert=int):
+    """The reader of an integer >= ``low``, handed on as ``convert(value)``;
+    a smaller value, or one that ``convert`` overflows on, is refused."""
 
-
-def _int_at_least(low: int, convert=int):
-    """argparse type for an integer >= ``low``, handed on as ``convert(value)``;
-    a smaller value, or one that ``convert`` overflows on, is a usage error."""
-
-    def parse(text: str):
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    def read(text: str):
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"invalid int value: {text!r}") from None
+        if low is not None and value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
         try:
             return convert(value)
         except OverflowError:
-            raise argparse.ArgumentTypeError(f"too large for a {convert.__name__}") from None
+            raise ValueError(f"too large for a {convert.__name__}") from None
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value"
-    return parse
+    return read
 
 
-# The numeric options, each registered only on the subcommands that read it.
-_OPTIONS = {
-    "--minutes-per-year": dict(
-        type=_int_at_least(1, float),
-        default=MINUTES_PER_YEAR,
-        help="calendar used for downtime minutes (default 525600)",
-    ),
-    "--enum-cap": dict(
-        type=_int_at_least(0),
-        default=DEFAULT_ENUMERATION_CAP,
-        help="largest instance count the enumeration oracle will accept",
-    ),
-    "--max-states": dict(
-        type=_int_at_least(1),
-        default=DEFAULT_MAX_STATES,
-        help="live-state budget of the network sweep",
-    ),
+def _choice(*choices: str):
+    def read(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise ValueError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
+
+    return read
+
+
+# Each flag's attribute, reader and default. A list default collects the
+# flag's values in order; any other flag given twice keeps its last value.
+_FLAGS = {
+    "--format": ("format", _choice("text", "json"), "text"),
+    "--minutes-per-year": ("minutes_per_year", _integer(1, float), MINUTES_PER_YEAR),
+    "--enum-cap": ("enum_cap", _integer(0), DEFAULT_ENUMERATION_CAP),
+    "--max-states": ("max_states", _integer(1), DEFAULT_MAX_STATES),
+    "--mode": ("mode", _choice("enumerate", "mc"), "enumerate"),
+    "--samples": ("samples", _integer(1), 1_000_000),
+    "--seed": ("seed", _integer(), 1),
+    "--set": ("overrides", str, []),  # required: whatif has nothing to compare without it
 }
+_HELP = ("-h", "--help")
+# Each command's flags, in the order that an ambiguous prefix lists them.
+_COMMANDS = {
+    "eval": (*_HELP, "--format", "--minutes-per-year", "--max-states"),
+    "check": (*_HELP, "--format"),
+    "oracle": (*_HELP, "--format", "--enum-cap", "--max-states", "--mode", "--samples", "--seed"),
+    "whatif": (*_HELP, "--format", "--minutes-per-year", "--max-states", "--set"),
+}
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+_MODEL = re.compile("-?A-?")  # MODEL's value, and a "--" before or after it
 
 
-def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
-    parser.add_argument("model", help="path to a model file")
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text", help="report format"
-    )
-    for option in options:
-        parser.add_argument(option, **_OPTIONS[option])
+def _value(name: str, read, text: str):
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise ValueError(f"argument {name}: {exc}") from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="availkit", description="steady-state availability models")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_ArgumentParser)
+def _option(arg: str, flags: tuple[str, ...]) -> tuple[str | None, str | None] | None:
+    """None when ``arg`` is a value, else the flag it names (None for one
+    not in ``flags``) and its own value, the text after "=" or after -h."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    name, eq, value = arg.partition("=")
+    value = value if eq else None
+    if name in flags:
+        return name, value
+    if arg[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(name)]
+    else:
+        matches, value = (["-h"] if arg[:2] == "-h" else []), arg[2:]
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous option: {arg} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    return None if _NEGATIVE_NUMBER.match(arg) or " " in arg else (None, None)
 
-    evaluate = sub.add_parser("eval", help="evaluate a model")
-    _add_common(evaluate, "--minutes-per-year", "--max-states")
-    _add_common(sub.add_parser("check", help="parse and validate a model"))
 
-    oracle = sub.add_parser("oracle", help="cross-check the evaluation")
-    _add_common(oracle, "--enum-cap", "--max-states")
-    oracle.add_argument("--mode", choices=("enumerate", "mc"), default="enumerate")
-    oracle.add_argument("--samples", type=_int_at_least(1), default=1_000_000)
-    oracle.add_argument("--seed", type=int, default=1)
+def _help(flag: str, value: str | None) -> None:
+    while value is not None:  # "-hh" is -h twice; any other value is refused
+        if flag == "--help" or value[:1] != "h":
+            raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
+        value = value[1:] or None
+    sys.stdout.write(_USAGE)
+    raise SystemExit(EXIT_OK)
 
-    whatif = sub.add_parser("whatif", help="compare against overridden parameters")
-    _add_common(whatif, "--minutes-per-year", "--max-states")
-    whatif.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        required=True,
-        metavar="ID.FIELD=VALUE",
-        help="override a component field before derivation (repeatable)",
-    )
-    return parser
+
+def _read_args(argv: list[str]) -> SimpleNamespace:
+    """The command, MODEL and flags of ``argv``; a usage error is a ValueError."""
+    extras: list[str] = []
+    i = 0  # before the command, only -h/--help are known
+    while i < len(argv) and argv[i] != "--" and (option := _option(argv[i], _HELP)):
+        if option[0]:
+            _help(*option)
+        extras.append(argv[i])
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        raise ValueError("the following arguments are required: command")
+    command = _value("command", _choice(*_COMMANDS), argv[i])
+    args, flags = argv[i + 1:], _COMMANDS[command]
+
+    # "A" for a value, "O" for an option and "-" for the "--" that ends them
+    kinds, options = "", {}
+    for j, arg in enumerate(args):
+        if arg == "--":
+            kinds += "-" + "A" * (len(args) - j - 1)
+            break
+        option = options[j] = _option(arg, flags)
+        kinds += "A" if option is None else "O"
+
+    values = {_FLAGS[flag][0]: _FLAGS[flag][2] for flag in flags[2:]}
+    model, j = None, 0
+    while j < len(args):
+        if model is None and (match := _MODEL.match(kinds, j)):
+            model, j = args[j + (kinds[j] == "-")], match.end()
+            continue
+        flag, value = options.get(j) or (None, None)
+        if flag is None:
+            extras.append(args[j])
+        elif flag in _HELP:
+            _help(flag, value)
+        else:
+            if value is None:
+                if kinds[j + 1:j + 2] != "A":
+                    raise ValueError(f"argument {flag}: expected one argument")
+                j += 1
+                value = args[j]
+            name, read, default = _FLAGS[flag]
+            value = _value(flag, read, value)
+            values[name] = [*values[name], value] if isinstance(default, list) else value
+        j += 1
+
+    missing = ["model"] if model is None else []
+    if values.get("overrides") == []:
+        missing.append("--set")
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise ValueError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, model=model, **values)
 
 
 def _evaluate(model: Model, env, max_states: int) -> float:
@@ -252,10 +320,15 @@ def _cmd_whatif(args, model: Model, env) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        with open(args.model, encoding="utf-8-sig") as f:  # a byte-order mark is not text
-            text = f.read()
+        args = _read_args(sys.argv[1:] if argv is None else list(argv))
+    except ValueError as exc:
+        sys.stderr.write(f"{_USAGE}error: {exc}\n")
+        raise SystemExit(EXIT_VALIDATION) from None
+    try:
+        # the file's own offsets in a decode error: utf-8-sig counts from past the mark
+        with open(args.model, encoding="utf-8") as f:
+            text = f.read().removeprefix("\ufeff")  # a byte-order mark is not text
     except OSError as exc:
         print(f"error: cannot read {args.model!r}: {exc}", file=sys.stderr)
         return EXIT_IO

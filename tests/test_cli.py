@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"
 SRC = Path(__file__).parent.parent / "src"
+README = Path(__file__).parent.parent / "README.md"
 BRIDGE = str(DATA / "bridge.avail")
 MIXED = str(DATA / "mixed.avail")
 KOFN = str(DATA / "kofn.avail")
@@ -142,6 +144,24 @@ class TestExitCodes:
         plain = run(capsys, command, BRIDGE)
         assert run(capsys, command, str(marked))[:2] == plain[:2]
         assert plain[0] == 0
+
+    def test_a_decode_error_after_a_byte_order_mark_names_the_file_offset(self, capsys, tmp_path):
+        # the mark's three bytes count, as in a hex dump of the file
+        body = b"# a comment line\n" * 500 + b"component c1 { availability = 0.9 }\n"
+        marked = tmp_path / "marked.avail"
+        marked.write_bytes(b"\xef\xbb\xbf" + body + b"\xff\n")
+        offset = marked.read_bytes().index(b"\xff")
+        assert offset == 3 + len(body)
+        assert run(capsys, "check", str(marked)) == (
+            2, "", f"error: {str(marked)!r} is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+            f"in position {offset}: invalid start byte\n")
+
+    def test_a_second_byte_order_mark_is_text(self, capsys, tmp_path):
+        # only the first is skipped; the second is a stray character at 1:1
+        doubled = tmp_path / "doubled.avail"
+        doubled.write_bytes(b"\xef\xbb\xbf" * 2 + Path(BRIDGE).read_bytes())
+        code, _, err = run(capsys, "check", str(doubled))
+        assert (code, err) == (1, f"{doubled}:1:1: error: unexpected character '\\ufeff'\n")
 
     def test_enum_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "oracle", BRIDGE, "--enum-cap", "3")
@@ -361,6 +381,25 @@ class TestUsage:
         code, out, err = outcome(capsys, *argv)
         assert (code, err) == (0, "")
         assert "availkit" in out
+
+    @staticmethod
+    def _readme_synopsis():
+        cli_section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        return cli_section.split("```sh\n", 1)[1].split("```", 1)[0]
+
+    def test_help_and_usage_errors_print_the_readme_synopsis(self, capsys):
+        synopsis = self._readme_synopsis()
+        assert outcome(capsys, "-h") == (0, synopsis, "")
+        assert outcome(capsys, "eval", BRIDGE, "--bogus") == (
+            EXIT_USAGE, "", synopsis + "error: unrecognized arguments: --bogus\n")
+
+    def test_each_synopsis_line_names_the_flags_its_command_reads(self):
+        named: dict[str, set[str]] = {}
+        for line in self._readme_synopsis().splitlines():
+            if line.startswith("availkit "):
+                command = line.split()[1]
+            named.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+        assert named == {command: set(flags) - {"-h", "--help"} for command, flags in cli._COMMANDS.items()}
 
 
 class TestCheck:
@@ -604,6 +643,29 @@ class TestSubprocess:
         added = set(result.stdout.split())
         assert "availkit.cli" in added, result.stderr
         assert not added & {"decimal", "numbers", "json", "pathlib"}, sorted(added)
+
+    def test_commands_load_no_argparse_gettext_or_locale(self):
+        # argparse and the gettext and locale that it loads were half of a
+        # command's own start-up; a byte-order mark needs no utf_8_sig codec
+        script = (
+            "import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from availkit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main([command, sys.argv[1], '--format', form])\n"
+            "             for command in ('eval', 'check', 'oracle') for form in ('text', 'json')]\n"
+            "print(codes, *sorted(set(sys.modules) - before))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, BRIDGE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert result.stdout.startswith("[0, 0, 0, 0, 0, 0] "), result.stderr
+        added = set(result.stdout.split())
+        assert "availkit.cli" in added
+        assert not added & {"argparse", "gettext", "locale", "encodings.utf_8_sig"}, sorted(added)
 
     def test_enumeration_oracle_does_not_load_numpy(self, tmp_path):
         # Monte Carlo alone needs numpy: the enumeration oracle and a
