@@ -6,14 +6,22 @@ usage error exits 1 with argparse's ``error:`` line in argparse's order. But
 argparse is not imported: it and the gettext and locale that it loads took
 half of what a command adds to a bare interpreter's start-up.
 
+``run`` is the process entry, of ``python -m availkit`` and of the
+``availkit`` script: it calls ``main`` and freezes the heap last, so the
+interpreter's collections at exit skip what the command built. ``main``
+leaves the collector as it was.
+
 Exit codes: 0 success, 1 a usage, validation or evaluation failure (or
-Monte Carlo without the ``[mc]`` extra), 2 I/O failure, 3 oracle
+Monte Carlo without the ``[mc]`` extra), 2 I/O failure (the model file, or,
+through ``run``, a stdout closed before the report is written), 3 oracle
 disagreement, 4 enumeration cap exceeded. Reports go to stdout;
 diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -33,7 +41,7 @@ from .oracle import (
 from .report import (MINUTES_PER_YEAR, build_report, headline, render_json, render_text, to_json,
                      to_text)
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -360,5 +368,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_VALIDATION
 
 
+def run() -> int | str | None:
+    """``main()``'s exit code, with stdout flushed; ``gc.freeze()`` is the
+    last act however ``main`` ends. Unlike ``os._exit``, this keeps atexit
+    handlers and the flush of stdio at exit."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # -h, or a usage error
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to devnull, so the flush at exit is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    finally:
+        gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,3 +1,5 @@
+import gc
+import importlib
 import json
 import os
 import re
@@ -17,6 +19,7 @@ GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"
 SRC = Path(__file__).parent.parent / "src"
 README = Path(__file__).parent.parent / "README.md"
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 BRIDGE = str(DATA / "bridge.avail")
 MIXED = str(DATA / "mixed.avail")
 KOFN = str(DATA / "kofn.avail")
@@ -729,3 +732,125 @@ class TestSubprocess:
         assert result.returncode == 0
         assert result.stdout == (GOLDEN / "eval.golden").read_text(encoding="utf-8")
         assert result.stderr == ""
+
+
+def child_env(**overrides):
+    """The environment for a child interpreter that imports availkit from ``src``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
+class TestEntry:
+    """``cli.run`` is the process entry of ``python -m availkit`` and of the
+    ``availkit`` script: ``main``, then stdout flushed, then the heap frozen."""
+
+    # An oracle mismatch (exit 3) is not here: no model file makes the closed
+    # form and an oracle disagree (it would be a defect of one of them), so
+    # the test after this one reaches exit 3 with a substituted oracle.
+    @pytest.mark.parametrize(
+        "argv,exit_code",
+        [
+            (["eval", BRIDGE], 0),
+            (["oracle", BRIDGE, "--format", "json"], 0),
+            (["eval"], EXIT_USAGE),  # a SystemExit from main
+            (["check", str(DATA / "broken.avail")], 1),
+            (["eval", str(DATA / "missing.avail")], 2),
+            (["oracle", BRIDGE, "--enum-cap", "3"], 4),
+            (["-h"], 0),  # a SystemExit from main
+        ],
+        ids=["ok", "oracle-json", "usage", "validation", "unreadable", "enum-cap", "help"],
+    )
+    def test_a_process_ends_as_main_does(self, capsys, argv, exit_code):
+        result = subprocess.run(
+            [sys.executable, "-m", "availkit", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        in_process = outcome(capsys, *argv)
+        assert in_process[0] == exit_code
+        assert (result.returncode, result.stdout, result.stderr) == in_process
+
+    def test_an_oracle_mismatch_exits_3_through_the_entry(self, capsys, monkeypatch):
+        script = (
+            "import sys\n"
+            "from availkit import Probability, cli\n"
+            "cli.enumerate_availability = lambda structure, env, cap: Probability(0.5)\n"
+            "sys.argv[1:] = ['oracle', sys.argv[1], '--format', 'json']\n"
+            "sys.exit(cli.run())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, BRIDGE], capture_output=True, text=True, env=child_env()
+        )
+        monkeypatch.setattr(
+            cli, "enumerate_availability", lambda structure, env, cap: Probability(0.5)
+        )
+        in_process = run(capsys, "oracle", BRIDGE, "--format", "json")
+        assert in_process[0] == 3
+        assert (result.returncode, result.stdout, result.stderr) == in_process
+
+    def test_atexit_handlers_run_and_are_flushed(self):
+        # why the entry freezes the heap rather than leaving by os._exit:
+        # a handler registered before it still runs, and what it prints arrives
+        script = (
+            "import atexit, gc, sys\n"
+            "from availkit.cli import run\n"
+            "atexit.register(lambda: print('atexit ran; frozen:', gc.get_freeze_count() > 0))\n"
+            "sys.argv[1:] = ['eval', sys.argv[1]]\n"
+            "sys.exit(run())\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, BRIDGE], capture_output=True, text=True, env=child_env()
+        )
+        golden = (GOLDEN / "eval_text.golden").read_text(encoding="utf-8")
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == golden + "atexit ran; frozen: True\n"
+
+    def test_main_leaves_the_collector_as_it_was(self, capsys):
+        # the freeze is the entry's, so tests and library callers of main keep their GC
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert outcome(capsys, "eval", BRIDGE)[0] == 0
+        assert outcome(capsys, "eval")[0] == EXIT_USAGE
+        assert outcome(capsys, "-h")[0] == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("report", ["bridge", "large", "help"])
+    def test_a_closed_stdout_is_the_io_failure_without_a_traceback(
+        self, tmp_path, unbuffered, report
+    ):
+        argv = ["-h"] if report == "help" else ["eval", BRIDGE]  # -h ends in a SystemExit
+        if report == "large":  # a report past a 64 KiB pipe buffer
+            large = tmp_path / "large.avail"
+            names = [f"c{i}" for i in range(2000)]
+            large.write_text(
+                "".join(f"component {n} {{ availability = 0.9999 }}\n" for n in names)
+                + f"system = series({', '.join(names)})\n",
+                encoding="utf-8",
+            )
+            argv = ["eval", str(large), "--format", "json"]
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the report is written
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "availkit", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (2, "")
+
+    def test_the_console_script_is_the_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
+        scripts = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"availkit": "availkit.cli:run"}
+        module, _, name = scripts["availkit"].partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.run
+        assert "run" in cli.__all__
