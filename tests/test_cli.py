@@ -642,28 +642,33 @@ class TestSubprocess:
         assert "availkit.cli" in added, result.stderr
         assert not added & {"decimal", "numbers", "json", "pathlib"}, sorted(added)
 
-    def test_commands_load_no_argparse_gettext_or_locale(self):
+    @pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+    def test_commands_load_no_argparse_gettext_or_locale(self, flags):
         # argparse and the gettext and locale that it loads were half of a
-        # command's own start-up; a byte-order mark needs no utf_8_sig codec
+        # command's own start-up; a byte-order mark needs no utf_8_sig codec;
+        # annotations name no typing. Under -S, site has not loaded typing
         script = (
             "import contextlib, io, sys\n"
             "before = set(sys.modules)\n"
             "from availkit.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [main([command, sys.argv[1], '--format', form])\n"
-            "             for command in ('eval', 'check', 'oracle') for form in ('text', 'json')]\n"
+            "    codes = [main([command, sys.argv[1], *extra, '--format', form])\n"
+            "             for command, extra in (('eval', ()), ('check', ()), ('oracle', ()),\n"
+            "                                    ('whatif', ('--set', 'c3.availability=1.0')))\n"
+            "             for form in ('text', 'json')]\n"
             "print(codes, *sorted(set(sys.modules) - before))\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", script, BRIDGE],
+            [sys.executable, *flags, "-c", script, BRIDGE],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": str(SRC)},
         )
-        assert result.stdout.startswith("[0, 0, 0, 0, 0, 0] "), result.stderr
+        assert result.stdout.startswith("[0, 0, 0, 0, 0, 0, 0, 0] "), result.stderr
         added = set(result.stdout.split())
         assert "availkit.cli" in added
-        assert not added & {"argparse", "gettext", "locale", "encodings.utf_8_sig"}, sorted(added)
+        forbidden = {"argparse", "gettext", "locale", "encodings.utf_8_sig", "typing"}
+        assert not added & forbidden, sorted(added)
 
     def test_enumeration_oracle_does_not_load_numpy(self, tmp_path):
         # Monte Carlo alone needs numpy: the enumeration oracle and a
