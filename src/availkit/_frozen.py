@@ -16,10 +16,6 @@ saves nothing on CPython 3.10 to 3.13, so the bound form is the one used.
 
 from __future__ import annotations
 
-from typing import Any, TypeVar
-
-_V = TypeVar("_V", bound="Frozen")
-
 setfield = object.__setattr__
 
 
@@ -42,7 +38,7 @@ class Frozen:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({args})"
 
-    def __setattr__(self, name: str, value: Any) -> None:
+    def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
@@ -51,7 +47,7 @@ class Frozen:
     def __reduce__(self) -> tuple:
         return type(self), self._values()
 
-    def replace(self: _V, **changes: Any) -> _V:
+    def replace(self, **changes: object) -> Frozen:
         """A copy with ``changes`` applied, built through ``__init__``, so
         derived numbers are computed afresh; an unknown name is a TypeError."""
         return type(self)(**dict(zip(self._fields, self._values()), **changes))

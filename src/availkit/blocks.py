@@ -13,7 +13,7 @@ reported on.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, TypeVar, Union
+from collections.abc import Callable, Iterable
 
 from ._frozen import Frozen, setfield
 
@@ -119,8 +119,7 @@ class Bridge(Frozen):
         return (self.b1, self.b2, self.b3, self.b4, self.b5)
 
 
-Block = Union[Leaf, Series, Parallel, KofN, Bridge]
-_T = TypeVar("_T")
+Block = Leaf | Series | Parallel | KofN | Bridge
 # Each composite by its ``kind``, its keyword in model files. A subclass
 # inherits its base's ``kind``, so every walker that reads it takes it as the base.
 COMPOSITES = {cls.kind: cls for cls in (Series, Parallel, KofN, Bridge)}
@@ -128,8 +127,9 @@ _COMPOSITE_TYPES = tuple(COMPOSITES.values())
 
 
 def fold(
-    block: Block, leaf: Callable[[Leaf], _T], node: Callable[[Block, list[_T]], _T], _depth: int = 0
-) -> _T:
+    block: Block, leaf: Callable[[Leaf], object], node: Callable[[Block, list], object],
+    _depth: int = 0,
+) -> object:
     """Fold a block tree bottom-up: ``leaf(l)`` is a leaf's value and ``node(b, values)``
     a composite's, from its children's values in child order; both are called in
     canonical depth-first order. A non-block is a TypeError, and nesting past

@@ -24,8 +24,8 @@ import gc
 import os
 import re
 import sys
+from collections.abc import Sequence
 from types import SimpleNamespace
-from typing import Sequence
 
 from .components import FIELD_NAMES, FORM_OF, FORMS, Component, derive_environment
 from .evaluate import EvaluationError, eval_block

@@ -12,7 +12,7 @@ and derives its availability and mean down time once, when it is built.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from ._frozen import Frozen
 from .blocks import check_string

@@ -11,7 +11,7 @@ on that: a k-of-n tail can sum to 1.0000000000000002, clamped to 1.0.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .blocks import Block, EvaluationError, fold, kofn_problem
 from .probability import Probability

@@ -16,7 +16,7 @@ below which nothing else is checked.
 
 from __future__ import annotations
 
-from typing import Container, Literal, Union
+from collections.abc import Container
 
 from ._frozen import Frozen, setfield
 from .blocks import (DUPLICATE_EDGE, MAX_NESTING, NESTING_ERROR, NOT_A_BLOCK, SAME_ENDS, Block,
@@ -28,9 +28,11 @@ __all__ = ["Diagnostic", "Model", "validate"]
 
 
 class Diagnostic(Frozen):
+    """A finding of ``validate`` at a dotted ``path``; ``severity`` is "error" or "warning"."""
+
     __slots__ = _fields = ("severity", "path", "message")
 
-    def __init__(self, severity: Literal["error", "warning"], path: str, message: str) -> None:
+    def __init__(self, severity: str, path: str, message: str) -> None:
         setfield(self, "severity", severity)
         setfield(self, "path", path)
         setfield(self, "message", message)
@@ -49,7 +51,7 @@ class Model(Frozen):
 
     __slots__ = _fields = ("components", "system")
 
-    def __init__(self, components: dict[str, Component], system: Union[Block, Network]) -> None:
+    def __init__(self, components: dict[str, Component], system: Block | Network) -> None:
         for key, comp in components.items():
             if not isinstance(comp, Component):
                 raise TypeError(NOT_A_COMPONENT.format(comp))
@@ -111,7 +113,7 @@ def _check_block(block: Block, trail: tuple, known: Container[str], used: set[st
             _check_block(child, trail + (i,), known, used, out)
 
 
-def _check(system: Union[Block, Network], known: Container[str]) -> tuple[list, set]:
+def _check(system: Block | Network, known: Container[str]) -> tuple[list, set]:
     """The walk behind validate and parse_model: the findings and the known ids used."""
     out, used = [], set()
     if not isinstance(system, Network):
@@ -139,7 +141,7 @@ def _check(system: Union[Block, Network], known: Container[str]) -> tuple[list, 
     return out, used
 
 
-def _path(system: Union[Block, Network], trail: tuple) -> str:
+def _path(system: Block | Network, trail: tuple) -> str:
     """The dotted path down ``trail``: system.children[2].b1, system.edges[0]."""
     if isinstance(system, Network):
         return "system" + "".join(f".edges[{i}]" for i in trail)

@@ -62,7 +62,6 @@ import re
 from bisect import bisect_left
 from itertools import compress
 from operator import attrgetter
-from typing import Literal, NoReturn
 
 from ._frozen import Frozen, setfield
 from .blocks import COMPOSITES, INTEGER_K, MAX_NESTING, NESTING_ERROR, Bridge, KofN, Leaf, fold
@@ -82,11 +81,11 @@ class SourceSpan(Frozen):
 
 
 class ParseDiagnostic(Frozen):
+    """A finding of ``parse_model`` at ``span``; ``severity`` is "error" or "warning"."""
+
     __slots__ = _fields = ("severity", "message", "span")
 
-    def __init__(
-        self, severity: Literal["error", "warning"], message: str, span: SourceSpan
-    ) -> None:
+    def __init__(self, severity: str, message: str, span: SourceSpan) -> None:
         setfield(self, "severity", severity)
         setfield(self, "message", message)
         setfield(self, "span", span)
@@ -274,10 +273,10 @@ class _Parser:
 
     # -- token plumbing ------------------------------------------------
 
-    def _error(self, message: str, i: int, severity: Literal["error", "warning"] = "error") -> None:
+    def _error(self, message: str, i: int, severity: str = "error") -> None:
         self.diagnostics.append(ParseDiagnostic(severity, message, self.spans(i)))
 
-    def _fail(self, message: str, i: int) -> NoReturn:
+    def _fail(self, message: str, i: int):
         """Report ``message`` at token ``i`` and unwind to ``parse``."""
         self._error(message, i)
         raise _Recover

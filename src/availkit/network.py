@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Mapping
 
 from ._frozen import Frozen, setfield
 from .blocks import DUPLICATE_EDGE, NOT_AN_EDGE, SAME_ENDS, check_string

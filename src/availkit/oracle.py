@@ -43,18 +43,15 @@ The whole budget runs on one stream — there is no worker splitting.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import partial, reduce
 from itertools import chain, compress, repeat
 from operator import and_, mul, or_
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .blocks import INTEGER_K, Block, EvaluationError, fold, leaves
 from .evaluate import _availability
 from .network import Network
 from .probability import Probability
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "EnumerationCapError",
@@ -108,7 +105,7 @@ def _instance_availabilities(structure: Structure, env: Mapping[str, float]) -> 
     return [_availability(env, cid) for cid in leaves(structure)]
 
 
-def _up_rows(seed: int, start: int, count: int, avails: Sequence[float]) -> np.ndarray:
+def _up_rows(seed: int, start: int, count: int, avails: Sequence[float]):
     """Up states of samples start .. start+count-1, one row per instance.
 
     Element [k, j] is draw (start+j)*m + k read against ``avails[k]``.
